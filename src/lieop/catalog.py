@@ -4,20 +4,39 @@ Catalog data is compiled in, never read from disk, and every structure an
 entry asserts is re-verified when the entry is first loaded; a failing
 assertion aborts with the witness rather than serving stale ground truth.
 
-grid_search is the exhaustive oracle: it enumerates every operator whose
-entries come from a finite scalar set and filters by the defining
-predicate, refusing (rather than truncating) when the candidate count
-exceeds the cap.
+grid_search is the exhaustive oracle: it returns every operator whose
+entries come from a finite scalar set and which satisfies the defining
+predicate, in the lexicographic order of the full candidate product. It
+refuses (rather than truncates) when that product's nominal candidate
+count exceeds the cap, before evaluating any candidate.
+
+It does not test the product candidate by candidate. It enumerates in
+stages: T is filtered by the Kupershmidt identity and N by the Nijenhuis
+identity on their own, the (N, S) pair condition is decided once for all
+T, and only then are the filtered lists multiplied out, in the nesting
+order of the full product, where triples are filtered by the twist
+NT = TS. These verdicts come from lieop.kernel, which clears the
+denominators of the structure constants and action matrices with one
+scale and those of the grid values with another, and tests in integers.
+That is exact because every identity is homogeneous: of degree 1 in
+(bracket, rho) jointly and degree 2 in the operator entries, so the
+integer defect is the rational one times a positive constant. Each
+survivor is then built as a Matrix and confirmed with the public
+predicate (is_kn_structure, are_compatible_kupershmidt, ...), so a
+result is always one the reporting path accepts, and composite checks
+rerun their hypotheses as before. r_matrix has at most three free
+entries on every catalog algebra and is tested candidate by candidate.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
-from .errors import GridCapExceeded, LieopError, StructureCheckError
+from .errors import GridCapExceeded, LieopError, ShapeError, StructureCheckError
+from .kernel import VerdictKernel, clear_denominators
 from .lie import LieAlgebra
 from .linalg import Matrix, Scalar, rational
 from .operators import (
@@ -358,12 +377,6 @@ SEARCH_KINDS = (
 )
 
 
-def _as_matrix(values: Sequence, nrows: int, ncols: int) -> Matrix:
-    return Matrix(
-        [values[r * ncols : (r + 1) * ncols] for r in range(nrows)]
-    )
-
-
 def grid_search(
     g: LieAlgebra,
     rho: Optional[Representation],
@@ -375,7 +388,9 @@ def grid_search(
 
     Enumeration is lexicographic over the sorted scalar set, so results are
     deterministic. Raises GridCapExceeded instead of truncating: partial
-    output would silently destroy the oracle's exhaustiveness.
+    output would silently destroy the oracle's exhaustiveness. The cap
+    counts every candidate of the full product, however few the stages
+    below end up evaluating.
     """
     if kind not in SEARCH_KINDS:
         raise LieopError(f"unknown search kind {kind!r}")
@@ -389,7 +404,8 @@ def grid_search(
         rep_ok = check_representation(rho)
         if not rep_ok.ok:
             raise LieopError("search representation is invalid")
-
+        if rho.algebra.dim != n:
+            raise ShapeError(f"representation of a dim {rho.algebra.dim} algebra, expected {n}")
     if kind == "nijenhuis":
         slots = n * n
     elif kind == "rota_baxter":
@@ -409,51 +425,106 @@ def grid_search(
     if count > cap:
         raise GridCapExceeded(f"{count} candidates exceed the cap of {cap}")
 
+    if kind == "r_matrix":
+        return _r_matrix_search(g, values)
+    return _staged_search(g, rho if needs_rho else None, kind, values)
+
+
+def _r_matrix_search(g: LieAlgebra, values: list) -> list:
+    n = g.dim
     found = []
-    for combo in itertools.product(values, repeat=slots):
-        if kind == "nijenhuis":
-            cand = _as_matrix(combo, n, n)
-            if is_nijenhuis(g, cand).ok:
-                found.append(cand)
-        elif kind == "rota_baxter":
-            cand = _as_matrix(combo, n, n)
-            if is_rota_baxter(g, cand).ok:
-                found.append(cand)
-        elif kind == "kupershmidt":
-            cand = _as_matrix(combo, n, m)
-            if is_kupershmidt(g, rho, cand, check_rho=False).ok:
-                found.append(cand)
-        elif kind == "nijenhuis_pair":
-            n_op = _as_matrix(combo[: n * n], n, n)
-            s_op = _as_matrix(combo[n * n :], m, m)
+    for combo in itertools.product(values, repeat=n * (n - 1) // 2):
+        rows = [[0] * n for _ in range(n)]
+        it = iter(combo)
+        for i in range(n):
+            for j in range(i + 1, n):
+                c = next(it)
+                rows[i][j] = c
+                rows[j][i] = -c
+        cand = Bivector(Matrix(rows))
+        if is_r_matrix(g, cand).ok:
+            found.append(cand)
+    return found
+
+
+def _staged_search(
+    g: LieAlgebra, rho: Optional[Representation], kind: str, values: list
+) -> list:
+    """Filter each factor, pair the factors, and confirm the survivors.
+
+    The kernel decides each identity in integers (exact, see lieop.kernel)
+    on the flat candidates; a Matrix is built only for what survives it,
+    and every result is confirmed with the public predicate, so a kernel
+    fault could drop a result but never add one. The survivors are visited
+    in the nesting order of the full product, which keeps the lexicographic
+    order of the results.
+    """
+    kernel = VerdictKernel(g, rho)
+    ints = clear_denominators(values)
+    value_of = dict(zip(ints, values))
+    n = g.dim
+    m = rho.module_dim if rho is not None else n
+
+    def grid(size: int):
+        return itertools.product(ints, repeat=size)
+
+    def matrix(flat, ncols: int) -> Matrix:
+        return Matrix(
+            [[value_of[c] for c in flat[r : r + ncols]] for r in range(0, len(flat), ncols)]
+        )
+
+    if kind in ("nijenhuis", "rota_baxter", "kupershmidt"):
+        decide, confirm, ncols = {
+            "nijenhuis": (kernel.is_nijenhuis, partial(is_nijenhuis, g), n),
+            "rota_baxter": (kernel.is_rota_baxter, partial(is_rota_baxter, g), n),
+            "kupershmidt": (
+                kernel.is_kupershmidt, partial(is_kupershmidt, g, rho, check_rho=False), m
+            ),
+        }[kind]
+        found = []
+        for flat in grid(n * ncols):
+            if decide(flat):
+                op = matrix(flat, ncols)
+                if confirm(op).ok:
+                    found.append(op)
+        return found
+
+    if kind == "nijenhuis_pair":
+        n_ops = [flat for flat in grid(n * n) if kernel.is_nijenhuis(flat)]
+        s_ops = list(grid(m * m))
+        found = []
+        for i, j in kernel.nijenhuis_pairs(n_ops, s_ops):
+            n_op, s_op = matrix(n_ops[i], n), matrix(s_ops[j], m)
             if is_nijenhuis_pair(g, rho, n_op, s_op).ok:
                 found.append((n_op, s_op))
-        elif kind == "kn_structure":
-            t_op = _as_matrix(combo[: n * m], n, m)
-            s_op = _as_matrix(combo[n * m : n * m + m * m], m, m)
-            n_op = _as_matrix(combo[n * m + m * m :], n, n)
-            if not is_kupershmidt(g, rho, t_op, check_rho=False).ok:
-                continue
-            if is_kn_structure(g, rho, t_op, s_op, n_op).ok:
-                found.append((t_op, s_op, n_op))
-        elif kind == "r_matrix":
-            rows = [[0] * n for _ in range(n)]
-            it = iter(combo)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    c = next(it)
-                    rows[i][j] = c
-                    rows[j][i] = -c
-            cand = Bivector(Matrix(rows))
-            if is_r_matrix(g, cand).ok:
-                found.append(cand)
-        else:  # compatible_pair
-            t1 = _as_matrix(combo[: n * m], n, m)
-            t2 = _as_matrix(combo[n * m :], n, m)
-            if not is_kupershmidt(g, rho, t1, check_rho=False).ok:
-                continue
-            if not is_kupershmidt(g, rho, t2, check_rho=False).ok:
-                continue
-            if are_compatible_kupershmidt(g, rho, t1, t2).ok:
-                found.append((t1, t2))
+        return found
+
+    # Both remaining kinds start from the Kupershmidt operators T.
+    t_ops = []
+    for flat in grid(n * m):
+        if kernel.is_kupershmidt(flat):
+            t_op = matrix(flat, m)
+            if is_kupershmidt(g, rho, t_op, check_rho=False).ok:
+                t_ops.append((flat, t_op))
+
+    if kind == "compatible_pair":
+        return [
+            (t1, t2)
+            for _, t1 in t_ops
+            for _, t2 in t_ops
+            if are_compatible_kupershmidt(g, rho, t1, t2).ok
+        ]
+
+    # kn_structure: a candidate lists T, then S, then N, so S varies slower
+    # than N once T is fixed.
+    n_ops = [flat for flat in grid(n * n) if kernel.is_nijenhuis(flat)]
+    s_ops = list(grid(m * m))
+    pairs = sorted(kernel.nijenhuis_pairs(n_ops, s_ops), key=lambda p: (p[1], p[0]))
+    found = []
+    for t_flat, t_op in t_ops:
+        for i, j in pairs:
+            if kernel.twist_holds(n_ops[i], t_flat, s_ops[j]):
+                s_op, n_op = matrix(s_ops[j], m), matrix(n_ops[i], n)
+                if is_kn_structure(g, rho, t_op, s_op, n_op).ok:
+                    found.append((t_op, s_op, n_op))
     return found

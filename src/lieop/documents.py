@@ -75,7 +75,8 @@ def _want(obj, key, path, kind):
     if key not in obj:
         raise DocumentError(f"{path}.{key}", "missing")
     value = obj[key]
-    if not isinstance(value, kind):
+    # JSON true/false arrive as bool, which Python counts as an int.
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise DocumentError(
             f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}"
         )

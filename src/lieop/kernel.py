@@ -1,0 +1,200 @@
+"""Verdict-only integer kernel behind grid_search.
+
+The public predicates build a CheckReport listing every failing basis
+tuple. An exhaustive search needs only the yes/no answer, and nearly every
+answer is no, so this kernel decides the same identities on the same basis
+tuples in Python integers and stops at the first nonzero defect.
+
+Why integers give the exact verdict: every identity decided here is a
+polynomial whose terms all have the same degree, 1 in the bracket and the
+action matrices jointly and 2 in the operator entries (N, S and T
+together); the twist NT = TS has degree 2 in the operators and no bracket.
+Multiplying the structure constants and every rho(e_i) by one positive
+integer a, and every operator entry by one positive integer b, therefore
+multiplies each defect by a*b^2 (by b^2 for the twist), which is zero
+exactly when the rational defect is. The kernel takes a as the lcm of the
+denominators of the structure constants and the action matrices;
+clear_denominators takes b as the lcm of the grid values' denominators.
+N, S and T must share b, because the pair identity and the twist add terms
+that mix them.
+
+Operators are flat row-major tuples of those scaled integers, exactly as
+itertools.product over the scaled grid yields them.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+from operator import mul
+from typing import Optional, Sequence
+
+from .lie import BracketLike
+from .reps import Representation
+
+
+def clear_denominators(values: Sequence[Fraction]) -> list[int]:
+    """The values times the lcm of their denominators, in the same order."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _rows(flat: Sequence[int], ncols: int) -> list:
+    return [flat[r : r + ncols] for r in range(0, len(flat), ncols)]
+
+
+def _apply(rows, vec) -> list:
+    return [sum(map(mul, row, vec)) for row in rows]
+
+
+def _matmul(a, b) -> list:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _sub(x, y) -> list:
+    return [p - q for p, q in zip(x, y)]
+
+
+class VerdictKernel:
+    """Integer images of one algebra and, optionally, one representation.
+
+    Built once per search; each method decides one identity for one
+    candidate (or one batch of pairs) and returns a plain verdict.
+    """
+
+    def __init__(self, g: BracketLike, rho: Optional[Representation] = None):
+        n = g.dim
+        entries = [c for v in g.table.values() for c in v.coords]
+        if rho is not None:
+            entries += [c for mat in rho.matrices for row in mat.rows for c in row]
+        a = lcm(*(c.denominator for c in entries))
+
+        def scaled(c: Fraction) -> int:
+            return c.numerator * (a // c.denominator)
+
+        self.n = n
+        # (i, j, [(k, a * c_ij^k), ...]) for the nonzero brackets, i < j.
+        self._terms = [
+            (i, j, [(k, scaled(c)) for k, c in enumerate(v.coords) if c])
+            for (i, j), v in sorted(g.table.items())
+        ]
+        # _brackets[i][j] = a [e_i, e_j] as a list of integers.
+        self._brackets = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for i, j, comps in self._terms:
+            for k, c in comps:
+                self._brackets[i][j][k] = c
+                self._brackets[j][i][k] = -c
+        # q[j] is the matrix of x -> rho(x) e_j (columns indexed by x's
+        # coordinates), so the Kupershmidt inner term rho(Tu)v - rho(Tv)u at
+        # (u, v) = (e_i, e_j) is q[j] Tu - q[i] Tv. For the adjoint action it
+        # is x -> [x, e_j], which serves Nijenhuis and Rota-Baxter.
+        self._q_ad = [
+            [[self._brackets[k][j][p] for k in range(n)] for p in range(n)]
+            for j in range(n)
+        ]
+        self.m = None
+        if rho is not None:
+            m = rho.module_dim
+            self.m = m
+            mats = [[[scaled(c) for c in row] for row in mat.rows] for mat in rho.matrices]
+            self._rho = mats
+            self._q_rho = [
+                [[mats[k][p][j] for k in range(n)] for p in range(m)]
+                for j in range(m)
+            ]
+            # For each matrix position (p, q), the n action entries rho_k[p][q].
+            self._rho_entries = [
+                [mats[k][p][q] for k in range(n)] for p in range(m) for q in range(m)
+            ]
+
+    def _bracket(self, x, y) -> list:
+        out = [0] * self.n
+        for i, j, comps in self._terms:
+            c = x[i] * y[j] - x[j] * y[i]
+            if c:
+                for k, v in comps:
+                    out[k] += c * v
+        return out
+
+    def is_nijenhuis(self, n_op: Sequence[int]) -> bool:
+        """[Nx,Ny] = N([Nx,y] + [x,Ny] - N[x,y]) on basis pairs x, y."""
+        n = self.n
+        rows = _rows(n_op, n)
+        cols = [n_op[j::n] for j in range(n)]
+        q = self._q_ad
+        for a in range(n):
+            x = cols[a]
+            for b in range(a + 1, n):
+                y = cols[b]
+                inner = _sub(
+                    _sub(_apply(q[b], x), _apply(q[a], y)),
+                    _apply(rows, self._brackets[a][b]),
+                )
+                if self._bracket(x, y) != _apply(rows, inner):
+                    return False
+        return True
+
+    def is_rota_baxter(self, r_op: Sequence[int]) -> bool:
+        """[Rx,Ry] = R([Rx,y] + [x,Ry]) on basis pairs x, y."""
+        return self._kupershmidt_form(r_op, self.n, self._q_ad)
+
+    def is_kupershmidt(self, t_op: Sequence[int]) -> bool:
+        """[Tu,Tv] = T(rho(Tu)v - rho(Tv)u) on module basis pairs u, v."""
+        return self._kupershmidt_form(t_op, self.m, self._q_rho)
+
+    def _kupershmidt_form(self, op: Sequence[int], ncols: int, q) -> bool:
+        rows = _rows(op, ncols)
+        cols = [op[j::ncols] for j in range(ncols)]
+        for i in range(ncols):
+            x = cols[i]
+            for j in range(i + 1, ncols):
+                y = cols[j]
+                inner = _sub(_apply(q[j], x), _apply(q[i], y))
+                if self._bracket(x, y) != _apply(rows, inner):
+                    return False
+        return True
+
+    def nijenhuis_pairs(
+        self, n_ops: Sequence[Sequence[int]], s_ops: Sequence[Sequence[int]]
+    ) -> list[tuple[int, int]]:
+        """Index pairs (i, j), in lexicographic order, for which N = n_ops[i]
+        and S = s_ops[j] satisfy the pair condition
+        rho(Nx)S - S rho(Nx) = S rho(x) S - S^2 rho(x) at every basis x.
+
+        The other half of a Nijenhuis pair, N being Nijenhuis, is
+        is_nijenhuis; callers filter n_ops with it first.
+        """
+        n, m = self.n, self.m
+        # The right-hand side depends on S alone, the action rho(N e_x) on
+        # N alone, so each is computed once per operator, not once per pair.
+        s_sides = []
+        for s_flat in s_ops:
+            s = _rows(s_flat, m)
+            s2 = _matmul(s, s)
+            rhs = [
+                [_sub(p, q) for p, q in zip(_matmul(_matmul(s, rx), s), _matmul(s2, rx))]
+                for rx in self._rho
+            ]
+            s_sides.append((s, rhs))
+        out = []
+        for i, n_flat in enumerate(n_ops):
+            actions = []
+            for x in range(n):
+                col = n_flat[x::n]
+                actions.append(_rows([sum(map(mul, col, e)) for e in self._rho_entries], m))
+            for j, (s, rhs) in enumerate(s_sides):
+                if all(
+                    [_sub(p, q) for p, q in zip(_matmul(a, s), _matmul(s, a))] == r
+                    for a, r in zip(actions, rhs)
+                ):
+                    out.append((i, j))
+        return out
+
+    def twist_holds(
+        self, n_op: Sequence[int], t_op: Sequence[int], s_op: Sequence[int]
+    ) -> bool:
+        """NT = TS."""
+        n, m = self.n, self.m
+        t = _rows(t_op, m)
+        return _matmul(_rows(n_op, n), t) == _matmul(t, _rows(s_op, m))

@@ -209,7 +209,9 @@ def semidirect_product(g: LieAlgebra, rho: "Representation") -> LieAlgebra:
     """
     from .reps import check_representation  # cycle: reps builds on lie
 
-    cached = _SEMIDIRECT_CACHE.get((g, rho))
+    # Bracket equality ignores basis names, but the result carries g's.
+    key = (g, g.basis_names, rho)
+    cached = _SEMIDIRECT_CACHE.get(key)
     if cached is not None:
         return cached
     rep_ok = check_representation(rho)
@@ -228,5 +230,5 @@ def semidirect_product(g: LieAlgebra, rho: "Representation") -> LieAlgebra:
             table[(i, n + b)] = Vector([0] * n + list(col.coords))
     names = list(g.basis_names) + [f"v{b + 1}" for b in range(m)]
     out = LieAlgebra(dim, table, names)
-    _SEMIDIRECT_CACHE[(g, rho)] = out
+    _SEMIDIRECT_CACHE[key] = out
     return out

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from lieop import Matrix, Vector
+from lieop import LieAlgebra, Matrix, Vector
 from lieop.catalog import get_entry
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -23,6 +23,11 @@ def vectors(n: int, elements=small_fractions):
 
 
 GRID = (Fraction(-1), Fraction(0), Fraction(1))
+
+# [e1,e2] = 1/2 e1 + 1/3 e2: unequal denominators, in the adjoint and
+# coadjoint actions too, so clearing them needs their lcm, 6; no single
+# denominator would do.
+MIXED_AFF1 = LieAlgebra.from_structure(2, {(0, 1): {0: Fraction(1, 2), 1: Fraction(1, 3)}})
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,30 @@
 import itertools
+from fractions import Fraction
+
 import pytest
 
 from lieop import (
     GridCapExceeded,
     LieopError,
     Matrix,
+    Representation,
+    ShapeError,
+    adjoint_rep,
+    are_compatible_kupershmidt,
     check_jacobi,
+    coadjoint_rep,
+    is_kn_structure,
+    is_kupershmidt,
+    is_nijenhuis,
+    is_nijenhuis_pair,
+    is_r_matrix,
     is_rota_baxter,
 )
-from lieop.catalog import get_entry, grid_search, list_catalog
+from lieop import catalog
+from lieop.catalog import SEARCH_KINDS, get_entry, grid_search, list_catalog
+from lieop.structures import Bivector
 
-from conftest import GRID
+from conftest import GRID, MIXED_AFF1
 
 
 class TestEntries:
@@ -114,3 +128,140 @@ class TestGridSearch:
         found = grid_search(aff1.algebra, None, "rota_baxter", GRID)
         for m in found:
             assert m.scale(-1) in found
+
+
+def _as_matrix(values, nrows, ncols):
+    return Matrix([values[r * ncols : (r + 1) * ncols] for r in range(nrows)])
+
+
+def reference_grid_search(g, rho, kind, entry_set):
+    """The nested-loop oracle: build and test every candidate of the product."""
+    values = sorted({Fraction(v) for v in entry_set})
+    n = g.dim
+    m = rho.module_dim if rho is not None else 0
+    slots = {
+        "nijenhuis": n * n,
+        "rota_baxter": n * n,
+        "kupershmidt": n * m,
+        "nijenhuis_pair": n * n + m * m,
+        "kn_structure": n * m + m * m + n * n,
+        "r_matrix": n * (n - 1) // 2,
+        "compatible_pair": 2 * n * m,
+    }[kind]
+    found = []
+    for combo in itertools.product(values, repeat=slots):
+        if kind == "nijenhuis":
+            cand = _as_matrix(combo, n, n)
+            if is_nijenhuis(g, cand).ok:
+                found.append(cand)
+        elif kind == "rota_baxter":
+            cand = _as_matrix(combo, n, n)
+            if is_rota_baxter(g, cand).ok:
+                found.append(cand)
+        elif kind == "kupershmidt":
+            cand = _as_matrix(combo, n, m)
+            if is_kupershmidt(g, rho, cand, check_rho=False).ok:
+                found.append(cand)
+        elif kind == "nijenhuis_pair":
+            n_op = _as_matrix(combo[: n * n], n, n)
+            s_op = _as_matrix(combo[n * n :], m, m)
+            if is_nijenhuis_pair(g, rho, n_op, s_op).ok:
+                found.append((n_op, s_op))
+        elif kind == "kn_structure":
+            t_op = _as_matrix(combo[: n * m], n, m)
+            s_op = _as_matrix(combo[n * m : n * m + m * m], m, m)
+            n_op = _as_matrix(combo[n * m + m * m :], n, n)
+            if not is_kupershmidt(g, rho, t_op, check_rho=False).ok:
+                continue
+            if is_kn_structure(g, rho, t_op, s_op, n_op).ok:
+                found.append((t_op, s_op, n_op))
+        elif kind == "r_matrix":
+            rows = [[0] * n for _ in range(n)]
+            it = iter(combo)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    c = next(it)
+                    rows[i][j] = c
+                    rows[j][i] = -c
+            cand = Bivector(Matrix(rows))
+            if is_r_matrix(g, cand).ok:
+                found.append(cand)
+        else:  # compatible_pair
+            t1 = _as_matrix(combo[: n * m], n, m)
+            t2 = _as_matrix(combo[n * m :], n, m)
+            if not is_kupershmidt(g, rho, t1, check_rho=False).ok:
+                continue
+            if not is_kupershmidt(g, rho, t2, check_rho=False).ok:
+                continue
+            if are_compatible_kupershmidt(g, rho, t1, t2).ok:
+                found.append((t1, t2))
+    return found
+
+
+INTEGER_GRID = ("-1", "0", "1")
+FRACTIONAL_GRID = ("-1/2", "0", "1/3")
+TWO_POINT_FRACTIONAL = ("-1/2", "1/3")
+
+# (kind, algebra, representation, grid): each small enough for the
+# reference, and together covering every kind on both kinds of grid.
+CONTRACT_CASES = [
+    ("nijenhuis", "sl2", None, ("0", "1")),
+    ("nijenhuis", "aff1", None, FRACTIONAL_GRID),
+    ("rota_baxter", "sl2", None, ("0", "1")),
+    ("rota_baxter", "mixed_aff1", None, FRACTIONAL_GRID),
+    ("kupershmidt", "aff1", "coadjoint", INTEGER_GRID),
+    ("kupershmidt", "mixed_aff1", "adjoint", FRACTIONAL_GRID),
+    ("nijenhuis_pair", "aff1", "coadjoint", ("0", "1")),
+    ("nijenhuis_pair", "mixed_aff1", "adjoint", TWO_POINT_FRACTIONAL),
+    ("kn_structure", "aff1", "adjoint", ("0", "1")),
+    ("kn_structure", "abelian_1", "coadjoint", FRACTIONAL_GRID),
+    ("r_matrix", "sl2", None, INTEGER_GRID),
+    ("r_matrix", "heis3", None, FRACTIONAL_GRID),
+    ("compatible_pair", "aff1", "coadjoint", ("0", "1")),
+    ("compatible_pair", "mixed_aff1", "coadjoint", TWO_POINT_FRACTIONAL),
+]
+
+
+def _contract_inputs(algebra, rep):
+    if algebra == "mixed_aff1":
+        g = MIXED_AFF1
+        reps = {"adjoint": adjoint_rep(g), "coadjoint": coadjoint_rep(g)}
+    else:
+        entry = get_entry(algebra)
+        g, reps = entry.algebra, entry.representations
+    return g, reps[rep] if rep else None
+
+
+class TestGridSearchContract:
+    def test_cases_cover_every_kind(self):
+        assert {case[0] for case in CONTRACT_CASES} == set(SEARCH_KINDS)
+
+    @pytest.mark.parametrize(
+        "kind,algebra,rep,grid", CONTRACT_CASES, ids=lambda v: v if isinstance(v, str) else None
+    )
+    def test_same_ordered_results_as_the_reference(self, kind, algebra, rep, grid):
+        g, rho = _contract_inputs(algebra, rep)
+        expected = reference_grid_search(g, rho, kind, grid)
+        assert expected
+        assert grid_search(g, rho, kind, grid) == expected
+
+    def test_cap_counts_nominal_candidates_before_evaluating_any(self, aff1, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a candidate was evaluated")
+
+        for name in ("VerdictKernel", "is_kupershmidt", "is_nijenhuis_pair", "is_kn_structure"):
+            monkeypatch.setattr(catalog, name, forbidden)
+        ad = aff1.representations["adjoint"]
+        # 2 ** 12 triples, although staging would evaluate far fewer.
+        with pytest.raises(GridCapExceeded, match="4096 candidates"):
+            grid_search(aff1.algebra, ad, "kn_structure", (0, 1), cap=4095)
+
+    def test_representation_of_another_dimension_is_rejected(self, aff1, heis3):
+        with pytest.raises(ShapeError):
+            grid_search(aff1.algebra, heis3.representations["adjoint"], "kupershmidt", (0, 1))
+
+    def test_invalid_representation_is_rejected(self, aff1):
+        bad = Representation(aff1.algebra, (Matrix.identity(1), Matrix.identity(1)), check=False)
+        for kind in ("kupershmidt", "nijenhuis_pair", "kn_structure", "compatible_pair"):
+            with pytest.raises(LieopError, match="representation is invalid"):
+                grid_search(aff1.algebra, bad, kind, (0, 1))

@@ -1,0 +1,159 @@
+"""Differential tests: every verdict of lieop.kernel against the reporting
+predicates it stands in for inside grid_search."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lieop import (
+    LieAlgebra,
+    Matrix,
+    adjoint_rep,
+    coadjoint_rep,
+    is_kupershmidt,
+    is_nijenhuis,
+    is_nijenhuis_pair,
+    is_rota_baxter,
+    mat_mul,
+)
+from lieop.catalog import get_entry
+from lieop.kernel import VerdictKernel, clear_denominators
+
+from conftest import MIXED_AFF1
+
+INTEGER_GRID = (Fraction(-1), Fraction(0), Fraction(1))
+FRACTIONAL_GRID = (Fraction(-1, 2), Fraction(0), Fraction(1, 3))
+
+# sl2 in the basis (h/2, e/3, f): structure constants 1, -1 and 2/3.
+THIRD_SL2 = LieAlgebra.from_structure(
+    3, {(0, 1): {1: 1}, (0, 2): {2: -1}, (1, 2): {0: Fraction(2, 3)}}
+)
+
+
+def flat(*ops: Matrix) -> list[tuple[int, ...]]:
+    """Row-major integer images of the operators under one shared scale."""
+    ints = iter(clear_denominators([c for op in ops for row in op.rows for c in row]))
+    return [tuple(next(ints) for _ in range(op.nrows * op.ncols)) for op in ops]
+
+
+def grid_operators(grid, nrows: int, ncols: int):
+    """Every nrows x ncols operator over the grid: (integer image, Matrix)."""
+    ints = clear_denominators(list(grid))
+    value_of = dict(zip(ints, grid))
+    for combo in itertools.product(ints, repeat=nrows * ncols):
+        rows = [[value_of[c] for c in combo[r * ncols : (r + 1) * ncols]] for r in range(nrows)]
+        yield combo, Matrix(rows)
+
+
+def reps_of(g):
+    return [adjoint_rep(g), coadjoint_rep(g)]
+
+
+def assert_single_operator_kernel_agrees(g, grid):
+    kernel = VerdictKernel(g)
+    passes = 0
+    for combo, op in grid_operators(grid, g.dim, g.dim):
+        nij = is_nijenhuis(g, op).ok
+        assert kernel.is_nijenhuis(combo) == nij, op
+        assert kernel.is_rota_baxter(combo) == is_rota_baxter(g, op).ok, op
+        passes += nij
+    assert passes  # the zero operator at least
+
+
+def assert_module_kernel_agrees(g, rho, grid):
+    kernel = VerdictKernel(g, rho)
+    n, m = g.dim, rho.module_dim
+    for combo, t_op in grid_operators(grid, n, m):
+        assert kernel.is_kupershmidt(combo) == is_kupershmidt(g, rho, t_op, check_rho=False).ok
+
+    n_ops = list(grid_operators(grid, n, n))
+    s_ops = list(grid_operators(grid, m, m))
+    nijenhuis = [k for k, (combo, _) in enumerate(n_ops) if kernel.is_nijenhuis(combo)]
+    pairs = kernel.nijenhuis_pairs([n_ops[k][0] for k in nijenhuis], [s for s, _ in s_ops])
+    assert pairs == sorted(pairs)
+    decided = {(nijenhuis[i], j) for i, j in pairs}
+    expected = {
+        (i, j)
+        for i, (_, n_op) in enumerate(n_ops)
+        for j, (_, s_op) in enumerate(s_ops)
+        if is_nijenhuis_pair(g, rho, n_op, s_op).ok
+    }
+    assert decided == expected
+    assert expected
+
+
+class TestIntegerGrid:
+    @pytest.mark.parametrize("name", ["aff1", "heis3", "sl2"])
+    def test_nijenhuis_and_rota_baxter(self, name):
+        assert_single_operator_kernel_agrees(get_entry(name).algebra, INTEGER_GRID)
+
+    @pytest.mark.parametrize("rep", ["adjoint", "coadjoint"])
+    def test_kupershmidt_and_pairs_on_aff1(self, aff1, rep):
+        assert_module_kernel_agrees(aff1.algebra, aff1.representations[rep], INTEGER_GRID)
+
+
+class TestFractionalGrid:
+    def test_nijenhuis_and_rota_baxter(self, aff1):
+        assert_single_operator_kernel_agrees(aff1.algebra, FRACTIONAL_GRID)
+
+    @pytest.mark.parametrize("rep", ["adjoint", "coadjoint"])
+    def test_kupershmidt_and_pairs_on_aff1(self, aff1, rep):
+        assert_module_kernel_agrees(aff1.algebra, aff1.representations[rep], FRACTIONAL_GRID)
+
+
+class TestFractionalStructureConstants:
+    @pytest.mark.parametrize("grid", [INTEGER_GRID, FRACTIONAL_GRID], ids=["int", "frac"])
+    def test_nijenhuis_and_rota_baxter(self, grid):
+        assert_single_operator_kernel_agrees(MIXED_AFF1, grid)
+
+    @pytest.mark.parametrize("rep", [0, 1], ids=["adjoint", "coadjoint"])
+    def test_kupershmidt_and_pairs(self, rep):
+        assert_module_kernel_agrees(MIXED_AFF1, reps_of(MIXED_AFF1)[rep], INTEGER_GRID)
+
+
+ALGEBRAS = {
+    "aff1": get_entry("aff1").algebra,
+    "heis3": get_entry("heis3").algebra,
+    "sl2": get_entry("sl2").algebra,
+    "mixed_aff1": MIXED_AFF1,
+    "third_sl2": THIRD_SL2,
+}
+
+# Mostly zeros, so that the identities hold often enough to be tested both ways.
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+
+
+def square(data, size: int) -> Matrix:
+    return Matrix(data.draw(st.lists(st.lists(entries, min_size=size, max_size=size),
+                                     min_size=size, max_size=size)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(ALGEBRAS)), rep=st.sampled_from([0, 1]), data=st.data())
+def test_random_rationals(name, rep, data):
+    g = ALGEBRAS[name]
+    rho = reps_of(g)[rep]
+    n = g.dim
+    n_op, s_op, t_op = square(data, n), square(data, n), square(data, n)
+    kernel = VerdictKernel(g, rho)
+    n_int, s_int, t_int = flat(n_op, s_op, t_op)
+
+    assert kernel.is_nijenhuis(n_int) == is_nijenhuis(g, n_op).ok
+    assert kernel.is_rota_baxter(n_int) == is_rota_baxter(g, n_op).ok
+    assert kernel.is_kupershmidt(t_int) == is_kupershmidt(g, rho, t_op, check_rho=False).ok
+    pair = kernel.is_nijenhuis(n_int) and kernel.nijenhuis_pairs([n_int], [s_int]) == [(0, 0)]
+    assert pair == is_nijenhuis_pair(g, rho, n_op, s_op).ok
+    assert kernel.twist_holds(n_int, t_int, s_int) == (mat_mul(n_op, t_op) == mat_mul(t_op, s_op))
+
+
+def test_clear_denominators_keeps_order_and_scale():
+    assert clear_denominators([Fraction(-1, 2), Fraction(0), Fraction(1, 3)]) == [-3, 0, 2]
+    assert clear_denominators([Fraction(-1), Fraction(2)]) == [-1, 2]
+    assert clear_denominators([]) == []

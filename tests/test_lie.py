@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from lieop import (
     Bracket,
+    LieAlgebra,
     Matrix,
     ShapeError,
     ValidationError,
@@ -169,6 +170,13 @@ class TestSemidirect:
             for j in range(i + 1, g.dim):
                 top = big.basis_bracket(i, j).coords[: g.dim]
                 assert Vector(top) == g.basis_bracket(i, j)
+
+    def test_cache_keeps_basis_names_apart(self):
+        first = LieAlgebra.from_structure(2, {(0, 1): {1: 1}}, basis_names=("a", "b"))
+        second = LieAlgebra.from_structure(2, {(0, 1): {1: 1}}, basis_names=("p", "q"))
+        assert first == second  # bracket equality ignores the names
+        assert semidirect_product(first, adjoint_rep(first)).basis_names == ("a", "b", "v1", "v2")
+        assert semidirect_product(second, adjoint_rep(second)).basis_names == ("p", "q", "v1", "v2")
 
     def test_rejects_invalid_action(self, aff1):
         from lieop.reps import Representation
