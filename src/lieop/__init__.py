@@ -35,7 +35,6 @@ from .lie import (
     LieAlgebra,
     ad_action,
     adjoint_matrices,
-    bracket_eval,
     check_jacobi,
     deformed_algebra,
     promote,

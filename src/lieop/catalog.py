@@ -137,10 +137,6 @@ def _verify_entry(entry: CatalogEntry) -> CatalogEntry:
     return entry
 
 
-def _mat(rows) -> Matrix:
-    return Matrix(rows)
-
-
 def _abelian(n: int) -> CatalogEntry:
     g = LieAlgebra(n, {})
     ops = []

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .catalog import SEARCH_KINDS, get_entry, grid_search, list_catalog
+from .catalog import GRID_CAP, SEARCH_KINDS, get_entry, grid_search, list_catalog
 from .deformation import check_deformation_pair, check_trivial_equivalence
 from .documents import (
     Document,
@@ -261,6 +261,8 @@ def cmd_check(args, out: _Output) -> int:
 
 
 def cmd_hierarchy(args, out: _Output) -> int:
+    if args.kmax < 0:
+        raise DocumentError("kmax", f"must be >= 0, got {args.kmax}")
     doc = load_document(args.file)
     g = doc.algebra()
     rho = doc.representation(g)
@@ -272,27 +274,21 @@ def cmd_hierarchy(args, out: _Output) -> int:
     except PreconditionFailure as exc:
         report = exc.report or CheckReport(False, ())
         return _emit(out, "hierarchy", report, precondition=exc.name)
-    kup = [bool(is_kupershmidt(g, rho, op, check_rho=False).ok) for op in ops]
-    compat = [
-        [
-            bool(are_compatible_kupershmidt(g, rho, ops[a], ops[b]).ok)
-            for b in range(len(ops))
-        ]
-        for a in range(len(ops))
-    ]
+    # hierarchy() raises unless every T_k is Kupershmidt and every pair is
+    # compatible, so both tables report what it has already verified.
     for k, op in enumerate(ops):
-        out.text(f"T_{k} (kupershmidt: {'pass' if kup[k] else 'fail'}):")
+        out.text(f"T_{k} (kupershmidt: pass):")
         for line in str(op).splitlines():
             out.text(f"  {line}")
-    out.text("pairwise compatibility: all pass" if all(all(r) for r in compat) else "pairwise compatibility: FAILURES")
+    out.text("pairwise compatibility: all pass")
     out.json(
         {
             "kind": "hierarchy",
             "verdict": "pass",
             "k_max": args.kmax,
             "operators": [op.to_json() for op in ops],
-            "kupershmidt": kup,
-            "compatible": compat,
+            "kupershmidt": [True] * len(ops),
+            "compatible": [[True] * len(ops) for _ in ops],
         }
     )
     return EXIT_OK
@@ -505,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True, help="catalog algebra name")
     p.add_argument("--grid", required=True, help='comma-separated scalars, e.g. "-1,0,1"')
     p.add_argument("--rep", default="adjoint", help="representation name for module kinds")
-    p.add_argument("--cap", type=int, default=10_000_000)
+    p.add_argument("--cap", type=int, default=GRID_CAP)
     _global_flags(p)
     p.set_defaults(func=cmd_search)
 

@@ -15,7 +15,7 @@ from .errors import PreconditionFailure, ShapeError
 from .lie import Bracket, BracketLike, deformed_algebra
 from .linalg import Matrix, Vector, commutator, mat_mul
 from .report import CheckReport, Witness, report_from_witnesses
-from .reps import Representation, rho_hat
+from .reps import Representation, _check_pair_shapes, rho_hat
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,8 @@ def check_trivial_equivalence(
     varpi_match: varpi(x) = rho(Nx) + rho(x)S - S rho(x)
     intertwine:  rho(Nx) S = S varpi(x)
     """
-    n = g.dim
-    if n_op.shape != (n, n):
-        raise ShapeError(f"N has shape {n_op.shape}, expected ({n},{n})")
-    m = rho.module_dim
-    if s_op.shape != (m, m):
-        raise ShapeError(f"S has shape {s_op.shape}, expected ({m},{m})")
+    _check_pair_shapes(rho, n_op, s_op)
+    n, m = g.dim, rho.module_dim
     if d.omega.dim != n or d.varpi.module_dim != m:
         raise ShapeError("deformation pair does not match the algebra/module")
     witnesses = []

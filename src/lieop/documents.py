@@ -132,7 +132,9 @@ def _parse_bracket_table(raw, path, dim) -> Bracket:
 def parse_document(text: str) -> Document:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError, and so is an integer literal past
+        # the interpreter's digit limit; deep nesting exhausts the recursion.
         raise DocumentError("$", f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise DocumentError("$", "top level must be an object")
@@ -233,10 +235,6 @@ def load_document(path: str) -> Document:
 # ---------------------------------------------------------------------------
 # Serialization (canonical: sorted keys, two-space indent, trailing newline)
 # ---------------------------------------------------------------------------
-
-
-def bracket_stanza(b: Bracket) -> list:
-    return b.to_json()
 
 
 def algebra_stanza(g: LieAlgebra) -> dict:

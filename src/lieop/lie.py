@@ -10,6 +10,7 @@ fails loudly.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import ShapeError, ValidationError
@@ -21,7 +22,9 @@ class Bracket:
     """Antisymmetric bilinear product on an n-dimensional space.
 
     table maps (i, j) with i < j to the vector value [e_i, e_j]; absent
-    pairs are zero. [e_i, e_i] = 0 by storage convention.
+    pairs are zero. [e_i, e_i] = 0 by storage convention. The table is a
+    read-only view: a bracket is hashed, used as a cache key and trusted
+    once validated, so it must not change after construction.
     """
 
     def __init__(self, dim: int, table: Mapping[tuple[int, int], Vector]):
@@ -34,7 +37,7 @@ class Bracket:
                 raise ShapeError(f"bracket value at ({i},{j}) has dim {value.dim}, expected {dim}")
             if not value.is_zero():
                 clean[(i, j)] = value
-        self.table = clean
+        self.table = MappingProxyType(clean)
 
     @classmethod
     def from_function(cls, dim: int, f: Callable[[int, int], Vector]) -> "Bracket":
@@ -138,10 +141,6 @@ class LieAlgebra(Bracket):
 
 
 BracketLike = Union[Bracket, LieAlgebra]
-
-
-def bracket_eval(g: BracketLike, x: Vector, y: Vector) -> Vector:
-    return g(x, y)
 
 
 def check_jacobi(b: Bracket) -> CheckReport:

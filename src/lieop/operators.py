@@ -13,10 +13,20 @@ Conventions for the matrix arguments:
 from __future__ import annotations
 
 from .errors import ShapeError
-from .lie import Bracket, BracketLike, semidirect_product
+from .lie import Bracket, BracketLike, deformed_algebra, semidirect_product
 from .linalg import Matrix, Vector, block_diag, mat_mul
 from .report import CheckReport, Witness, report_from_witnesses
-from .reps import Representation, check_representation, dual_representation
+from .reps import (
+    Representation,
+    _ad_family,
+    _check_pair_shapes,
+    check_representation,
+    dual_representation,
+)
+
+# [u,v]_S = [Su,v] + [u,Sv] - S[u,v] is lie's deformed product, applied to a
+# bracket on the module; Jacobi is not implied in general.
+deform_bracket_by_s = deformed_algebra
 
 
 def _require_endo(g: BracketLike, op: Matrix, name: str) -> None:
@@ -54,17 +64,13 @@ def is_nijenhuis(g: BracketLike, n_op: Matrix) -> CheckReport:
 
 
 def is_rota_baxter(g: BracketLike, r_op: Matrix) -> CheckReport:
-    """[Rx,Ry] = R([Rx,y] + [x,Ry]) on basis pairs (weight zero)."""
+    """[Rx,Ry] = R([Rx,y] + [x,Ry]) on basis pairs (weight zero).
+
+    This is the Kupershmidt identity for the adjoint action. The action is
+    not validated, so g may be any bracket, Jacobi or not.
+    """
     _require_endo(g, r_op, "R")
-    witnesses = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            x, y = Vector.basis(g.dim, i), Vector.basis(g.dim, j)
-            rx, ry = r_op @ x, r_op @ y
-            d = g(rx, ry) - (r_op @ (g(rx, y) + g(x, ry)))
-            if not d.is_zero():
-                witnesses.append(Witness("rota_baxter", (i, j), d))
-    return report_from_witnesses(witnesses, checked="rota_baxter")
+    return _kupershmidt_report(g, _ad_family(g), r_op, "rota_baxter", "rota_baxter")
 
 
 def kupershmidt_defect(
@@ -94,14 +100,21 @@ def is_kupershmidt(
         rep = check_representation(rho, bracket=g)
         if not rep.ok:
             return CheckReport(False, rep.witnesses, checked="kupershmidt")
+    return _kupershmidt_report(g, rho, t_op, "kupershmidt", "kupershmidt")
+
+
+def _kupershmidt_report(
+    g: BracketLike, rho: Representation, t_op: Matrix, label: str, checked: str
+) -> CheckReport:
+    """The Kupershmidt witness loop, under the caller's witness label."""
     witnesses = []
     m = rho.module_dim
     for i in range(m):
         for j in range(i + 1, m):
             d = kupershmidt_defect(g, rho, t_op, Vector.basis(m, i), Vector.basis(m, j))
             if not d.is_zero():
-                witnesses.append(Witness("kupershmidt", (i, j), d))
-    return report_from_witnesses(witnesses, checked="kupershmidt")
+                witnesses.append(Witness(label, (i, j), d))
+    return report_from_witnesses(witnesses, checked=checked)
 
 
 # ---------------------------------------------------------------------------
@@ -109,19 +122,11 @@ def is_kupershmidt(
 # ---------------------------------------------------------------------------
 
 
-def _pair_shapes(rho: Representation, n_op: Matrix, s_op: Matrix) -> None:
-    n, m = rho.algebra.dim, rho.module_dim
-    if n_op.shape != (n, n):
-        raise ShapeError(f"N has shape {n_op.shape}, expected ({n},{n})")
-    if s_op.shape != (m, m):
-        raise ShapeError(f"S has shape {s_op.shape}, expected ({m},{m})")
-
-
 def is_nijenhuis_pair(
     g: BracketLike, rho: Representation, n_op: Matrix, s_op: Matrix
 ) -> CheckReport:
     """N Nijenhuis and rho(Nx)S = S rho(Nx) + S rho(x) S - S^2 rho(x) per basis x."""
-    _pair_shapes(rho, n_op, s_op)
+    _check_pair_shapes(rho, n_op, s_op)
     witnesses = list(is_nijenhuis(g, n_op).witnesses)
     s2 = mat_mul(s_op, s_op)
     for i in range(g.dim):
@@ -142,7 +147,7 @@ def is_dual_nijenhuis_pair(
     g: BracketLike, rho: Representation, n_op: Matrix, s_op: Matrix
 ) -> CheckReport:
     """N Nijenhuis and rho(Nx)S = S rho(Nx) + rho(x) S^2 - S rho(x) S per basis x."""
-    _pair_shapes(rho, n_op, s_op)
+    _check_pair_shapes(rho, n_op, s_op)
     witnesses = list(is_nijenhuis(g, n_op).witnesses)
     s2 = mat_mul(s_op, s_op)
     for i in range(g.dim):
@@ -164,10 +169,14 @@ def is_perfect_pair(
 ) -> CheckReport:
     """Nijenhuis pair with S^2 rho(x) + rho(x) S^2 = 2 S rho(x) S per basis x."""
     base = is_nijenhuis_pair(g, rho, n_op, s_op)
-    witnesses = list(base.witnesses)
+    witnesses = base.witnesses + _perfect_witnesses(rho, s_op)
+    return report_from_witnesses(witnesses, checked="perfect_pair")
+
+
+def _perfect_witnesses(rho: Representation, s_op: Matrix) -> tuple[Witness, ...]:
     s2 = mat_mul(s_op, s_op)
-    for i in range(g.dim):
-        rx = rho.matrices[i]
+    witnesses = []
+    for i, rx in enumerate(rho.matrices):
         defect = (
             mat_mul(s2, rx)
             + mat_mul(rx, s2)
@@ -175,19 +184,7 @@ def is_perfect_pair(
         )
         if not defect.is_zero():
             witnesses.append(Witness("perfect", (i,), defect))
-    return report_from_witnesses(witnesses, checked="perfect_pair")
-
-
-def _perfect_identity_holds(rho: Representation, s_op: Matrix) -> bool:
-    s2 = mat_mul(s_op, s_op)
-    return all(
-        (
-            mat_mul(s2, rx)
-            + mat_mul(rx, s2)
-            - mat_mul(s_op, mat_mul(rx, s_op)).scale(2)
-        ).is_zero()
-        for rx in rho.matrices
-    )
+    return tuple(witnesses)
 
 
 def nijenhuis_pair_semidirect_test(
@@ -198,11 +195,11 @@ def nijenhuis_pair_semidirect_test(
     An independent route to is_nijenhuis_pair. When the pair is perfect,
     N (+) S-transpose is additionally tested on the dual semidirect product.
     """
-    _pair_shapes(rho, n_op, s_op)
+    _check_pair_shapes(rho, n_op, s_op)
     big = semidirect_product(g, rho)
     report = is_nijenhuis(big, block_diag(n_op, s_op))
     report = CheckReport(report.ok, report.witnesses, checked="pair_semidirect")
-    if report.ok and _perfect_identity_holds(rho, s_op):
+    if report.ok and not _perfect_witnesses(rho, s_op):
         dual_big = semidirect_product(g, dual_representation(rho))
         dual_rep = is_nijenhuis(dual_big, block_diag(n_op, s_op.transpose()))
         report = report.merge(dual_rep, checked="pair_semidirect")
@@ -313,18 +310,6 @@ def sub_adjacent_bracket(g: BracketLike, rho: Representation, t_op: Matrix) -> B
         return rho.act(t_op.column(i)) @ v - (rho.act(t_op.column(j)) @ u)
 
     return Bracket.from_function(m, entry)
-
-
-def deform_bracket_by_s(b: Bracket, s_op: Matrix) -> Bracket:
-    """[u,v]_S = [Su,v] + [u,Sv] - S[u,v]; Jacobi not implied in general."""
-    if s_op.shape != (b.dim, b.dim):
-        raise ShapeError(f"S has shape {s_op.shape}, expected ({b.dim},{b.dim})")
-
-    def entry(i: int, j: int) -> Vector:
-        u, v = Vector.basis(b.dim, i), Vector.basis(b.dim, j)
-        return b(s_op @ u, v) + b(u, s_op @ v) - (s_op @ b(u, v))
-
-    return Bracket.from_function(b.dim, entry)
 
 
 def bracket_from_rep(rep: Representation, t_op: Matrix) -> Bracket:

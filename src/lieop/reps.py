@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ShapeError, ValidationError
-from .lie import Bracket, BracketLike, adjoint_matrices
+from .lie import BracketLike, adjoint_matrices
 from .linalg import Matrix, Vector, commutator
 from .report import CheckReport, Witness, report_from_witnesses
 
@@ -104,6 +104,18 @@ def dual_representation(rho: Representation) -> Representation:
 
 def coadjoint_rep(g: BracketLike) -> Representation:
     return dual_representation(adjoint_rep(g))
+
+
+# Unchecked action families for identities that are defined on any bracket:
+# the Rota-Baxter and r-matrix checks read them as Kupershmidt identities.
+
+
+def _ad_family(g: BracketLike) -> Representation:
+    return Representation(g, adjoint_matrices(g), check=False)
+
+
+def _coad_family(g: BracketLike) -> Representation:
+    return Representation(g, tuple(-a.transpose() for a in adjoint_matrices(g)), check=False)
 
 
 def rho_hat(rho: Representation, n_op: Matrix, s_op: Matrix) -> Representation:

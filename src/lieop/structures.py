@@ -20,6 +20,7 @@ failed hypothesis must never be conflated with a failed condition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import (
     PreconditionFailure,
@@ -37,6 +38,7 @@ from .linalg import (
     nullspace_vector,
 )
 from .operators import (
+    _kupershmidt_report,
     deform_bracket_by_s,
     is_dual_nijenhuis_pair,
     is_kupershmidt,
@@ -46,7 +48,7 @@ from .operators import (
     sub_adjacent_bracket,
 )
 from .report import CheckReport, Witness, report_from_witnesses
-from .reps import Representation, adjoint_rep, coadjoint_rep
+from .reps import Representation, _ad_family, _coad_family
 
 
 @dataclass(frozen=True)
@@ -108,19 +110,26 @@ class BilinearForm:
 # ---------------------------------------------------------------------------
 
 
+def _require(name: str, report: CheckReport) -> None:
+    if not report.ok:
+        raise PreconditionFailure(name, report)
+
+
 def _kn_conditions(
     g: BracketLike,
     rho: Representation,
     t_op: Matrix,
     s_op: Matrix,
     n_op: Matrix,
-    pair_report: CheckReport,
     kind: str,
+    certificate_names: tuple[str, str] = ("via_nt", "deformed_by_s"),
+    pair_witnesses: tuple[Witness, ...] = (),
 ) -> StructureVerdict:
-    witnesses = list(pair_report.witnesses)
+    """NT = TS and the NT-induced bracket equals the S-deformation of the
+    T-induced one, after the witnesses of the (N, S) pair condition."""
+    witnesses = list(pair_witnesses)
     nt = mat_mul(n_op, t_op)
-    ts = mat_mul(t_op, s_op)
-    twist = nt - ts
+    twist = nt - mat_mul(t_op, s_op)
     if not twist.is_zero():
         witnesses.append(Witness("twist", (), twist))
     via_nt = sub_adjacent_bracket(g, rho, nt)
@@ -132,11 +141,23 @@ def _kn_conditions(
             if not defect.is_zero():
                 witnesses.append(Witness("bracket_match", (i, j), defect))
     report = report_from_witnesses(witnesses, checked=kind)
-    return StructureVerdict(
-        kind=kind,
-        report=report,
-        certificates={"via_nt": via_nt, "deformed_by_s": deformed},
-    )
+    via_name, deformed_name = certificate_names
+    return StructureVerdict(kind, report, {via_name: via_nt, deformed_name: deformed})
+
+
+def _k_pair_structure(
+    g: BracketLike,
+    rho: Representation,
+    t_op: Matrix,
+    s_op: Matrix,
+    n_op: Matrix,
+    pair_check: Callable[..., CheckReport],
+    kind: str,
+) -> StructureVerdict:
+    """The KN and KdN checks, which differ only in the (N, S) pair check."""
+    _require("kupershmidt", is_kupershmidt(g, rho, t_op))
+    pair = pair_check(g, rho, n_op, s_op)
+    return _kn_conditions(g, rho, t_op, s_op, n_op, kind, pair_witnesses=pair.witnesses)
 
 
 def is_kn_structure(
@@ -144,22 +165,14 @@ def is_kn_structure(
 ) -> StructureVerdict:
     """T Kupershmidt (hypothesis), (N,S) Nijenhuis pair, NT = TS, and the
     NT-induced bracket equals the S-deformation of the T-induced one."""
-    kup = is_kupershmidt(g, rho, t_op)
-    if not kup.ok:
-        raise PreconditionFailure("kupershmidt", kup)
-    pair = is_nijenhuis_pair(g, rho, n_op, s_op)
-    return _kn_conditions(g, rho, t_op, s_op, n_op, pair, "kn")
+    return _k_pair_structure(g, rho, t_op, s_op, n_op, is_nijenhuis_pair, "kn")
 
 
 def is_kdn_structure(
     g: BracketLike, rho: Representation, t_op: Matrix, s_op: Matrix, n_op: Matrix
 ) -> StructureVerdict:
     """Same two compatibility conditions with (N,S) a dual-Nijenhuis pair."""
-    kup = is_kupershmidt(g, rho, t_op)
-    if not kup.ok:
-        raise PreconditionFailure("kupershmidt", kup)
-    pair = is_dual_nijenhuis_pair(g, rho, n_op, s_op)
-    return _kn_conditions(g, rho, t_op, s_op, n_op, pair, "kdn")
+    return _k_pair_structure(g, rho, t_op, s_op, n_op, is_dual_nijenhuis_pair, "kdn")
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +209,7 @@ def are_compatible_kupershmidt(
     cross-checked against scalar combinations staying Kupershmidt.
     """
     for name, t in (("kupershmidt_t1", t1), ("kupershmidt_t2", t2)):
-        kup = is_kupershmidt(g, rho, t)
-        if not kup.ok:
-            raise PreconditionFailure(name, kup)
+        _require(name, is_kupershmidt(g, rho, t))
     m = rho.module_dim
     witnesses = []
     for i in range(m):
@@ -226,9 +237,7 @@ def nijenhuis_from_kupershmidt_pair(
     """N = T1 T2^{-1} for compatible Kupershmidt operators, T2 invertible."""
     if not (t2.is_square() and is_invertible(t2)):
         raise PreconditionFailure("t2_invertible")
-    compat = are_compatible_kupershmidt(g, rho, t1, t2)
-    if not compat.ok:
-        raise PreconditionFailure("compatible", compat)
+    _require("compatible", are_compatible_kupershmidt(g, rho, t1, t2))
     n_op = mat_mul(t1, invert(t2))
     verdict = is_nijenhuis(g, n_op)
     if not verdict.ok:
@@ -243,12 +252,8 @@ def check_nt_kupershmidt_condition(
 
     Holds iff NT is again Kupershmidt (for T Kupershmidt, N Nijenhuis).
     """
-    kup = is_kupershmidt(g, rho, t_op)
-    if not kup.ok:
-        raise PreconditionFailure("kupershmidt", kup)
-    nij = is_nijenhuis(g, n_op)
-    if not nij.ok:
-        raise PreconditionFailure("nijenhuis", nij)
+    _require("kupershmidt", is_kupershmidt(g, rho, t_op))
+    _require("nijenhuis", is_nijenhuis(g, n_op))
     nt = mat_mul(n_op, t_op)
     m = rho.module_dim
     witnesses = []
@@ -344,9 +349,7 @@ def kdn_from_compatible(
     (T, T^{-1}T1, T1 T^{-1}) and (T1, T^{-1}T1, T1 T^{-1}) are both KdN."""
     if not (t_op.is_square() and is_invertible(t_op)):
         raise PreconditionFailure("t_invertible")
-    compat = are_compatible_kupershmidt(g, rho, t_op, t1_op)
-    if not compat.ok:
-        raise PreconditionFailure("compatible", compat)
+    _require("compatible", are_compatible_kupershmidt(g, rho, t_op, t1_op))
     t_inv = invert(t_op)
     s_op = mat_mul(t_inv, t1_op)
     n_op = mat_mul(t1_op, t_inv)
@@ -360,61 +363,30 @@ def kdn_from_compatible(
 # ---------------------------------------------------------------------------
 
 
-def _coadjoint_action(g: BracketLike, x: Vector) -> Matrix:
-    return -ad_action(g, x).transpose()
-
-
 def is_r_matrix(g: BracketLike, pi: Bivector) -> CheckReport:
     """Operator form of the classical Yang-Baxter equation on dual basis pairs:
-    [pa, pb] = p(coad_{pa} b - coad_{pb} a) where p is the induced map."""
+    [pa, pb] = p(coad_{pa} b - coad_{pb} a) where p is the induced map.
+
+    That is, p is a Kupershmidt operator for the coadjoint action, which is
+    not validated, so g may be any bracket.
+    """
     p = pi.matrix
     if p.nrows != g.dim:
         raise ShapeError(f"bivector of size {p.nrows} on algebra of dim {g.dim}")
-    n = g.dim
-    witnesses = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            alpha, beta = Vector.basis(n, i), Vector.basis(n, j)
-            pa, pb = p @ alpha, p @ beta
-            lhs = g(pa, pb)
-            rhs = p @ (
-                _coadjoint_action(g, pa) @ beta - (_coadjoint_action(g, pb) @ alpha)
-            )
-            defect = lhs - rhs
-            if not defect.is_zero():
-                witnesses.append(Witness("yang_baxter", (i, j), defect))
-    return report_from_witnesses(witnesses, checked="r_matrix")
+    return _kupershmidt_report(g, _coad_family(g), p, "yang_baxter", "r_matrix")
 
 
 def is_r_matrix_nijenhuis(
     g: BracketLike, pi: Bivector, n_op: Matrix
 ) -> StructureVerdict:
     """r-matrix pi and Nijenhuis N with N p = p N^T and the N p-induced
-    bracket on covectors equal to the N^T-deformed p-induced bracket."""
-    rm = is_r_matrix(g, pi)
-    if not rm.ok:
-        raise PreconditionFailure("r_matrix", rm)
-    nij = is_nijenhuis(g, n_op)
-    if not nij.ok:
-        raise PreconditionFailure("nijenhuis", nij)
-    p = pi.matrix
-    coad = coadjoint_rep(g)
-    witnesses = []
-    twist = mat_mul(n_op, p) - mat_mul(p, n_op.transpose())
-    if not twist.is_zero():
-        witnesses.append(Witness("twist", (), twist))
-    via_np = sub_adjacent_bracket(g, coad, mat_mul(n_op, p))
-    deformed = deform_bracket_by_s(
-        sub_adjacent_bracket(g, coad, p), n_op.transpose()
-    )
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            defect = via_np.basis_bracket(i, j) - deformed.basis_bracket(i, j)
-            if not defect.is_zero():
-                witnesses.append(Witness("bracket_match", (i, j), defect))
-    report = report_from_witnesses(witnesses, checked="rmn")
-    return StructureVerdict(
-        "rmn", report, {"via_np": via_np, "deformed_by_nstar": deformed}
+    bracket on covectors equal to the N^T-deformed p-induced bracket: the
+    KN conditions for (coad, T = p, S = N^T, N)."""
+    _require("r_matrix", is_r_matrix(g, pi))
+    _require("nijenhuis", is_nijenhuis(g, n_op))
+    return _kn_conditions(
+        g, _coad_family(g), pi.matrix, n_op.transpose(), n_op, "rmn",
+        ("via_np", "deformed_by_nstar"),
     )
 
 
@@ -422,28 +394,12 @@ def is_rbn_structure(
     g: BracketLike, r_op: Matrix, n_op: Matrix
 ) -> StructureVerdict:
     """Rota-Baxter R and Nijenhuis N with NR = RN and the NR-induced
-    bracket equal to the N-deformed R-induced bracket."""
-    rb = is_rota_baxter(g, r_op)
-    if not rb.ok:
-        raise PreconditionFailure("rota_baxter", rb)
-    nij = is_nijenhuis(g, n_op)
-    if not nij.ok:
-        raise PreconditionFailure("nijenhuis", nij)
-    ad = adjoint_rep(g)
-    witnesses = []
-    twist = mat_mul(n_op, r_op) - mat_mul(r_op, n_op)
-    if not twist.is_zero():
-        witnesses.append(Witness("twist", (), twist))
-    via_nr = sub_adjacent_bracket(g, ad, mat_mul(n_op, r_op))
-    deformed = deform_bracket_by_s(sub_adjacent_bracket(g, ad, r_op), n_op)
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            defect = via_nr.basis_bracket(i, j) - deformed.basis_bracket(i, j)
-            if not defect.is_zero():
-                witnesses.append(Witness("bracket_match", (i, j), defect))
-    report = report_from_witnesses(witnesses, checked="rbn")
-    return StructureVerdict(
-        "rbn", report, {"via_nr": via_nr, "deformed_by_n": deformed}
+    bracket equal to the N-deformed R-induced bracket: the KN conditions
+    for (ad, T = R, S = N, N)."""
+    _require("rota_baxter", is_rota_baxter(g, r_op))
+    _require("nijenhuis", is_nijenhuis(g, n_op))
+    return _kn_conditions(
+        g, _ad_family(g), r_op, n_op, n_op, "rbn", ("via_nr", "deformed_by_n")
     )
 
 
@@ -473,9 +429,7 @@ def is_skew_endomorphism(
 ) -> CheckReport:
     """R composed with the induced covector-to-vector map is antisymmetric;
     equivalently B(Rx, y) = -B(x, Ry)."""
-    valid = check_bilinear_form(g, form)
-    if not valid.ok:
-        raise PreconditionFailure("bilinear_form", valid)
+    _require("bilinear_form", check_bilinear_form(g, form))
     composed = mat_mul(r_op, form.sharp())
     defect = composed + composed.transpose()
     witnesses = [] if defect.is_zero() else [Witness("skew", (), defect)]
@@ -499,13 +453,10 @@ def rbn_to_rmn(
     map, and the resulting pair is reverified as an r-matrix-Nijenhuis
     structure before returning.
     """
-    skew = is_skew_endomorphism(g, r_op, form)  # validates the form first
-    if not skew.ok:
-        raise PreconditionFailure("skew_endomorphism", skew)
+    # is_skew_endomorphism validates the form first
+    _require("skew_endomorphism", is_skew_endomorphism(g, r_op, form))
     _require_form_compatible(form, n_op)
-    rbn = is_rbn_structure(g, r_op, n_op)
-    if not rbn.report.ok:
-        raise PreconditionFailure("rbn", rbn.report)
+    _require("rbn", is_rbn_structure(g, r_op, n_op).report)
     pi = Bivector(mat_mul(r_op, form.sharp()))
     rmn = is_r_matrix_nijenhuis(g, pi, n_op)
     if not rmn.report.ok:
@@ -518,13 +469,9 @@ def rmn_to_rbn(
 ) -> tuple[Matrix, Matrix]:
     """Inverse transport: R is the bivector's induced map composed with the
     Gram matrix. Exact inverse of rbn_to_rmn, so round trips are identities."""
-    valid = check_bilinear_form(g, form)
-    if not valid.ok:
-        raise PreconditionFailure("bilinear_form", valid)
+    _require("bilinear_form", check_bilinear_form(g, form))
     _require_form_compatible(form, n_op)
-    rmn = is_r_matrix_nijenhuis(g, pi, n_op)
-    if not rmn.report.ok:
-        raise PreconditionFailure("rmn", rmn.report)
+    _require("rmn", is_r_matrix_nijenhuis(g, pi, n_op).report)
     r_op = mat_mul(pi.matrix, form.matrix)
     skew = is_skew_endomorphism(g, r_op, form)
     if not skew.ok:

@@ -41,6 +41,17 @@ class TestValidate:
     def test_broken_representation_fails(self, fixtures):
         assert run("validate", str(fixtures["broken_rep"])) == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100000, '{"algebra": {"dim": ' + "9" * 5000 + "}}"],
+        ids=["deep_nesting", "overlong_integer"],
+    )
+    def test_unparseable_json_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        assert run("validate", str(path)) == 2
+        assert capsys.readouterr().err.startswith("error: $")
+
 
 class TestCheck:
     def test_nijenhuis_diag_passes(self, fixtures):
@@ -127,6 +138,12 @@ class TestHierarchy:
 
     def test_non_structure_fails(self, fixtures):
         assert run("hierarchy", str(fixtures["aff1_bad_kn"]), "--kmax", "2") == 1
+
+    def test_negative_kmax_is_usage_error(self, fixtures, capsys):
+        assert run("hierarchy", str(fixtures["aff1_kn"]), "--kmax", "-1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "kmax" in captured.err
 
 
 class TestConvert:

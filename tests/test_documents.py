@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieop import DocumentError
 from lieop.documents import parse_document
@@ -39,3 +41,46 @@ class TestIntegerFields:
         with pytest.raises(DocumentError) as err:
             parse_document(text)
         assert err.value.path == path
+
+
+_SCHEMA_KEYS = (
+    "algebra", "dim", "basis", "brackets", "i", "j", "value", "representation",
+    "module_dim", "matrices", "operators", "N", "S", "T", "R", "T2", "deformation",
+    "omega", "varpi", "bivector", "pi_sharp", "bilinear_form", "b_sharp", "0", "1",
+)
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["0", "1", "-1/2", "1/0", "x", ""])
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(_SCHEMA_KEYS) | st.text(max_size=3), children, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestParserRobustness:
+    def test_deep_nesting_is_a_document_error(self):
+        # json.loads raises RecursionError here, not a JSONDecodeError
+        with pytest.raises(DocumentError) as err:
+            parse_document("[" * 100000)
+        assert err.value.path == "$"
+
+    def test_overlong_integer_is_a_document_error(self):
+        # Past the interpreter's int-conversion digit limit json.loads raises
+        # a plain ValueError; without a limit the document fails its schema.
+        text = '{"algebra": {"dim": ' + "9" * 5000 + "}}"
+        with pytest.raises(DocumentError) as err:
+            parse_document(text)
+        assert err.value.path.startswith("$")
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_any_json_value_parses_or_fails_with_a_path(self, value):
+        try:
+            parse_document(json.dumps(value))
+        except DocumentError as exc:
+            assert isinstance(exc.path, str) and exc.path.startswith("$")

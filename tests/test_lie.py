@@ -10,7 +10,6 @@ from lieop import (
     ShapeError,
     ValidationError,
     Vector,
-    bracket_eval,
     check_jacobi,
     deformed_algebra,
     is_nijenhuis,
@@ -26,7 +25,7 @@ from conftest import matrices, vectors
 class TestBracketEval:
     def test_self_bracket_vanishes(self, aff1):
         x = Vector([2, Fraction(-1, 3)])
-        assert bracket_eval(aff1.algebra, x, x).is_zero()
+        assert aff1.algebra(x, x).is_zero()
 
     @given(vectors(2), vectors(2))
     def test_antisymmetry(self, x, y):
@@ -51,6 +50,22 @@ class TestBracketEval:
     def test_dimension_mismatch(self, aff1):
         with pytest.raises(ShapeError):
             aff1.algebra(Vector([1, 2, 3]), Vector([1, 2, 3]))
+
+
+class TestFrozenTable:
+    def test_table_cannot_be_assigned(self, aff1):
+        with pytest.raises(TypeError):
+            aff1.algebra.table[(0, 1)] = Vector([1, 0])
+        raw = Bracket(2, {(0, 1): Vector([0, 1])})
+        with pytest.raises(TypeError):
+            raw.table[(0, 1)] = Vector([1, 0])
+        with pytest.raises(TypeError):
+            del raw.table[(0, 1)]
+
+    def test_equality_and_hash_unchanged(self, aff1):
+        raw = Bracket(2, {(0, 1): Vector([0, 1])})
+        assert raw == aff1.algebra and hash(raw) == hash(aff1.algebra)
+        assert promote(raw).table == aff1.algebra.table
 
 
 class TestJacobi:

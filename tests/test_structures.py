@@ -7,6 +7,7 @@ from hypothesis import given
 from lieop import (
     BilinearForm,
     Bivector,
+    Bracket,
     Matrix,
     PreconditionFailure,
     ShapeError,
@@ -14,6 +15,7 @@ from lieop import (
     ad_action,
     are_compatible_kupershmidt,
     check_bilinear_form,
+    check_jacobi,
     check_nt_kupershmidt_condition,
     deformed_algebra,
     hierarchy,
@@ -345,6 +347,52 @@ class TestRMatrix:
         found = grid_search(sl2.algebra, None, "r_matrix", (Fraction(0), Fraction(1)))
         all_bivectors = 2 ** 3
         assert len(found) < all_bivectors  # sl2 does reject some candidates
+
+
+class TestRawBrackets:
+    """The Rota-Baxter and r-matrix identities are read on any bracket: the
+    action families behind them are not validated, so a bracket that fails
+    Jacobi still gets a report, with the defects of the defining formula."""
+
+    BROKEN = Bracket(3, {(0, 1): Vector([0, 0, 1]), (0, 2): Vector([1, 0, 0])})
+
+    @staticmethod
+    def _pairs(n):
+        for i in range(n):
+            for j in range(i + 1, n):
+                yield (i, j), Vector.basis(n, i), Vector.basis(n, j)
+
+    def test_bracket_fails_jacobi(self):
+        assert not check_jacobi(self.BROKEN).ok
+
+    def test_rota_baxter_reports(self):
+        g, r_op = self.BROKEN, Matrix([[1, 1, 0], [0, 0, 1], [1, 0, 0]])
+        expected = []
+        for idx, x, y in self._pairs(3):
+            rx, ry = r_op @ x, r_op @ y
+            d = g(rx, ry) - (r_op @ (g(rx, y) + g(x, ry)))
+            if not d.is_zero():
+                expected.append(("rota_baxter", idx, d))
+        report = is_rota_baxter(g, r_op)
+        assert expected and report.checked == "rota_baxter" and not report.ok
+        assert [(w.condition, w.indices, w.defect) for w in report.witnesses] == expected
+
+    def test_r_matrix_reports(self):
+        g = self.BROKEN
+        p = Matrix([[0, 1, 2], [-1, 0, 1], [-2, -1, 0]])
+
+        def coad(x):
+            return -ad_action(g, x).transpose()
+
+        expected = []
+        for idx, a, b in self._pairs(3):
+            pa, pb = p @ a, p @ b
+            d = g(pa, pb) - (p @ (coad(pa) @ b - (coad(pb) @ a)))
+            if not d.is_zero():
+                expected.append(("yang_baxter", idx, d))
+        report = is_r_matrix(g, Bivector(p))
+        assert expected and report.checked == "r_matrix" and not report.ok
+        assert [(w.condition, w.indices, w.defect) for w in report.witnesses] == expected
 
 
 class TestRmnRbn:
