@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,15 +13,23 @@ from lieop import (
     NotInvertible,
     ShapeError,
     Vector,
+    adjoint_rep,
+    check_deformation_pair,
+    check_trivial_equivalence,
     det,
     invert,
+    is_dual_nijenhuis_pair,
+    is_nijenhuis_pair,
     mat_mul,
+    nijenhuis_pair_semidirect_test,
     parse_rational,
     solve,
+    trivial_deformation_from_pair,
 )
+from lieop.catalog import get_entry
 from lieop.linalg import format_rational, nullspace_vector
 
-from conftest import matrices, small_fractions, vectors
+from conftest import MIXED_AFF1, matrices, small_fractions, vectors
 
 
 class TestRationalWire:
@@ -171,3 +182,65 @@ class TestExactness:
     @given(matrices(2), small_fractions)
     def test_scale_matches_repeated_addition(self, m, c):
         assert m.scale(c) + m.scale(1 - c) == m
+
+
+# ---------------------------------------------------------------------------
+# Reporting predicates, pinned to one digest
+# ---------------------------------------------------------------------------
+
+GRID3 = (-1, 0, 1)
+FRACTIONAL_GRID = (Fraction(-1, 2), Fraction(0), Fraction(1, 3))
+
+
+def _full_pairs(grid):
+    return [
+        (Matrix([c[0:2], c[2:4]]), Matrix([c[4:6], c[6:8]]))
+        for c in itertools.product(grid, repeat=8)
+    ]
+
+
+def _pair_records(g, rho, pairs):
+    """Every verdict and witness the pair and deformation checks report."""
+    out = []
+    for n_op, s_op in pairs:
+        direct = is_nijenhuis_pair(g, rho, n_op, s_op)
+        row = [
+            direct.to_json(),
+            is_dual_nijenhuis_pair(g, rho, n_op, s_op).to_json(),
+            nijenhuis_pair_semidirect_test(g, rho, n_op, s_op).to_json(),
+        ]
+        if direct.ok:
+            d = trivial_deformation_from_pair(g, rho, n_op, s_op)
+            row.append(check_deformation_pair(g, rho, d).to_json())
+            row.append(check_trivial_equivalence(g, rho, n_op, s_op, d).to_json())
+        out.append(row)
+    return out
+
+
+class TestVerdictDigest:
+    """The reports of the sweep predicates on a fixed sample of candidates,
+    hashed: a change in scalar representation must not move a verdict, a
+    witness or a defect. The digest was taken with all-Fraction scalars."""
+
+    DIGEST = "07519fc736405f88702f1f0787678719bc326fd7729b10fb103e4d5ef143039d"
+
+    def test_sweep_sample_reports_unchanged(self):
+        aff1, heis3 = get_entry("aff1"), get_entry("heis3")
+        families = (
+            # every 7th candidate of the acceptance sweep families
+            (aff1.algebra, aff1.representations["adjoint"], _full_pairs(GRID3)[::7]),
+            (
+                heis3.algebra,
+                heis3.representations["adjoint"],
+                [
+                    (Matrix.diagonal(c[:3]), Matrix.diagonal(c[3:]))
+                    for c in itertools.product(GRID3, repeat=6)
+                ][::7],
+            ),
+            # fractional structure constants and operators
+            (MIXED_AFF1, adjoint_rep(MIXED_AFF1), _full_pairs(FRACTIONAL_GRID)[::49]),
+        )
+        digest = hashlib.sha256()
+        for g, rho, pairs in families:
+            digest.update(json.dumps(_pair_records(g, rho, pairs)).encode())
+        assert digest.hexdigest() == self.DIGEST
