@@ -1,9 +1,15 @@
-"""Exact rational linear algebra over arbitrary-precision fractions.
+"""Exact rational linear algebra over Python ints and fractions.
 
-Scalars are ``fractions.Fraction`` values: always in lowest terms with a
-positive denominator, so structural equality is value equality and there
-is a single canonical zero. Every identity elsewhere in the package is
-therefore an exact equality test with zero tolerance.
+A scalar is an ``int`` when its value is an integer and a
+``fractions.Fraction`` in lowest terms (positive denominator) otherwise.
+Both are exact, and they compare and hash by value: ``2 == Fraction(2)``
+and ``hash(2) == hash(Fraction(2))``. So a value such as
+``Fraction(1, 2) * 2``, which arithmetic may leave as a Fraction, still
+equals, hashes and serializes like the int ``1``, and equality of vectors
+and matrices is value equality. No ``float`` is ever produced: every
+identity elsewhere in the package is an exact equality test with zero
+tolerance. Integer values stay ints because CPython multiplies and adds
+small ints in C, far faster than Fraction arithmetic.
 
 Elimination (determinant, solving, inversion, nullspace) runs fraction-free
 in Bareiss form on denominator-cleared integer rows, which keeps the
@@ -21,34 +27,37 @@ from typing import Iterable, Sequence, Union
 
 from .errors import NoSolution, NotInvertible, ShapeError
 
+Rational = Union[int, Fraction]
 Scalar = Union[Fraction, int, str]
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
-def rational(value: Scalar) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to a canonical Fraction."""
-    if type(value) is Fraction:
+def rational(value: Scalar) -> Rational:
+    """Coerce an int, Fraction, or "p/q" string to a canonical scalar: an
+    int when the value is an integer, a Fraction otherwise."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        # bool and other int subclasses: keep the value, drop the type
+        return int(value)
     if isinstance(value, str):
         return parse_rational(value)
-    if isinstance(value, Fraction):
-        return value
     raise TypeError(f"cannot interpret {value!r} as a rational scalar")
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str) -> Rational:
     """Parse the wire format "p/q" (or "p"), minus sign on p only, q > 0."""
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"malformed rational {text!r}")
-    return Fraction(text)
+    return rational(Fraction(text))
 
 
-def format_rational(value: Fraction) -> str:
+def format_rational(value: Rational) -> str:
     """Inverse of parse_rational; "p" when the denominator is 1."""
     if value.denominator == 1:
         return str(value.numerator)
@@ -57,14 +66,14 @@ def format_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Vector:
-    coords: tuple[Fraction, ...]
+    coords: tuple[Rational, ...]
 
     def __init__(self, coords: Iterable[Scalar]):
         object.__setattr__(self, "coords", tuple(rational(c) for c in coords))
 
     @classmethod
-    def _make(cls, coords: tuple[Fraction, ...]) -> "Vector":
-        # Trusted fast path: coords must already be canonical Fractions.
+    def _make(cls, coords: tuple[Rational, ...]) -> "Vector":
+        # Trusted fast path: coords must already be canonical scalars.
         v = object.__new__(cls)
         object.__setattr__(v, "coords", coords)
         return v
@@ -75,13 +84,13 @@ class Vector:
 
     @staticmethod
     def basis(dim: int, i: int) -> "Vector":
-        return Vector([1 if j == i else 0 for j in range(dim)])
+        return Vector._make(tuple(1 if j == i else 0 for j in range(dim)))
 
     @property
     def dim(self) -> int:
         return len(self.coords)
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int) -> Rational:
         return self.coords[i]
 
     def __iter__(self):
@@ -111,7 +120,7 @@ class Vector:
         c = rational(c)
         return Vector._make(tuple(c * a if a else a for a in self.coords))
 
-    def dot(self, other: "Vector") -> Fraction:
+    def dot(self, other: "Vector") -> Rational:
         self._same_dim(other)
         return sum(
             (a * b for a, b in zip(self.coords, other.coords) if a and b), _ZERO
@@ -133,7 +142,7 @@ class Vector:
 
 @dataclass(frozen=True)
 class Matrix:
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[Rational, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         data = tuple(tuple(rational(c) for c in row) for row in rows)
@@ -142,19 +151,21 @@ class Matrix:
         object.__setattr__(self, "rows", data)
 
     @classmethod
-    def _make(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "Matrix":
-        # Trusted fast path: rows must already be rectangular canonical Fractions.
+    def _make(cls, rows: tuple[tuple[Rational, ...], ...]) -> "Matrix":
+        # Trusted fast path: rows must already be rectangular canonical scalars.
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
         return m
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return Matrix._make(
+            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        )
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "Matrix":
-        return Matrix([[0] * ncols for _ in range(nrows)])
+        return Matrix._make(((0,) * ncols,) * nrows)
 
     @staticmethod
     def diagonal(entries: Sequence[Scalar]) -> "Matrix":
@@ -167,9 +178,10 @@ class Matrix:
     def from_columns(cols: Sequence[Vector]) -> "Matrix":
         if not cols:
             raise ShapeError("no columns")
-        return Matrix(
-            [[col[i] for col in cols] for i in range(cols[0].dim)]
-        )
+        dim = cols[0].dim
+        if any(col.dim != dim for col in cols):
+            raise ShapeError("columns of unequal dims")
+        return Matrix._make(tuple(zip(*(col.coords for col in cols))))
 
     @property
     def nrows(self) -> int:
@@ -183,12 +195,12 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+    def __getitem__(self, key: tuple[int, int]) -> Rational:
         i, j = key
         return self.rows[i][j]
 
     def column(self, j: int) -> Vector:
-        return Vector(row[j] for row in self.rows)
+        return Vector._make(tuple(row[j] for row in self.rows))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
@@ -239,10 +251,10 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix._make(tuple(zip(*self.rows))) if self.rows else self
 
-    def trace(self) -> Fraction:
+    def trace(self) -> Rational:
         if self.nrows != self.ncols:
             raise ShapeError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
+        return sum(self.rows[i][i] for i in range(self.nrows))
 
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.rows for a in row)
@@ -292,9 +304,10 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    rows = [list(row) + [Fraction(0)] * b.ncols for row in a.rows]
-    rows += [[Fraction(0)] * a.ncols + list(row) for row in b.rows]
-    return Matrix(rows)
+    right, left = (0,) * b.ncols, (0,) * a.ncols
+    return Matrix._make(
+        tuple(row + right for row in a.rows) + tuple(left + row for row in b.rows)
+    )
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
@@ -313,7 +326,7 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _integer_rows(m: Matrix, extra: Sequence[Sequence[Fraction]] = ()) -> list[list[int]]:
+def _integer_rows(m: Matrix, extra: Sequence[Sequence[Rational]] = ()) -> list[list[int]]:
     """Clear denominators per row of [m | extra]; row scaling preserves
     solution sets (it does change determinants, handled by the caller)."""
     out = []
@@ -359,13 +372,13 @@ def _bareiss_echelon(rows: list[list[int]], main_cols: int) -> list[tuple[int, i
     return pivots
 
 
-def det(m: Matrix) -> Fraction:
+def det(m: Matrix) -> Rational:
     if not m.is_square():
         raise ShapeError("determinant of a non-square matrix")
     n = m.nrows
     if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
+        return 1
+    scale = 1
     rows = []
     for row in m.rows:
         s = lcm(*(c.denominator for c in row))
@@ -377,7 +390,7 @@ def det(m: Matrix) -> Fraction:
     for c in range(n):
         pr = next((i for i in range(c, n) if rows[i][c]), None)
         if pr is None:
-            return Fraction(0)
+            return 0
         if pr != c:
             rows[c], rows[pr] = rows[pr], rows[c]
             sign = -sign
@@ -389,7 +402,7 @@ def det(m: Matrix) -> Fraction:
                 )
             rows[i][c] = 0
         prev = rows[c][c]
-    return Fraction(sign * rows[n - 1][n - 1]) / scale
+    return rational(Fraction(sign * rows[n - 1][n - 1], scale))
 
 
 def _back_substitute(
@@ -431,7 +444,7 @@ def invert(a: Matrix) -> Matrix:
         raise ShapeError("inverse of a non-square matrix")
     n = a.nrows
     rows = _integer_rows(
-        a, [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        a, [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     )
     pivots = _bareiss_echelon(rows, n)
     if len(pivots) < n:

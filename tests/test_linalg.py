@@ -14,6 +14,7 @@ from lieop import (
     ShapeError,
     Vector,
     adjoint_rep,
+    block_diag,
     check_deformation_pair,
     check_trivial_equivalence,
     det,
@@ -23,6 +24,7 @@ from lieop import (
     mat_mul,
     nijenhuis_pair_semidirect_test,
     parse_rational,
+    rational,
     solve,
     trivial_deformation_from_pair,
 )
@@ -183,6 +185,225 @@ class TestExactness:
     def test_scale_matches_repeated_addition(self, m, c):
         assert m.scale(c) + m.scale(1 - c) == m
 
+
+# ---------------------------------------------------------------------------
+# The scalar contract: an int exactly for integer values, never a float
+# ---------------------------------------------------------------------------
+
+scalars = st.one_of(st.integers(min_value=-3, max_value=3), small_fractions)
+
+
+def _exact(values) -> bool:
+    return all(type(c) is int or type(c) is Fraction for c in values)
+
+
+def _canonical(values) -> bool:
+    """int for every integer value, a non-integer Fraction otherwise."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in values
+    )
+
+
+def _entries(m: Matrix):
+    return [c for row in m.rows for c in row]
+
+
+def _as_fractions(m: Matrix):
+    return [[Fraction(c) for c in row] for row in m.rows]
+
+
+def _ref_reduce(rows, main_cols):
+    """Gauss-Jordan over Fractions, pivoting in the first main_cols columns;
+    returns the reduced rows and the pivot columns."""
+    rows = [[Fraction(c) for c in row] for row in rows]
+    pivots = []
+    for c in range(main_cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _ref_det(a):
+    n = len(a)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= a[i][perm[i]]
+        total += term
+    return total
+
+
+def _ref_solve(a, b):
+    """The solution with every free variable zero, or None."""
+    n = len(a[0])
+    rows, pivots = _ref_reduce([row + [c] for row, c in zip(a, b)], n)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for k, c in enumerate(pivots):
+        x[c] = rows[k][n]
+    return x
+
+
+def _ref_invert(a):
+    n = len(a)
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows, pivots = _ref_reduce([row + e for row, e in zip(a, eye)], n)
+    if len(pivots) < n:
+        return None
+    return [row[n:] for row in rows]
+
+
+def _ref_nullspace(a):
+    """The kernel vector that is 1 on the first free column and 0 on the
+    other free columns, or None."""
+    n = len(a[0])
+    rows, pivots = _ref_reduce(a, n)
+    free = next((c for c in range(n) if c not in pivots), None)
+    if free is None:
+        return None
+    x = [Fraction(0)] * n
+    x[free] = Fraction(1)
+    for k, c in enumerate(pivots):
+        x[c] = -rows[k][free]
+    return x
+
+
+class TestScalarContract:
+    @given(
+        st.one_of(
+            st.integers(min_value=-(10**30), max_value=10**30),
+            st.fractions(max_denominator=10**6),
+            st.booleans(),
+            st.fractions(max_denominator=50).map(format_rational),
+        )
+    )
+    def test_rational_is_an_int_exactly_for_integers(self, value):
+        q = rational(value)
+        want = Fraction(value)
+        assert q == want
+        assert type(q) is (int if want.denominator == 1 else Fraction)
+
+    def test_rational_examples(self):
+        assert type(rational("3")) is int and rational("3") == 3
+        assert type(parse_rational("-4")) is int
+        assert type(rational(Fraction(6, 3))) is int
+        assert rational(True) == 1 and type(rational(True)) is int
+        assert type(rational(False)) is int
+        assert rational("1/2") == Fraction(1, 2)
+
+    @pytest.mark.parametrize("bad", [1.0, 0.5, float("nan"), None, 1j])
+    def test_rational_refuses_floats_and_others(self, bad):
+        with pytest.raises(TypeError):
+            rational(bad)
+
+    @given(vectors(4, scalars), vectors(4, scalars), scalars)
+    def test_vector_arithmetic(self, v, w, c):
+        assert _canonical(v.coords) and _canonical(w.coords)
+        fv, fw, fc = [Fraction(x) for x in v], [Fraction(x) for x in w], Fraction(c)
+        for got, want in (
+            (v + w, [a + b for a, b in zip(fv, fw)]),
+            (v - w, [a - b for a, b in zip(fv, fw)]),
+            (-v, [-a for a in fv]),
+            (v.scale(c), [fc * a for a in fv]),
+        ):
+            assert list(got.coords) == want
+            assert _exact(got.coords)
+
+    @given(matrices(2, 3, scalars), matrices(2, 3, scalars), scalars)
+    def test_matrix_arithmetic(self, a, b, c):
+        fa, fb, fc = _as_fractions(a), _as_fractions(b), Fraction(c)
+        for got, want in (
+            (a + b, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(fa, fb)]),
+            (a - b, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(fa, fb)]),
+            (a.scale(c), [[fc * x for x in row] for row in fa]),
+        ):
+            assert [list(row) for row in got.rows] == want
+            assert _exact(_entries(got))
+
+    @given(matrices(2, 3, scalars), matrices(3, 2, scalars), vectors(3, scalars))
+    def test_mat_mul_and_apply(self, a, b, v):
+        fa, fb, fv = _as_fractions(a), _as_fractions(b), [Fraction(x) for x in v]
+        product = mat_mul(a, b)
+        assert [list(row) for row in product.rows] == [
+            [sum((fa[i][k] * fb[k][j] for k in range(3)), Fraction(0)) for j in range(2)]
+            for i in range(2)
+        ]
+        assert _exact(_entries(product))
+        image = a.apply(v)
+        assert list(image.coords) == [
+            sum((x * y for x, y in zip(row, fv)), Fraction(0)) for row in fa
+        ]
+        assert _exact(image.coords)
+
+    @given(matrices(3, elements=scalars))
+    def test_det(self, a):
+        d = det(a)
+        assert d == _ref_det(_as_fractions(a))
+        assert _canonical([d])
+
+    @settings(max_examples=60)
+    @given(matrices(3, elements=scalars), vectors(3, scalars))
+    def test_solve(self, a, b):
+        want = _ref_solve(_as_fractions(a), [Fraction(c) for c in b])
+        if want is None:
+            with pytest.raises(NoSolution):
+                solve(a, b)
+            return
+        x = solve(a, b)
+        assert list(x.coords) == want
+        assert _canonical(x.coords)
+
+    @settings(max_examples=60)
+    @given(matrices(3, elements=scalars))
+    def test_invert(self, a):
+        want = _ref_invert(_as_fractions(a))
+        if want is None:
+            with pytest.raises(NotInvertible):
+                invert(a)
+            return
+        inv = invert(a)
+        assert [list(row) for row in inv.rows] == want
+        assert _canonical(_entries(inv))
+
+    @settings(max_examples=60)
+    @given(matrices(3, 4, scalars))
+    def test_nullspace_vector(self, a):
+        v = nullspace_vector(a)
+        want = _ref_nullspace(_as_fractions(a))
+        assert (v is None) == (want is None)
+        if v is not None:
+            assert list(v.coords) == want
+            assert _canonical(v.coords)
+
+    @given(matrices(2, 3, scalars), matrices(1, 2, scalars))
+    def test_trusted_constructors_build_canonical_values(self, a, b):
+        for m in (Matrix.identity(3), Matrix.zeros(2, 3), block_diag(a, b)):
+            assert _canonical(_entries(m))
+            assert m == Matrix(m.rows)
+        assert block_diag(a, b) == Matrix(
+            [list(row) + [0, 0] for row in a.rows] + [[0, 0, 0] + list(row) for row in b.rows]
+        )
+        cols = [a.column(j) for j in range(a.ncols)]
+        assert all(_canonical(col.coords) for col in cols)
+        assert Matrix.from_columns(cols) == a
+        basis = Vector.basis(4, 2)
+        assert basis == Vector([0, 0, 1, 0]) and _canonical(basis.coords)
+
+    def test_from_columns_of_unequal_dims(self):
+        with pytest.raises(ShapeError):
+            Matrix.from_columns([Vector([1, 2]), Vector([1])])
 
 # ---------------------------------------------------------------------------
 # Reporting predicates, pinned to one digest
