@@ -210,6 +210,14 @@ def are_compatible_kupershmidt(
     """
     for name, t in (("kupershmidt_t1", t1), ("kupershmidt_t2", t2)):
         _require(name, is_kupershmidt(g, rho, t))
+    return _compatibility_report(g, rho, t1, t2)
+
+
+def _compatibility_report(
+    g: BracketLike, rho: Representation, t1: Matrix, t2: Matrix
+) -> CheckReport:
+    """The compatibility witness loop and its scalar-combination
+    cross-check, for operators the caller knows to be Kupershmidt."""
     m = rho.module_dim
     witnesses = []
     for i in range(m):
@@ -311,7 +319,7 @@ def hierarchy(
             raise StructureCheckError(f"T_{k} is not a Kupershmidt operator")
     for a in range(k_max + 1):
         for b in range(a + 1, k_max + 1):
-            if not are_compatible_kupershmidt(g, rho, ops[a], ops[b]).ok:
+            if not _compatibility_report(g, rho, ops[a], ops[b]).ok:
                 raise StructureCheckError(f"T_{a} and T_{b} are not compatible")
 
     m = rho.module_dim

@@ -36,6 +36,7 @@ from lieop import (
     rbn_to_rmn,
     rmn_to_rbn,
 )
+from lieop import structures
 from lieop.catalog import get_entry, grid_search
 from lieop.structures import compatible_via_combos
 
@@ -274,6 +275,31 @@ class TestHierarchy:
         t_op = Matrix.diagonal([1, 0])
         with pytest.raises(PreconditionFailure):
             hierarchy(g, rho, t_op, Matrix.zeros(2, 2), Matrix.identity(2), 2)
+
+    def test_kupershmidt_checks_are_not_rerun(self, monkeypatch):
+        # One check of T in the KN test, one per T_k, and the three
+        # scalar-combination samples per pair: 1 + 11 + 55 * 3. Rerunning
+        # both operators' checks for each of the 55 pairs would add 110.
+        e = get_entry("aff1")
+        op = next(o for o in e.operators if o.name == "kn_diag")
+        calls = []
+        check = structures.is_kupershmidt
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(structures, "is_kupershmidt", counted)
+        ops = hierarchy(
+            e.algebra,
+            e.representations[op.rep],
+            op.matrices["T"],
+            op.matrices["S"],
+            op.matrices["N"],
+            10,
+        )
+        assert len(ops) == 11
+        assert len(calls) == 1 + 11 + 55 * 3
 
 
 class TestKdnFromCompatible:
