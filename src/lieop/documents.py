@@ -24,6 +24,12 @@ from .structures import BilinearForm, Bivector
 
 OPERATOR_KEYS = ("N", "S", "T", "R", "T2")
 
+# Upper bound on $.algebra.dim and $.representation.module_dim. Parsing a
+# bracket table allocates dim cells per entry, so an unbounded dim would let
+# a small document ask for a huge allocation; an exact check at this size
+# is already far beyond any practical running time.
+MAX_DIM = 64
+
 
 @dataclass
 class Document:
@@ -129,6 +135,13 @@ def _parse_bracket_table(raw, path, dim) -> Bracket:
     return Bracket(dim, table)
 
 
+def _check_dim(value: int, path: str) -> None:
+    if value < 1:
+        raise DocumentError(path, "must be positive")
+    if value > MAX_DIM:
+        raise DocumentError(path, f"must be at most {MAX_DIM}, got {value}")
+
+
 def parse_document(text: str) -> Document:
     try:
         data = json.loads(text)
@@ -141,8 +154,7 @@ def parse_document(text: str) -> Document:
 
     alg = _want(data, "algebra", "$", dict)
     dim = _want(alg, "dim", "$.algebra", int)
-    if dim < 1:
-        raise DocumentError("$.algebra.dim", "must be positive")
+    _check_dim(dim, "$.algebra.dim")
     basis = _want(alg, "basis", "$.algebra", list)
     if len(basis) != dim or not all(isinstance(b, str) for b in basis):
         raise DocumentError("$.algebra.basis", f"expected {dim} names")
@@ -154,8 +166,7 @@ def parse_document(text: str) -> Document:
     if "representation" in data:
         rep = _want(data, "representation", "$", dict)
         m = _want(rep, "module_dim", "$.representation", int)
-        if m < 1:
-            raise DocumentError("$.representation.module_dim", "must be positive")
+        _check_dim(m, "$.representation.module_dim")
         mats = _want(rep, "matrices", "$.representation", list)
         if len(mats) != dim:
             raise DocumentError(

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieop import DocumentError
-from lieop.documents import parse_document
+from lieop.documents import MAX_DIM, parse_document
 
 
 def _doc(dim=2, brackets=None, module_dim=None):
@@ -41,6 +41,36 @@ class TestIntegerFields:
         with pytest.raises(DocumentError) as err:
             parse_document(text)
         assert err.value.path == path
+
+
+class TestDimensionBounds:
+    """dim and module_dim are refused past MAX_DIM before anything is
+    allocated for them; the documents here are a few hundred bytes."""
+
+    def test_dim_past_the_bound(self):
+        with pytest.raises(DocumentError) as err:
+            parse_document(_doc(dim=MAX_DIM + 1))
+        assert err.value.path == "$.algebra.dim"
+        assert str(MAX_DIM) in str(err.value)
+
+    def test_module_dim_past_the_bound(self):
+        with pytest.raises(DocumentError) as err:
+            parse_document(_doc(module_dim=MAX_DIM + 1))
+        assert err.value.path == "$.representation.module_dim"
+        assert str(MAX_DIM) in str(err.value)
+
+    def test_dims_at_the_bound_parse(self):
+        zero = [["0"] * MAX_DIM] * MAX_DIM
+        doc = {
+            "algebra": {
+                "dim": MAX_DIM,
+                "basis": [f"e{k}" for k in range(MAX_DIM)],
+                "brackets": [{"i": 0, "j": MAX_DIM - 1, "value": {"0": "1"}}],
+            },
+            "representation": {"module_dim": MAX_DIM, "matrices": [zero] * MAX_DIM},
+        }
+        parsed = parse_document(json.dumps(doc))
+        assert parsed.dim == parsed.module_dim == MAX_DIM
 
 
 _SCHEMA_KEYS = (
