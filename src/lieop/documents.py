@@ -26,8 +26,8 @@ OPERATOR_KEYS = ("N", "S", "T", "R", "T2")
 
 # Upper bound on $.algebra.dim and $.representation.module_dim. Parsing a
 # bracket table allocates dim cells per entry, so an unbounded dim would let
-# a small document ask for a huge allocation; an exact check at this size
-# is already far beyond any practical running time.
+# a small document ask for a huge allocation. The catalog's algebras have
+# dimension at most 3.
 MAX_DIM = 64
 
 

@@ -32,8 +32,6 @@ Scalar = Union[Fraction, int, str]
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
-_ZERO = 0
-
 
 def rational(value: Scalar) -> Rational:
     """Coerce an int, Fraction, or "p/q" string to a canonical scalar: an
@@ -80,7 +78,7 @@ class Vector:
 
     @staticmethod
     def zero(dim: int) -> "Vector":
-        return Vector._make((_ZERO,) * dim)
+        return Vector._make((0,) * dim)
 
     @staticmethod
     def basis(dim: int, i: int) -> "Vector":
@@ -122,9 +120,7 @@ class Vector:
 
     def dot(self, other: "Vector") -> Rational:
         self._same_dim(other)
-        return sum(
-            (a * b for a, b in zip(self.coords, other.coords) if a and b), _ZERO
-        )
+        return sum(a * b for a, b in zip(self.coords, other.coords) if a and b)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
@@ -243,7 +239,7 @@ class Matrix:
         support = [(k, c) for k, c in enumerate(v.coords) if c]
         return Vector._make(
             tuple(
-                sum((row[k] * c for k, c in support if row[k]), _ZERO)
+                sum(row[k] * c for k, c in support if row[k])
                 for row in self.rows
             )
         )
@@ -288,7 +284,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ncols = b.ncols
     out = []
     for row in a.rows:
-        acc = [_ZERO] * ncols
+        acc = [0] * ncols
         for k, c in enumerate(row):
             if c:
                 brow = b.rows[k]

@@ -60,17 +60,16 @@ class TestDimensionBounds:
         assert str(MAX_DIM) in str(err.value)
 
     def test_dims_at_the_bound_parse(self):
-        zero = [["0"] * MAX_DIM] * MAX_DIM
-        doc = {
-            "algebra": {
-                "dim": MAX_DIM,
-                "basis": [f"e{k}" for k in range(MAX_DIM)],
-                "brackets": [{"i": 0, "j": MAX_DIM - 1, "value": {"0": "1"}}],
-            },
-            "representation": {"module_dim": MAX_DIM, "matrices": [zero] * MAX_DIM},
+        algebra = {
+            "dim": MAX_DIM,
+            "basis": [f"e{k}" for k in range(MAX_DIM)],
+            "brackets": [{"i": 0, "j": MAX_DIM - 1, "value": {"0": "1"}}],
         }
-        parsed = parse_document(json.dumps(doc))
-        assert parsed.dim == parsed.module_dim == MAX_DIM
+        assert parse_document(json.dumps({"algebra": algebra})).dim == MAX_DIM
+        line = {"dim": 1, "basis": ["e"], "brackets": []}
+        module = {"module_dim": MAX_DIM, "matrices": [[["0"] * MAX_DIM] * MAX_DIM]}
+        doc = parse_document(json.dumps({"algebra": line, "representation": module}))
+        assert doc.module_dim == MAX_DIM
 
 
 _SCHEMA_KEYS = (
