@@ -62,7 +62,9 @@ def format_rational(value: Rational) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
+# Vector and Matrix have slots, not a per-instance dict: sweeps and
+# searches hold thousands of them.
+@dataclass(frozen=True, slots=True)
 class Vector:
     coords: tuple[Rational, ...]
 
@@ -136,7 +138,7 @@ class Vector:
         return "(" + ", ".join(format_rational(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matrix:
     rows: tuple[tuple[Rational, ...], ...]
 
