@@ -1,10 +1,16 @@
-"""Golden CLI output: the exact stdout and exit code of a fixed set of runs.
+"""Golden CLI output: the exact stdout, stderr and exit code of a fixed set
+of runs.
 
 Covers `check rota_baxter|r_matrix|rbn|rmn`, `convert` in both directions
 and `hierarchy --kmax 4`, each in text and --json mode, on passing catalog
 exports and on documents that reach every witness label and precondition
-of those commands. Any change to a verdict, a witness, a defect, a
-certificate or the formatting shows up as a diff against cli_golden.json.
+of those commands; a passing `check` of every other kind; every `check`
+kind on documents that hold only the algebra, the algebra and a
+representation, and those plus every operator, which pins the first
+stanza each kind reports missing; `search` of every kind on a small grid;
+and `catalog export` of every operator bundle. Any change to a verdict, a
+witness, a defect, a certificate, an error message or the formatting
+shows up as a diff against cli_golden.json.
 
 To rewrite the golden file after an intended output change:
 
@@ -18,9 +24,10 @@ import io
 import json
 from pathlib import Path
 
-from lieop import Matrix
+from lieop import Matrix, trivial_deformation_from_pair
+from lieop.catalog import get_entry, list_catalog
 from lieop.cli import main
-from lieop.documents import serialize
+from lieop.documents import document_dict, serialize
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -55,7 +62,66 @@ def _documents(root: Path) -> dict[str, Path]:
         "aff1_kdn": _export(root, "aff1_kdn", "aff1", "kdn_coadjoint"),
         "heis3_kn": _export(root, "heis3_kn", "heis3", "kn_diag"),
         "abelian_kn": _export(root, "abelian_kn", "abelian_2", "kn_invertible"),
+        "aff1_nij": _export(root, "aff1_nij", "aff1", "nij_diag"),
+        "aff1_pair": _export(root, "aff1_pair", "aff1", "pair_diag"),
+        "aff1_compatible": _export(root, "aff1_compatible", "aff1", "compatible_scaled"),
+        "heis3_pair": _export(root, "heis3_pair", "heis3", "pair_diag"),
     }
+    aff1_entry = get_entry("aff1")
+    adjoint = aff1_entry.representations["adjoint"]
+    proj = Matrix.diagonal([1, 0])
+    for name, payload in (
+        ("aff1_bare", document_dict(algebra=aff1_entry.algebra)),
+        ("aff1_rep", document_dict(algebra=aff1_entry.algebra, representation=adjoint)),
+        (
+            "aff1_ops",
+            document_dict(
+                algebra=aff1_entry.algebra,
+                representation=adjoint,
+                operators=dict.fromkeys(("N", "S", "T", "R", "T2"), proj),
+            ),
+        ),
+        (
+            "aff1_deformation",
+            document_dict(
+                algebra=aff1_entry.algebra,
+                representation=adjoint,
+                operators={"N": proj, "S": proj},
+                deformation=trivial_deformation_from_pair(
+                    aff1_entry.algebra, adjoint, proj, proj
+                ),
+            ),
+        ),
+        # [e1,e2] = e3, [e1,e3] = e1 fails Jacobi at (0, 1, 2).
+        (
+            "broken_jacobi",
+            {
+                "algebra": {
+                    "dim": 3,
+                    "basis": ["e1", "e2", "e3"],
+                    "brackets": [
+                        {"i": 0, "j": 1, "value": {"2": "1"}},
+                        {"i": 0, "j": 2, "value": {"0": "1"}},
+                    ],
+                },
+                "operators": {"N": Matrix.identity(3).to_json()},
+            },
+        ),
+        # rho(e1) = rho(e2) = Id does not represent [e1,e2] = e2.
+        (
+            "broken_rep",
+            {
+                **document_dict(algebra=aff1_entry.algebra),
+                "representation": {
+                    "module_dim": 2,
+                    "matrices": [Matrix.identity(2).to_json()] * 2,
+                },
+                "operators": {"T": proj.to_json()},
+            },
+        ),
+    ):
+        docs[name] = root / f"{name}.json"
+        docs[name].write_text(serialize(payload), encoding="utf-8")
     sl2, aff1 = docs["sl2_rbn"], docs["aff1_kn"]
     r_skew = [[0, 1, 0], [0, 0, 0], [-2, 0, 0]]
     non_rb = [[1, 1, 0], [0, 0, 1], [1, 0, 0]]
@@ -86,7 +152,42 @@ def _documents(root: Path) -> dict[str, Path]:
     return docs
 
 
-# (case name, argv before the document path, document name)
+# A passing document for each check kind the runs above do not cover.
+_PASSING = {
+    "jacobi": "heis3_kn",
+    "representation": "aff1_kdn",
+    "nijenhuis": "aff1_nij",
+    "kupershmidt": "heis3_kn",
+    "nijenhuis_pair": "aff1_pair",
+    "dual_nijenhuis_pair": "aff1_kdn",
+    "perfect_pair": "aff1_kdn",
+    "pair_semidirect": "heis3_pair",
+    "pre_lie": "aff1_kn",
+    "kn": "heis3_kn",
+    "kdn": "aff1_kdn",
+    "compatible": "aff1_compatible",
+    "nt_condition": "aff1_kn",
+    "bilinear_form": "sl2_rbn",
+    "skew": "sl2_rb",
+    "deformation_pair": "aff1_deformation",
+    "trivial_equivalence": "aff1_deformation",
+}
+
+_CHECK_KINDS = ("rota_baxter", "r_matrix", "rbn", "rmn", *_PASSING)
+
+# (kind, catalog algebra, grid, extra flags): every search kind, on grids
+# small enough to run in well under a second each.
+_SEARCHES = (
+    ("nijenhuis", "aff1", "0,1", ()),
+    ("rota_baxter", "heis3", "0,1", ()),
+    ("kupershmidt", "aff1", "-1,0,1", ()),
+    ("nijenhuis_pair", "aff1", "0,1", ()),
+    ("kn_structure", "aff1", "0,1", ()),
+    ("r_matrix", "sl2", "-1,0,1", ()),
+    ("compatible_pair", "aff1", "0,1", ("--rep", "coadjoint")),
+)
+
+# (case name, argv before the document path, document name or None)
 _RUNS = (
     ("check_rota_baxter_pass", ("check", "rota_baxter"), "sl2_rb"),
     ("check_rota_baxter_fail", ("check", "rota_baxter"), "sl2_non_rb"),
@@ -110,26 +211,46 @@ _RUNS = (
     ("hierarchy_heis3_kn", ("hierarchy", "--kmax", "4"), "heis3_kn"),
     ("hierarchy_abelian_kn", ("hierarchy", "--kmax", "4"), "abelian_kn"),
     ("hierarchy_not_kn", ("hierarchy", "--kmax", "4"), "aff1_not_kn"),
+    ("check_nijenhuis_not_jacobi", ("check", "nijenhuis"), "broken_jacobi"),
+    ("check_kupershmidt_invalid_rep", ("check", "kupershmidt"), "broken_rep"),
+    *((f"check_{kind}_pass", ("check", kind), doc) for kind, doc in _PASSING.items()),
+    # Documents that hold ever more stanzas pin the order a kind reads them.
+    *(
+        (f"check_{kind}_{doc}", ("check", kind), doc)
+        for kind in _CHECK_KINDS
+        for doc in ("aff1_bare", "aff1_rep", "aff1_ops")
+    ),
+    *(
+        (f"search_{kind}", ("search", kind, "--algebra", alg, "--grid", grid, *flags), None)
+        for kind, alg, grid, flags in _SEARCHES
+    ),
+    *(
+        (f"export_{name}_{op.name}", ("catalog", "export", name, "--bundle", op.name), None)
+        for name in list_catalog()
+        for op in get_entry(name).operators
+    ),
 )
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, buf.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def collect(root: Path) -> dict:
     docs = _documents(root)
     results = {}
     for name, argv, doc in _RUNS:
+        path, shown = ([str(docs[doc])], [f"<{doc}>"]) if doc else ([], [])
         for mode, extra in (("text", []), ("json", ["--json"])):
-            code, stdout = _run([*argv, str(docs[doc]), *extra])
+            code, stdout, stderr = _run([*argv, *path, *extra])
             results[f"{name}.{mode}"] = {
-                "argv": [*argv, f"<{doc}>", *extra],
+                "argv": [*argv, *shown, *extra],
                 "exit": code,
                 "stdout": stdout,
+                "stderr": stderr,
             }
     return results
 
