@@ -37,26 +37,18 @@ from typing import Optional, Sequence
 
 from .errors import GridCapExceeded, LieopError, ShapeError, StructureCheckError
 from .kernel import VerdictKernel, clear_denominators
+from .kinds import CATALOG_KINDS, OPERATOR_SHAPES, SEARCH_KINDS
 from .lie import LieAlgebra
 from .linalg import Matrix, Scalar, rational
-from .operators import (
-    is_dual_nijenhuis_pair,
-    is_kupershmidt,
-    is_nijenhuis,
-    is_nijenhuis_pair,
-    is_rota_baxter,
-)
+from .operators import is_kupershmidt, is_nijenhuis, is_nijenhuis_pair, is_rota_baxter
 from .reps import Representation, adjoint_rep, check_representation, coadjoint_rep
 from .structures import (
     BilinearForm,
     Bivector,
     are_compatible_kupershmidt,
     check_bilinear_form,
-    is_kdn_structure,
     is_kn_structure,
     is_r_matrix,
-    is_r_matrix_nijenhuis,
-    is_rbn_structure,
 )
 
 GRID_CAP = 10_000_000
@@ -85,33 +77,13 @@ class CatalogEntry:
 
 
 def _verify_operator(entry: CatalogEntry, op: CatalogOperator) -> None:
-    g = entry.algebra
-    rho = entry.representations.get(op.rep)
-    m = op.matrices
-    if op.kind == "nijenhuis":
-        report = is_nijenhuis(g, m["N"])
-    elif op.kind == "rota_baxter":
-        report = is_rota_baxter(g, m["R"])
-    elif op.kind == "kupershmidt":
-        report = is_kupershmidt(g, rho, m["T"])
-    elif op.kind == "nijenhuis_pair":
-        report = is_nijenhuis_pair(g, rho, m["N"], m["S"])
-    elif op.kind == "dual_nijenhuis_pair":
-        report = is_dual_nijenhuis_pair(g, rho, m["N"], m["S"])
-    elif op.kind == "kn_structure":
-        report = is_kn_structure(g, rho, m["T"], m["S"], m["N"]).report
-    elif op.kind == "kdn_structure":
-        report = is_kdn_structure(g, rho, m["T"], m["S"], m["N"]).report
-    elif op.kind == "compatible_pair":
-        report = are_compatible_kupershmidt(g, rho, m["T"], m["T2"])
-    elif op.kind == "r_matrix":
-        report = is_r_matrix(g, Bivector(m["pi_sharp"]))
-    elif op.kind == "rmn_structure":
-        report = is_r_matrix_nijenhuis(g, Bivector(m["pi_sharp"]), m["N"]).report
-    elif op.kind == "rbn_structure":
-        report = is_rbn_structure(g, m["R"], m["N"]).report
-    else:
+    kind = CATALOG_KINDS.get(op.kind)
+    if kind is None:
         raise LieopError(f"unknown catalog kind {op.kind!r}")
+    stanzas = {"rho": entry.representations.get(op.rep)}
+    for key, mat in op.matrices.items():
+        stanzas[key] = Bivector(mat) if OPERATOR_SHAPES[key].antisymmetric else mat
+    report, _ = kind.run(entry.algebra, *(stanzas[s] for s in kind.stanzas))
     if not report.ok:
         raise StructureCheckError(
             f"catalog assertion {entry.name}/{op.name} ({op.kind}) failed: "
@@ -362,17 +334,6 @@ def get_entry(name: str) -> CatalogEntry:
 # Exhaustive grid search
 # ---------------------------------------------------------------------------
 
-SEARCH_KINDS = (
-    "nijenhuis",
-    "rota_baxter",
-    "kupershmidt",
-    "nijenhuis_pair",
-    "kn_structure",
-    "r_matrix",
-    "compatible_pair",
-)
-
-
 def grid_search(
     g: LieAlgebra,
     rho: Optional[Representation],
@@ -391,9 +352,9 @@ def grid_search(
     if kind not in SEARCH_KINDS:
         raise LieopError(f"unknown search kind {kind!r}")
     values = sorted({rational(v) for v in entry_set})
-    n = g.dim
-    needs_rho = kind in ("kupershmidt", "nijenhuis_pair", "kn_structure", "compatible_pair")
-    if needs_rho:
+    row = CATALOG_KINDS[kind]
+    n = m = g.dim
+    if row.needs_rho:
         if rho is None:
             raise LieopError(f"search kind {kind!r} requires a representation")
         m = rho.module_dim
@@ -402,28 +363,14 @@ def grid_search(
             raise LieopError("search representation is invalid")
         if rho.algebra.dim != n:
             raise ShapeError(f"representation of a dim {rho.algebra.dim} algebra, expected {n}")
-    if kind == "nijenhuis":
-        slots = n * n
-    elif kind == "rota_baxter":
-        slots = n * n
-    elif kind == "kupershmidt":
-        slots = n * m
-    elif kind == "nijenhuis_pair":
-        slots = n * n + m * m
-    elif kind == "kn_structure":
-        slots = n * m + m * m + n * n
-    elif kind == "r_matrix":
-        slots = n * (n - 1) // 2
-    else:  # compatible_pair
-        slots = 2 * n * m
 
-    count = len(values) ** slots
+    count = len(values) ** row.slots(n, m)
     if count > cap:
         raise GridCapExceeded(f"{count} candidates exceed the cap of {cap}")
 
     if kind == "r_matrix":
         return _r_matrix_search(g, values)
-    return _staged_search(g, rho if needs_rho else None, kind, values)
+    return _staged_search(g, rho if row.needs_rho else None, kind, values)
 
 
 def _r_matrix_search(g: LieAlgebra, values: list) -> list:

@@ -15,16 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import GRID_CAP, SEARCH_KINDS, get_entry, grid_search, list_catalog
-from .deformation import check_deformation_pair, check_trivial_equivalence
-from .documents import (
-    Document,
-    document_dict,
-    load_document,
-    serialize,
-)
+from .documents import document_dict, load_document, serialize
 from .errors import (
     DocumentError,
     GridCapExceeded,
@@ -33,34 +28,16 @@ from .errors import (
     StructureCheckError,
     ValidationError,
 )
+from .kinds import CATALOG_KINDS, KINDS
 from .lie import check_jacobi
-from .linalg import Matrix, parse_rational
-from .operators import (
-    check_pre_lie,
-    is_dual_nijenhuis_pair,
-    is_kupershmidt,
-    is_nijenhuis,
-    is_nijenhuis_pair,
-    is_perfect_pair,
-    is_rota_baxter,
-    nijenhuis_pair_semidirect_test,
-    pre_lie_product,
-)
+from .linalg import parse_rational
 from .report import CheckReport
 from .reps import Representation, check_representation
 from .structures import (
     Bivector,
-    StructureVerdict,
-    are_compatible_kupershmidt,
-    check_bilinear_form,
-    check_nt_kupershmidt_condition,
     hierarchy,
-    is_kdn_structure,
-    is_kn_structure,
-    is_r_matrix,
     is_r_matrix_nijenhuis,
     is_rbn_structure,
-    is_skew_endomorphism,
     rbn_to_rmn,
     rmn_to_rbn,
 )
@@ -75,13 +52,29 @@ class _Output:
         self.as_json = as_json
         self.quiet = quiet
 
-    def text(self, line: str = "") -> None:
+    def text(self, line: str = "", end: str = "\n") -> None:
         if not self.as_json and not self.quiet:
-            print(line)
+            _write(line + end)
 
     def json(self, payload: dict) -> None:
         if self.as_json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            _write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout() -> None:
+    """The reader has closed stdout: send what is left, including the flush
+    at exit, to the null device, so the command finishes quietly with its
+    own exit status."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _report_payload(kind: str, report: CheckReport, certificates=None, precondition=None):
@@ -114,111 +107,17 @@ def _emit(out: _Output, kind: str, report: CheckReport, certificates=None, preco
     return EXIT_OK if report.ok and precondition is None else EXIT_CHECK_FAILED
 
 
-# ---------------------------------------------------------------------------
-# check kinds
-# ---------------------------------------------------------------------------
+def _emit_hypothesis(out: _Output, kind: str, exc: PreconditionFailure) -> int:
+    return _emit(out, kind, exc.report or CheckReport(False, ()), precondition=exc.name)
 
 
-def _need_ops(doc: Document, *keys: str) -> list[Matrix]:
-    got = []
-    for key in keys:
-        if key not in doc.operators:
-            raise DocumentError(f"operators.{key}", "stanza missing")
-        got.append(doc.operators[key])
-    return got
-
-
-def _run_check(kind: str, doc: Document):
-    g = doc.algebra()
-    if kind == "jacobi":
-        return check_jacobi(g)
-    if kind == "representation":
-        if doc.rep_matrices is None:
-            raise DocumentError("representation", "stanza missing")
-        return check_representation(Representation(g, doc.rep_matrices, check=False))
-    if kind == "nijenhuis":
-        (n_op,) = _need_ops(doc, "N")
-        return is_nijenhuis(g, n_op)
-    if kind == "rota_baxter":
-        (r_op,) = _need_ops(doc, "R")
-        return is_rota_baxter(g, r_op)
-    if kind == "kupershmidt":
-        rho = doc.representation(g)
-        (t_op,) = _need_ops(doc, "T")
-        return is_kupershmidt(g, rho, t_op)
-    if kind in ("nijenhuis_pair", "dual_nijenhuis_pair", "perfect_pair", "pair_semidirect"):
-        rho = doc.representation(g)
-        n_op, s_op = _need_ops(doc, "N", "S")
-        runner = {
-            "nijenhuis_pair": is_nijenhuis_pair,
-            "dual_nijenhuis_pair": is_dual_nijenhuis_pair,
-            "perfect_pair": is_perfect_pair,
-            "pair_semidirect": nijenhuis_pair_semidirect_test,
-        }[kind]
-        return runner(g, rho, n_op, s_op)
-    if kind == "pre_lie":
-        rho = doc.representation(g)
-        (t_op,) = _need_ops(doc, "T")
-        return check_pre_lie(pre_lie_product(g, rho, t_op))
-    if kind in ("kn", "kdn"):
-        rho = doc.representation(g)
-        t_op, s_op, n_op = _need_ops(doc, "T", "S", "N")
-        runner = is_kn_structure if kind == "kn" else is_kdn_structure
-        return runner(g, rho, t_op, s_op, n_op)
-    if kind == "compatible":
-        rho = doc.representation(g)
-        t_op, t2_op = _need_ops(doc, "T", "T2")
-        return are_compatible_kupershmidt(g, rho, t_op, t2_op)
-    if kind == "nt_condition":
-        rho = doc.representation(g)
-        t_op, n_op = _need_ops(doc, "T", "N")
-        return check_nt_kupershmidt_condition(g, rho, t_op, n_op)
-    if kind == "r_matrix":
-        return is_r_matrix(g, doc.bivector())
-    if kind == "rmn":
-        (n_op,) = _need_ops(doc, "N")
-        return is_r_matrix_nijenhuis(g, doc.bivector(), n_op)
-    if kind == "rbn":
-        r_op, n_op = _need_ops(doc, "R", "N")
-        return is_rbn_structure(g, r_op, n_op)
-    if kind == "bilinear_form":
-        return check_bilinear_form(g, doc.bilinear_form())
-    if kind == "skew":
-        (r_op,) = _need_ops(doc, "R")
-        return is_skew_endomorphism(g, r_op, doc.bilinear_form())
-    if kind == "deformation_pair":
-        rho = doc.representation(g)
-        return check_deformation_pair(g, rho, doc.deformation_pair(g))
-    if kind == "trivial_equivalence":
-        rho = doc.representation(g)
-        n_op, s_op = _need_ops(doc, "N", "S")
-        return check_trivial_equivalence(g, rho, n_op, s_op, doc.deformation_pair(g))
-    raise DocumentError("kind", f"unknown check kind {kind!r}")
-
-
-CHECK_KINDS = (
-    "jacobi",
-    "representation",
-    "nijenhuis",
-    "rota_baxter",
-    "kupershmidt",
-    "nijenhuis_pair",
-    "dual_nijenhuis_pair",
-    "perfect_pair",
-    "pair_semidirect",
-    "pre_lie",
-    "kn",
-    "kdn",
-    "compatible",
-    "nt_condition",
-    "r_matrix",
-    "rmn",
-    "rbn",
-    "bilinear_form",
-    "skew",
-    "deformation_pair",
-    "trivial_equivalence",
-)
+def _write_document(out: _Output, text: str, path) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out.text(f"wrote {path}")
+    else:
+        out.text(text, end="")
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +149,13 @@ def cmd_validate(args, out: _Output) -> int:
 
 def cmd_check(args, out: _Output) -> int:
     doc = load_document(args.file)
+    kind = KINDS[args.kind]
+    g = doc.algebra() if kind.promote else doc.bracket
     try:
-        result = _run_check(args.kind, doc)
+        report, certificates = kind.run(g, *(doc.read(s, g) for s in kind.stanzas))
     except PreconditionFailure as exc:
-        report = exc.report or CheckReport(False, ())
-        return _emit(out, args.kind, report, precondition=exc.name)
-    if isinstance(result, StructureVerdict):
-        return _emit(out, args.kind, result.report, result.certificates)
-    return _emit(out, args.kind, result)
+        return _emit_hypothesis(out, args.kind, exc)
+    return _emit(out, args.kind, report, certificates)
 
 
 def cmd_hierarchy(args, out: _Output) -> int:
@@ -272,8 +170,7 @@ def cmd_hierarchy(args, out: _Output) -> int:
     try:
         ops = hierarchy(g, rho, t_op, s_op, n_op, args.kmax)
     except PreconditionFailure as exc:
-        report = exc.report or CheckReport(False, ())
-        return _emit(out, "hierarchy", report, precondition=exc.name)
+        return _emit_hypothesis(out, "hierarchy", exc)
     # hierarchy() raises unless every T_k is Kupershmidt and every pair is
     # compatible, so both tables report what it has already verified.
     for k, op in enumerate(ops):
@@ -298,45 +195,31 @@ def cmd_convert(args, out: _Output) -> int:
     doc = load_document(args.file)
     g = doc.algebra()
     form = doc.bilinear_form()
-    if args.direction == "rbn-to-rmn":
-        r_op, n_op = _need_ops(doc, "R", "N")
+    label = args.direction
+    rho = doc.representation(g, check=False) if doc.rep_matrices is not None else None
+    if label == "rbn-to-rmn":
+        r_op, n_op = doc.read("R", g), doc.read("N", g)
         try:
             pi, n_out = rbn_to_rmn(g, r_op, n_op, form)
         except PreconditionFailure as exc:
-            report = exc.report or CheckReport(False, ())
-            return _emit(out, "rbn-to-rmn", report, precondition=exc.name)
+            return _emit_hypothesis(out, label, exc)
         converted = document_dict(
-            algebra=g, operators={"N": n_out}, bivector=pi, bilinear_form=form
+            algebra=g, representation=rho, operators={"N": n_out}, bivector=pi,
+            bilinear_form=form,
         )
         verdict = is_r_matrix_nijenhuis(g, pi, n_out)
-        label = "rbn-to-rmn"
     else:
-        (n_op,) = _need_ops(doc, "N")
-        pi = doc.bivector()
+        n_op, pi = doc.read("N", g), doc.bivector()
         try:
             r_out, n_out = rmn_to_rbn(g, pi, n_op, form)
         except PreconditionFailure as exc:
-            report = exc.report or CheckReport(False, ())
-            return _emit(out, "rmn-to-rbn", report, precondition=exc.name)
+            return _emit_hypothesis(out, label, exc)
         converted = document_dict(
-            algebra=g,
-            operators={"N": n_out, "R": r_out},
+            algebra=g, representation=rho, operators={"N": n_out, "R": r_out},
             bilinear_form=form,
         )
         verdict = is_rbn_structure(g, r_out, n_out)
-        label = "rmn-to-rbn"
-    if doc.rep_matrices is not None:
-        converted["representation"] = {
-            "module_dim": doc.module_dim,
-            "matrices": [mat.to_json() for mat in doc.rep_matrices],
-        }
-    text = serialize(converted)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        out.text(f"wrote {args.output}")
-    elif not out.as_json and not out.quiet:
-        sys.stdout.write(text)
+    _write_document(out, serialize(converted), args.output)
     _print_report(out, label, verdict.report)
     out.json(
         {
@@ -350,17 +233,6 @@ def cmd_convert(args, out: _Output) -> int:
     return EXIT_OK if verdict.report.ok else EXIT_CHECK_FAILED
 
 
-_SEARCH_STANZA_KEYS = {
-    "nijenhuis": ("N",),
-    "rota_baxter": ("R",),
-    "kupershmidt": ("T",),
-    "nijenhuis_pair": ("N", "S"),
-    "kn_structure": ("T", "S", "N"),
-    "compatible_pair": ("T", "T2"),
-    "r_matrix": ("pi_sharp",),
-}
-
-
 def cmd_search(args, out: _Output) -> int:
     try:
         entry = get_entry(args.algebra)
@@ -372,22 +244,17 @@ def cmd_search(args, out: _Output) -> int:
         raise DocumentError("grid", str(exc)) from None
     if not values:
         raise DocumentError("grid", "empty scalar set")
+    kind = CATALOG_KINDS[args.kind]
     rho = None
-    if args.kind in ("kupershmidt", "nijenhuis_pair", "kn_structure", "compatible_pair"):
+    if kind.needs_rho:
         if args.rep not in entry.representations:
             raise DocumentError("rep", f"unknown representation {args.rep!r}")
         rho = entry.representations[args.rep]
     results = grid_search(entry.algebra, rho, args.kind, values, cap=args.cap)
-    keys = _SEARCH_STANZA_KEYS[args.kind]
     stanzas = []
     for item in results:
-        if args.kind == "r_matrix":
-            mats = (item.matrix,)
-        elif isinstance(item, Matrix):
-            mats = (item,)
-        else:
-            mats = item
-        stanzas.append({k: mat.to_json() for k, mat in zip(keys, mats)})
+        ops = item if isinstance(item, tuple) else (item,)
+        stanzas.append({k: op.to_json() for k, op in zip(kind.operator_keys, ops)})
     out.text(f"{len(results)} result(s) for {args.kind} on {args.algebra} over {{{args.grid}}}")
     for stanza in stanzas:
         out.text("  " + json.dumps(stanza, sort_keys=True))
@@ -438,13 +305,7 @@ def cmd_catalog(args, out: _Output) -> int:
         bivector=bivector,
         bilinear_form=entry.bilinear_form,
     )
-    text = serialize(doc)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        out.text(f"wrote {args.output}")
-    elif not out.quiet and not out.as_json:
-        sys.stdout.write(text)
+    _write_document(out, serialize(doc), args.output)
     out.json({"kind": "catalog_export", "name": args.name, "document": doc})
     return EXIT_OK
 
@@ -478,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("check", help="run one predicate against a document")
-    p.add_argument("kind", choices=CHECK_KINDS)
+    p.add_argument("kind", choices=tuple(KINDS))
     p.add_argument("file")
     _global_flags(p)
     p.set_defaults(func=cmd_check)
@@ -549,6 +410,11 @@ def main(argv=None) -> int:
     except LieopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _drop_stdout()
 
 
 if __name__ == "__main__":

@@ -17,12 +17,11 @@ from typing import Optional
 
 from .deformation import DeformationPair
 from .errors import DocumentError
+from .kinds import OPERATOR_SHAPES
 from .lie import Bracket, LieAlgebra
 from .linalg import Matrix, Vector, parse_rational
 from .reps import Representation
 from .structures import BilinearForm, Bivector
-
-OPERATOR_KEYS = ("N", "S", "T", "R", "T2")
 
 # Upper bound on $.algebra.dim and $.representation.module_dim. Parsing a
 # bracket table allocates dim cells per entry, so an unbounded dim would let
@@ -50,11 +49,11 @@ class Document:
         """Promote the bracket stanza; raises ValidationError on Jacobi failure."""
         return LieAlgebra(self.dim, self.bracket.table, self.basis_names)
 
-    def representation(self, algebra: LieAlgebra) -> Representation:
-        """Validated representation; raises ValidationError on the axiom."""
+    def representation(self, algebra: LieAlgebra, check: bool = True) -> Representation:
+        """The representation; with check, raises ValidationError on the axiom."""
         if self.rep_matrices is None:
             raise DocumentError("representation", "stanza missing")
-        return Representation(algebra, self.rep_matrices)
+        return Representation(algebra, self.rep_matrices, check=check)
 
     def deformation_pair(self, algebra: LieAlgebra) -> DeformationPair:
         if self.omega is None or self.varpi is None:
@@ -73,6 +72,22 @@ class Document:
         if self.b_matrix is None:
             raise DocumentError("bilinear_form", "stanza missing")
         return BilinearForm(self.b_matrix)
+
+    def read(self, stanza: str, algebra: LieAlgebra):
+        """A stanza by its lieop.kinds name; DocumentError if it is absent."""
+        if stanza == "rho":
+            return self.representation(algebra)
+        if stanza == "rho_unchecked":
+            return self.representation(algebra, check=False)
+        if stanza == "pi_sharp":
+            return self.bivector()
+        if stanza == "bilinear_form":
+            return self.bilinear_form()
+        if stanza == "deformation":
+            return self.deformation_pair(algebra)
+        if stanza not in self.operators:
+            raise DocumentError(f"operators.{stanza}", "stanza missing")
+        return self.operators[stanza]
 
 
 def _want(obj, key, path, kind):
@@ -181,12 +196,12 @@ def parse_document(text: str) -> Document:
 
     if "operators" in data:
         ops = _want(data, "operators", "$", dict)
-        shapes = {"N": (dim, dim), "S": (m, m), "T": (dim, m), "R": (dim, dim), "T2": (dim, m)}
         for key, raw in ops.items():
-            if key not in OPERATOR_KEYS:
+            shape = OPERATOR_SHAPES.get(key)
+            # An antisymmetric operator belongs in the bivector stanza.
+            if shape is None or shape.antisymmetric:
                 raise DocumentError(f"$.operators.{key}", "unknown operator key")
-            nr, nc = shapes[key]
-            doc.operators[key] = _parse_matrix(raw, f"$.operators.{key}", nr, nc)
+            doc.operators[key] = _parse_matrix(raw, f"$.operators.{key}", *shape.dims(dim, m))
 
     if "deformation" in data:
         defo = _want(data, "deformation", "$", dict)

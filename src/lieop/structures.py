@@ -86,6 +86,9 @@ class Bivector:
         if not self.matrix.is_antisymmetric():
             raise ShapeError("bivector matrix must be antisymmetric")
 
+    def to_json(self):
+        return self.matrix.to_json()
+
 
 @dataclass(frozen=True)
 class BilinearForm:

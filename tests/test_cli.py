@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lieop
 from lieop.cli import main
 from lieop.documents import parse_document
 
@@ -82,6 +87,21 @@ class TestCheck:
         )
         assert code == 1
         assert "witness" in out
+
+    def test_jacobi_reports_on_the_unvalidated_bracket(self, fixtures, capsys):
+        doc = str(fixtures["broken_jacobi"])
+        _, validated = run_capture(capsys, "validate", doc, "--json")
+        expected = json.loads(validated)["checks"]["jacobi"]
+        code, out = run_capture(capsys, "check", "jacobi", doc)
+        assert code == 1
+        assert out == (
+            f"jacobi: FAIL ({len(expected['witnesses'])} witness(es))\n"
+            "  jacobi at (0, 1, 2): defect (0, 0, -1)\n"
+        )
+        code = main(["check", "jacobi", doc, "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert json.loads(captured.out) == {**expected, "certificates": {}}
 
     def test_deformation_kinds(self, fixtures):
         assert run("check", "deformation_pair", str(fixtures["aff1_deformation"])) == 0
@@ -190,3 +210,40 @@ class TestSearchAndCatalog:
 
     def test_export_unknown_bundle(self, tmp_path):
         assert run("catalog", "export", "sl2", "--bundle", "nope", "--output", str(tmp_path / "x.json")) == 2
+
+
+class TestClosedStdout:
+    """A reader that stops early (`lieop ... | head -1`) closes the pipe;
+    the CLI stops writing and exits quietly with the command's own status."""
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (["catalog", "list"], 0),
+            (["catalog", "export", "sl2", "--bundle", "rbn_identity"], 0),
+            # About 10 kB of output, more than the stdout buffer holds.
+            (["search", "kn_structure", "--algebra", "aff1", "--grid", "0,1"], 0),
+            (["search", "rota_baxter", "--algebra", "aff1", "--grid", "-1,0,1", "--json"], 0),
+            (["check", "nijenhuis_pair", "<aff1_bad_pair>"], 1),
+            (["convert", "rbn-to-rmn", "<sl2_rbn>"], 0),
+        ],
+        ids=["catalog_list", "export", "search_text", "search_json", "check_fail", "convert"],
+    )
+    def test_exits_with_the_command_status_and_no_stderr(self, fixtures, argv, status):
+        argv = [str(fixtures[a[1:-1]]) if a.startswith("<") else a for a in argv]
+        src = str(Path(lieop.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lieop", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == status
