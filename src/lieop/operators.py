@@ -78,8 +78,7 @@ def kupershmidt_defect(
 ) -> Vector:
     """[Tu,Tv] - T(rho(Tu)v - rho(Tv)u) evaluated in g."""
     _require_module_map(rho, t_op)
-    if g.dim != rho.algebra.dim:
-        raise ShapeError(f"bracket dim {g.dim} != algebra dim {rho.algebra.dim}")
+    _require_bracket_dim(g, rho)
     tu, tv = t_op @ u, t_op @ v
     return g(tu, tv) - (t_op @ (rho.act(tu) @ v - (rho.act(tv) @ u)))
 
@@ -106,15 +105,36 @@ def is_kupershmidt(
 def _kupershmidt_report(
     g: BracketLike, rho: Representation, t_op: Matrix, label: str, checked: str
 ) -> CheckReport:
-    """The Kupershmidt witness loop, under the caller's witness label."""
-    witnesses = []
+    """The Kupershmidt witness loop, under the caller's witness label.
+
+    kupershmidt_defect at (e_i, e_j), with T e_i and rho(T e_i) computed
+    once per index: rho(Tu)v - rho(Tv)u is a difference of two columns.
+    """
     m = rho.module_dim
+    if m > 1:
+        _require_bracket_dim(g, rho)
+    cols, acts = _columns_and_actions(rho, t_op)
+    witnesses = []
     for i in range(m):
         for j in range(i + 1, m):
-            d = kupershmidt_defect(g, rho, t_op, Vector.basis(m, i), Vector.basis(m, j))
+            inner = acts[i].column(j) - acts[j].column(i)
+            d = g(cols[i], cols[j]) - (t_op @ inner)
             if not d.is_zero():
                 witnesses.append(Witness(label, (i, j), d))
     return report_from_witnesses(witnesses, checked=checked)
+
+
+def _require_bracket_dim(g: BracketLike, rho: Representation) -> None:
+    if g.dim != rho.algebra.dim:
+        raise ShapeError(f"bracket dim {g.dim} != algebra dim {rho.algebra.dim}")
+
+
+def _columns_and_actions(
+    rho: Representation, t_op: Matrix
+) -> tuple[list[Vector], list[Matrix]]:
+    """The columns T e_i of a module map and their actions rho(T e_i)."""
+    cols = [t_op.column(i) for i in range(rho.module_dim)]
+    return cols, [rho.act(c) for c in cols]
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +321,11 @@ def sub_adjacent_bracket(g: BracketLike, rho: Representation, t_op: Matrix) -> B
     Kupershmidt operator, in which case T is a morphism onto its image.
     """
     _require_module_map(rho, t_op)
-    if g.dim != rho.algebra.dim:
-        raise ShapeError(f"bracket dim {g.dim} != algebra dim {rho.algebra.dim}")
-    m = rho.module_dim
-
-    def entry(i: int, j: int) -> Vector:
-        u, v = Vector.basis(m, i), Vector.basis(m, j)
-        return rho.act(t_op.column(i)) @ v - (rho.act(t_op.column(j)) @ u)
-
-    return Bracket.from_function(m, entry)
+    _require_bracket_dim(g, rho)
+    _, acts = _columns_and_actions(rho, t_op)
+    return Bracket.from_function(
+        rho.module_dim, lambda i, j: acts[i].column(j) - acts[j].column(i)
+    )
 
 
 def bracket_from_rep(rep: Representation, t_op: Matrix) -> Bracket:

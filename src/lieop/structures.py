@@ -38,6 +38,7 @@ from .linalg import (
     nullspace_vector,
 )
 from .operators import (
+    _columns_and_actions,
     _kupershmidt_report,
     deform_bracket_by_s,
     is_dual_nijenhuis_pair,
@@ -222,15 +223,15 @@ def _compatibility_report(
     """The compatibility witness loop and its scalar-combination
     cross-check, for operators the caller knows to be Kupershmidt."""
     m = rho.module_dim
+    c1, a1 = _columns_and_actions(rho, t1)
+    c2, a2 = _columns_and_actions(rho, t2)
     witnesses = []
     for i in range(m):
         for j in range(i + 1, m):
-            u, v = Vector.basis(m, i), Vector.basis(m, j)
-            t1u, t1v, t2u, t2v = t1 @ u, t1 @ v, t2 @ u, t2 @ v
-            lhs = g(t1u, t2v) + g(t2u, t1v)
-            rhs = (
-                t1 @ (rho.act(t2u) @ v - (rho.act(t2v) @ u))
-            ) + (t2 @ (rho.act(t1u) @ v - (rho.act(t1v) @ u)))
+            lhs = g(c1[i], c2[j]) + g(c2[i], c1[j])
+            rhs = (t1 @ (a2[i].column(j) - a2[j].column(i))) + (
+                t2 @ (a1[i].column(j) - a1[j].column(i))
+            )
             defect = lhs - rhs
             if not defect.is_zero():
                 witnesses.append(Witness("compatibility", (i, j), defect))
@@ -267,15 +268,15 @@ def check_nt_kupershmidt_condition(
     _require("nijenhuis", is_nijenhuis(g, n_op))
     nt = mat_mul(n_op, t_op)
     m = rho.module_dim
+    tc, ta = _columns_and_actions(rho, t_op)
+    ntc, nta = _columns_and_actions(rho, nt)
     witnesses = []
     for i in range(m):
         for j in range(i + 1, m):
-            u, v = Vector.basis(m, i), Vector.basis(m, j)
-            tu, tv, ntu, ntv = t_op @ u, t_op @ v, nt @ u, nt @ v
-            lhs = n_op @ (g(ntu, tv) + g(tu, ntv))
-            inner = (
-                t_op @ (rho.act(ntu) @ v - (rho.act(ntv) @ u))
-            ) + (nt @ (rho.act(tu) @ v - (rho.act(tv) @ u)))
+            lhs = n_op @ (g(ntc[i], tc[j]) + g(tc[i], ntc[j]))
+            inner = (t_op @ (nta[i].column(j) - nta[j].column(i))) + (
+                nt @ (ta[i].column(j) - ta[j].column(i))
+            )
             defect = lhs - (n_op @ inner)
             if not defect.is_zero():
                 witnesses.append(Witness("nt_condition", (i, j), defect))
@@ -327,26 +328,29 @@ def hierarchy(
 
     m = rho.module_dim
     base_bracket = sub_adjacent_bracket(g, rho, t_op)
+    deformed = [deform_bracket_by_s(base_bracket, s_pow) for s_pow in s_pows]
     for k in range(k_max + 1):
-        own = sub_adjacent_bracket(g, rho, ops[k])
-        if own != deform_bracket_by_s(base_bracket, s_pows[k]):
+        if sub_adjacent_bracket(g, rho, ops[k]) != deformed[k]:
             raise StructureCheckError(
                 f"bracket of T_{k} differs from the S^{k}-deformed bracket"
             )
     for k in range(k_max + 1):
+        cols = [ops[k].column(a) for a in range(m)]
+        pairs = [
+            (a, b, g(cols[a], cols[b]))
+            for a in range(m)
+            for b in range(a + 1, m)
+        ]
         for i in range(k_max + 1 - k):
-            twisted = deform_bracket_by_s(base_bracket, s_pows[k + i])
-            for a in range(m):
-                for b in range(a + 1, m):
-                    u, v = Vector.basis(m, a), Vector.basis(m, b)
-                    lhs = ops[k] @ twisted.basis_bracket(a, b)
-                    tku, tkv = ops[k] @ u, ops[k] @ v
-                    rhs = (
-                        g(n_pows[i] @ tku, tkv)
-                        + g(tku, n_pows[i] @ tkv)
-                        - (n_pows[i] @ g(tku, tkv))
-                    )
-                    if lhs != rhs:
+            n_cols = [n_pows[i] @ c for c in cols]
+            for a, b, bracket in pairs:
+                lhs = ops[k] @ deformed[k + i].basis_bracket(a, b)
+                rhs = (
+                    g(n_cols[a], cols[b])
+                    + g(cols[a], n_cols[b])
+                    - (n_pows[i] @ bracket)
+                )
+                if lhs != rhs:
                         raise StructureCheckError(
                             f"morphism identity fails at k={k}, i={i}, pair ({a},{b})"
                         )

@@ -301,6 +301,31 @@ class TestHierarchy:
         assert len(ops) == 11
         assert len(calls) == 1 + 11 + 55 * 3
 
+    def test_deformed_brackets_are_built_once_per_power(self, monkeypatch):
+        # One in the KN test and one per S^p, p = 0..10, shared by the
+        # bracket and morphism loops. Building them per (k, i) in the
+        # morphism loop would add 66.
+        e = get_entry("aff1")
+        op = next(o for o in e.operators if o.name == "kn_diag")
+        calls = []
+        deform = structures.deform_bracket_by_s
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return deform(*args, **kwargs)
+
+        monkeypatch.setattr(structures, "deform_bracket_by_s", counted)
+        ops = hierarchy(
+            e.algebra,
+            e.representations[op.rep],
+            op.matrices["T"],
+            op.matrices["S"],
+            op.matrices["N"],
+            10,
+        )
+        assert len(ops) == 11
+        assert len(calls) == 1 + 11
+
 
 class TestKdnFromCompatible:
     def test_equal_and_scaled(self, aff1):

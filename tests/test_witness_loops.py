@@ -1,0 +1,223 @@
+"""Differential tests of the Kupershmidt-family witness loops.
+
+The reporting loops compute each column T e_i and its action rho(T e_i)
+once per call. The references here are per-tuple loops over the public
+kupershmidt_defect, which stays the definition, evaluated at every module
+basis pair. The compatibility defect is its polarization,
+K(T1 + T2) - K(T1) - K(T2), and the NT condition is N applied to the
+compatibility defect of (T, NT). Reports must agree in to_json().
+"""
+
+from __future__ import annotations
+
+import itertools
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lieop import (
+    Bivector,
+    Bracket,
+    Matrix,
+    Representation,
+    ShapeError,
+    StructureCheckError,
+    Vector,
+    check_nt_kupershmidt_condition,
+    is_kupershmidt,
+    is_nijenhuis,
+    is_r_matrix,
+    is_rota_baxter,
+    kupershmidt_defect,
+    mat_mul,
+    sub_adjacent_bracket,
+)
+from lieop.catalog import get_entry
+from lieop.report import Witness, report_from_witnesses
+from lieop.reps import adjoint_rep, coadjoint_rep
+from lieop.structures import _compatibility_report, compatible_via_combos
+
+from conftest import GRID, MIXED_AFF1, matrices
+
+REPS = ("adjoint", "coadjoint")
+
+
+def grid_matrices(n, m):
+    for combo in itertools.product(GRID, repeat=n * m):
+        yield Matrix([combo[r * m : (r + 1) * m] for r in range(n)])
+
+
+def _basis_pairs(m):
+    for i in range(m):
+        for j in range(i + 1, m):
+            yield i, j, Vector.basis(m, i), Vector.basis(m, j)
+
+
+def reference_kupershmidt(g, rho, t_op, label="kupershmidt", checked="kupershmidt"):
+    witnesses = []
+    for i, j, u, v in _basis_pairs(rho.module_dim):
+        d = kupershmidt_defect(g, rho, t_op, u, v)
+        if not d.is_zero():
+            witnesses.append(Witness(label, (i, j), d))
+    return report_from_witnesses(witnesses, checked=checked)
+
+
+def _polarized(g, rho, t1, t2, u, v):
+    return (
+        kupershmidt_defect(g, rho, t1 + t2, u, v)
+        - kupershmidt_defect(g, rho, t1, u, v)
+        - kupershmidt_defect(g, rho, t2, u, v)
+    )
+
+
+def reference_compatibility(g, rho, t1, t2):
+    witnesses = []
+    for i, j, u, v in _basis_pairs(rho.module_dim):
+        d = _polarized(g, rho, t1, t2, u, v)
+        if not d.is_zero():
+            witnesses.append(Witness("compatibility", (i, j), d))
+    return report_from_witnesses(witnesses, checked="compatible_kupershmidt")
+
+
+def reference_nt_condition(g, rho, t_op, n_op):
+    nt = mat_mul(n_op, t_op)
+    witnesses = []
+    for i, j, u, v in _basis_pairs(rho.module_dim):
+        d = n_op @ _polarized(g, rho, t_op, nt, u, v)
+        if not d.is_zero():
+            witnesses.append(Witness("nt_condition", (i, j), d))
+    return report_from_witnesses(witnesses, checked="nt_kupershmidt_condition")
+
+
+def reference_sub_adjacent(rho, t_op):
+    m = rho.module_dim
+
+    def entry(i, j):
+        u, v = Vector.basis(m, i), Vector.basis(m, j)
+        return rho.act(t_op @ u) @ v - (rho.act(t_op @ v) @ u)
+
+    return Bracket.from_function(m, entry)
+
+
+def assert_compatibility_agrees(g, rho, t1, t2):
+    """The hoisted report equals the reference, or both disagree with the
+    scalar-combination cross-check, which then raises."""
+    expected = reference_compatibility(g, rho, t1, t2)
+    if expected.ok != compatible_via_combos(g, rho, t1, t2):
+        with pytest.raises(StructureCheckError):
+            _compatibility_report(g, rho, t1, t2)
+    else:
+        assert _compatibility_report(g, rho, t1, t2).to_json() == expected.to_json()
+
+
+class TestExhaustiveAff1:
+    @pytest.mark.parametrize("rep", REPS)
+    def test_kupershmidt(self, aff1, rep):
+        g, rho = aff1.algebra, aff1.representations[rep]
+        for t_op in grid_matrices(2, 2):
+            expected = reference_kupershmidt(g, rho, t_op)
+            assert is_kupershmidt(g, rho, t_op).to_json() == expected.to_json()
+
+    def test_rota_baxter(self, aff1):
+        g, ad = aff1.algebra, aff1.representations["adjoint"]
+        for r_op in grid_matrices(2, 2):
+            expected = reference_kupershmidt(g, ad, r_op, "rota_baxter", "rota_baxter")
+            assert is_rota_baxter(g, r_op).to_json() == expected.to_json()
+
+    @pytest.mark.parametrize("name", ("aff1", "sl2"))
+    def test_r_matrix(self, name):
+        e = get_entry(name)
+        g, coad = e.algebra, e.representations["coadjoint"]
+        n = g.dim
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for values in itertools.product(GRID, repeat=len(upper)):
+            rows = [[0] * n for _ in range(n)]
+            for (i, j), c in zip(upper, values):
+                rows[i][j], rows[j][i] = c, -c
+            pi = Bivector(Matrix(rows))
+            expected = reference_kupershmidt(g, coad, pi.matrix, "yang_baxter", "r_matrix")
+            assert is_r_matrix(g, pi).to_json() == expected.to_json()
+
+    @pytest.mark.parametrize("rep", REPS)
+    def test_compatibility(self, aff1, rep):
+        g, rho = aff1.algebra, aff1.representations[rep]
+        ops = list(grid_matrices(2, 2))[::3]
+        for t1 in ops:
+            for t2 in ops:
+                assert_compatibility_agrees(g, rho, t1, t2)
+
+
+class TestMixedAff1:
+    @pytest.mark.parametrize("make_rep", (adjoint_rep, coadjoint_rep))
+    def test_nt_condition(self, make_rep):
+        g = MIXED_AFF1
+        rho = make_rep(g)
+        ts = [t for t in grid_matrices(2, 2) if is_kupershmidt(g, rho, t).ok]
+        ns = [n for n in grid_matrices(2, 2) if is_nijenhuis(g, n).ok]
+        assert ts and ns
+        for t_op in ts:
+            for n_op in ns:
+                expected = reference_nt_condition(g, rho, t_op, n_op)
+                actual = check_nt_kupershmidt_condition(g, rho, t_op, n_op)
+                assert actual.to_json() == expected.to_json()
+
+    @pytest.mark.parametrize("make_rep", (adjoint_rep, coadjoint_rep))
+    def test_sub_adjacent_bracket(self, make_rep):
+        g = MIXED_AFF1
+        rho = make_rep(g)
+        for t_op in grid_matrices(2, 2):
+            actual = sub_adjacent_bracket(g, rho, t_op)
+            expected = reference_sub_adjacent(rho, t_op)
+            assert actual == expected
+            assert actual.to_json() == expected.to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_operators_match_the_per_tuple_loops(data):
+    entry = get_entry(data.draw(st.sampled_from(("aff1", "heis3", "sl2"))))
+    g = entry.algebra
+    rho = entry.representations[data.draw(st.sampled_from(REPS))]
+    t1 = data.draw(matrices(g.dim, rho.module_dim))
+    t2 = data.draw(matrices(g.dim, rho.module_dim))
+    expected = reference_kupershmidt(g, rho, t1)
+    assert is_kupershmidt(g, rho, t1).to_json() == expected.to_json()
+    assert sub_adjacent_bracket(g, rho, t1) == reference_sub_adjacent(rho, t1)
+    assert_compatibility_agrees(g, rho, t1, t2)
+
+
+class TestShapeErrorParity:
+    """A bracket whose dimension differs from the representation's algebra:
+    the witness loop raises at the first basis pair, so with m = 1 there is
+    none and the unchecked report passes vacuously."""
+
+    MESSAGE = re.escape("bracket dim 3 != algebra dim 2")
+
+    def test_module_dim_one(self, aff1, heis3):
+        trivial = Representation(aff1.algebra, [Matrix([[0]])] * 2)
+        t_op = Matrix([[1], [0]])
+        assert is_kupershmidt(heis3.algebra, trivial, t_op, check_rho=False).ok
+        with pytest.raises(ShapeError, match=self.MESSAGE):
+            is_kupershmidt(heis3.algebra, trivial, t_op)
+        with pytest.raises(ShapeError, match=self.MESSAGE):
+            sub_adjacent_bracket(heis3.algebra, trivial, t_op)
+        e = Vector.basis(1, 0)
+        with pytest.raises(ShapeError, match=self.MESSAGE):
+            kupershmidt_defect(heis3.algebra, trivial, t_op, e, e)
+
+    def test_module_dim_two(self, aff1, heis3):
+        rho = aff1.representations["adjoint"]
+        t_op = Matrix.identity(2)
+        for check in (
+            lambda: is_kupershmidt(heis3.algebra, rho, t_op, check_rho=False),
+            lambda: is_kupershmidt(heis3.algebra, rho, t_op),
+            lambda: compatible_via_combos(heis3.algebra, rho, t_op, t_op),
+            lambda: sub_adjacent_bracket(heis3.algebra, rho, t_op),
+            lambda: kupershmidt_defect(
+                heis3.algebra, rho, t_op, Vector.basis(2, 0), Vector.basis(2, 1)
+            ),
+        ):
+            with pytest.raises(ShapeError, match=self.MESSAGE):
+                check()
