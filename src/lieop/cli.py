@@ -30,8 +30,8 @@ from .errors import (
 )
 from .kinds import CATALOG_KINDS, KINDS
 from .lie import check_jacobi
-from .linalg import parse_rational
-from .report import CheckReport
+from .linalg import Matrix, parse_rational
+from .report import CheckReport, Witness
 from .reps import Representation, check_representation
 from .structures import (
     Bivector,
@@ -97,8 +97,18 @@ def _print_report(out: _Output, kind: str, report: CheckReport, precondition=Non
     else:
         out.text(f"{kind}: FAIL ({len(report.witnesses)} witness(es))")
     for w in report.witnesses:
-        indices = ", ".join(str(i) for i in w.indices)
-        out.text(f"  {w.condition} at ({indices}): defect {w.defect}")
+        out.text(_witness_line(w))
+
+
+def _witness_line(w: Witness) -> str:
+    """One indented line per witness; a matrix defect is written as its
+    list of rows so that it stays on that line."""
+    indices = ", ".join(str(i) for i in w.indices)
+    if isinstance(w.defect, Matrix):
+        defect = "[" + ", ".join(str(w.defect).splitlines()) + "]"
+    else:
+        defect = str(w.defect)
+    return f"  {w.condition} at ({indices}): defect {defect}"
 
 
 def _emit(out: _Output, kind: str, report: CheckReport, certificates=None, precondition=None) -> int:
@@ -402,7 +412,7 @@ def main(argv=None) -> int:
         print(f"check failed: {exc}", file=sys.stderr)
         if exc.report is not None:
             for w in exc.report.witnesses:
-                print(f"  {w.condition} at {w.indices}: defect {w.defect}", file=sys.stderr)
+                print(_witness_line(w), file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (PreconditionFailure, StructureCheckError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 from lieop import Matrix, trivial_deformation_from_pair
@@ -253,6 +254,28 @@ def collect(root: Path) -> dict:
                 "stderr": stderr,
             }
     return results
+
+
+_FAIL_HEADER = re.compile(r": FAIL \((\d+) witness\(es\)\)$")
+
+
+def test_golden_witnesses_keep_one_indented_line_each():
+    # The k lines after a `FAIL (k witness(es))` header and every line after
+    # a `check failed:` header are witness lines; a multi-line defect would
+    # spill onto lines without the indent.
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for case, run in golden.items():
+        out = run["stdout"].splitlines()
+        for n, line in enumerate(out):
+            header = _FAIL_HEADER.search(line)
+            if header:
+                block = out[n + 1 : n + 1 + int(header.group(1))]
+                assert len(block) == int(header.group(1)), case
+                assert all(w.startswith("  ") for w in block), case
+        err = run["stderr"].splitlines()
+        for n, line in enumerate(err):
+            if line.startswith("check failed:"):
+                assert all(w.startswith("  ") for w in err[n + 1 :]), case
 
 
 def test_cli_output_matches_golden(tmp_path):
