@@ -111,7 +111,7 @@ def _kupershmidt_report(
     once per index: rho(Tu)v - rho(Tv)u is a difference of two columns.
     """
     m = rho.module_dim
-    if m > 1:
+    if m > 1:  # kupershmidt_defect raises this at the first basis pair
         _require_bracket_dim(g, rho)
     cols, acts = _columns_and_actions(rho, t_op)
     witnesses = []

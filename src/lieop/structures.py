@@ -351,9 +351,9 @@ def hierarchy(
                     - (n_pows[i] @ bracket)
                 )
                 if lhs != rhs:
-                        raise StructureCheckError(
-                            f"morphism identity fails at k={k}, i={i}, pair ({a},{b})"
-                        )
+                    raise StructureCheckError(
+                        f"morphism identity fails at k={k}, i={i}, pair ({a},{b})"
+                    )
     return ops
 
 
