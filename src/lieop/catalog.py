@@ -15,7 +15,10 @@ stages: T is filtered by the Kupershmidt identity and N by the Nijenhuis
 identity on their own, the (N, S) pair condition is decided once for all
 T, and only then are the filtered lists multiplied out, in the nesting
 order of the full product, where triples are filtered by the twist
-NT = TS. These verdicts come from lieop.kernel, which clears the
+NT = TS and pairs of Kupershmidt operators by their sum being Kupershmidt.
+Rota-Baxter and Kupershmidt operators with three or more columns are
+enumerated without their last column, which the identity solves for.
+These verdicts come from lieop.kernel, which clears the
 denominators of the structure constants and action matrices with one
 scale and those of the grid values with another, and tests in integers.
 That is exact because every identity is homogeneous: of degree 1 in
@@ -25,7 +28,8 @@ survivor is then built as a Matrix and confirmed with the public
 predicate (is_kn_structure, are_compatible_kupershmidt, ...), so a
 result is always one the reporting path accepts, and composite checks
 rerun their hypotheses as before. r_matrix has at most three free
-entries on every catalog algebra and is tested candidate by candidate.
+entries on every catalog algebra; each skew candidate is decided by the
+kernel as a Kupershmidt operator for the coadjoint action.
 """
 
 from __future__ import annotations
@@ -41,7 +45,13 @@ from .kinds import CATALOG_KINDS, OPERATOR_SHAPES, SEARCH_KINDS
 from .lie import LieAlgebra
 from .linalg import Matrix, Scalar, rational
 from .operators import is_kupershmidt, is_nijenhuis, is_nijenhuis_pair, is_rota_baxter
-from .reps import Representation, adjoint_rep, check_representation, coadjoint_rep
+from .reps import (
+    Representation,
+    _coad_family,
+    adjoint_rep,
+    check_representation,
+    coadjoint_rep,
+)
 from .structures import (
     BilinearForm,
     Bivector,
@@ -374,19 +384,28 @@ def grid_search(
 
 
 def _r_matrix_search(g: LieAlgebra, values: list) -> list:
+    """Each skew candidate is decided as a Kupershmidt operator for the
+    coadjoint action, on its full n x n integer image; a Bivector is built
+    and confirmed with is_r_matrix only for what survives."""
+    kernel = VerdictKernel(g, _coad_family(g))
+    ints = clear_denominators(values)
+    value_of = dict(zip(ints, values))
     n = g.dim
-    found = []
-    for combo in itertools.product(values, repeat=n * (n - 1) // 2):
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def skew(entries) -> list:
         rows = [[0] * n for _ in range(n)]
-        it = iter(combo)
-        for i in range(n):
-            for j in range(i + 1, n):
-                c = next(it)
-                rows[i][j] = c
-                rows[j][i] = -c
-        cand = Bivector(Matrix(rows))
-        if is_r_matrix(g, cand).ok:
-            found.append(cand)
+        for (i, j), c in zip(upper, entries):
+            rows[i][j] = c
+            rows[j][i] = -c
+        return rows
+
+    found = []
+    for combo in itertools.product(ints, repeat=len(upper)):
+        if kernel.is_kupershmidt([c for row in skew(combo) for c in row]):
+            cand = Bivector(Matrix(skew([value_of[c] for c in combo])))
+            if is_r_matrix(g, cand).ok:
+                found.append(cand)
     return found
 
 
@@ -417,19 +436,20 @@ def _staged_search(
         )
 
     if kind in ("nijenhuis", "rota_baxter", "kupershmidt"):
-        decide, confirm, ncols = {
-            "nijenhuis": (kernel.is_nijenhuis, partial(is_nijenhuis, g), n),
-            "rota_baxter": (kernel.is_rota_baxter, partial(is_rota_baxter, g), n),
-            "kupershmidt": (
-                kernel.is_kupershmidt, partial(is_kupershmidt, g, rho, check_rho=False), m
-            ),
-        }[kind]
+        if kind == "nijenhuis":
+            flats = filter(kernel.is_nijenhuis, grid(n * n))
+            confirm, ncols = partial(is_nijenhuis, g), n
+        elif kind == "rota_baxter":
+            flats = kernel.rota_baxter_solutions(ints)
+            confirm, ncols = partial(is_rota_baxter, g), n
+        else:
+            flats = kernel.kupershmidt_solutions(ints)
+            confirm, ncols = partial(is_kupershmidt, g, rho, check_rho=False), m
         found = []
-        for flat in grid(n * ncols):
-            if decide(flat):
-                op = matrix(flat, ncols)
-                if confirm(op).ok:
-                    found.append(op)
+        for flat in flats:
+            op = matrix(flat, ncols)
+            if confirm(op).ok:
+                found.append(op)
         return found
 
     if kind == "nijenhuis_pair":
@@ -444,18 +464,17 @@ def _staged_search(
 
     # Both remaining kinds start from the Kupershmidt operators T.
     t_ops = []
-    for flat in grid(n * m):
-        if kernel.is_kupershmidt(flat):
-            t_op = matrix(flat, m)
-            if is_kupershmidt(g, rho, t_op, check_rho=False).ok:
-                t_ops.append((flat, t_op))
+    for flat in kernel.kupershmidt_solutions(ints):
+        t_op = matrix(flat, m)
+        if is_kupershmidt(g, rho, t_op, check_rho=False).ok:
+            t_ops.append((flat, t_op))
 
     if kind == "compatible_pair":
         return [
             (t1, t2)
-            for _, t1 in t_ops
-            for _, t2 in t_ops
-            if are_compatible_kupershmidt(g, rho, t1, t2).ok
+            for f1, t1 in t_ops
+            for f2, t2 in t_ops
+            if kernel.compatible(f1, f2) and are_compatible_kupershmidt(g, rho, t1, t2).ok
         ]
 
     # kn_structure: a candidate lists T, then S, then N, so S varies slower

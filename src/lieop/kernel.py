@@ -20,13 +20,40 @@ that mix them.
 
 Operators are flat row-major tuples of those scaled integers, exactly as
 itertools.product over the scaled grid yields them.
+
+Three shortcuts keep the searches from testing the whole product, each
+exact:
+
+- Kupershmidt-form operators (Rota-Baxter and Kupershmidt) are enumerated
+  column by column, with the last column c_L solved for rather than
+  enumerated. At a basis pair i < j < L the identity reads
+  [c_i, c_j] = sum_l inner_ij[l] c_l with inner_ij = q[j]c_i - q[i]c_j,
+  and neither the bracket nor inner_ij involves c_L; so the pair is the
+  linear equation inner_ij[L] c_L = [c_i, c_j] - sum_{l<L} inner_ij[l] c_l.
+  A nonzero coefficient pins c_L to the exact integer quotient (or to
+  nothing, when the division leaves a remainder or the quotient is off the
+  grid); a zero coefficient leaves c_L free if the right side is zero and
+  rules the prefix out otherwise. Every pruned candidate would fail that
+  very pair, and every emitted one is still decided by the full identity.
+  Sorting the flats restores the order of the product, because
+  clear_denominators keeps the grid increasing.
+- Compatibility of two Kupershmidt operators is decided by their sum.
+  The compatibility defect is the polarization of the Kupershmidt one:
+  K(T1 + T2) = K(T1) + K(T2) + C(T1, T2) at every basis pair, since K is
+  quadratic and C is its symmetric bilinear form. With K(T1) = K(T2) = 0,
+  C vanishes exactly when T1 + T2 is Kupershmidt, and the sum of two
+  images under one scale b is the image of the sum.
+- The Nijenhuis pair condition sees N only through the actions
+  rho(N e_x), so the commutators [rho(c), S] are computed once per S and
+  distinct column c, and a pair costs one set lookup per basis vector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, product
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .lie import BracketLike
@@ -60,7 +87,8 @@ class VerdictKernel:
     """Integer images of one algebra and, optionally, one representation.
 
     Built once per search; each method decides one identity for one
-    candidate (or one batch of pairs) and returns a plain verdict.
+    candidate (or one batch of pairs) and returns a plain verdict, or,
+    for the *_solutions methods, every candidate over a grid that passes.
     """
 
     def __init__(self, g: BracketLike, rho: Optional[Representation] = None):
@@ -155,6 +183,65 @@ class VerdictKernel:
                     return False
         return True
 
+    def rota_baxter_solutions(self, grid: Sequence[int]) -> list[tuple[int, ...]]:
+        """Every n x n operator over the increasing integer grid that
+        is_rota_baxter accepts, in the order of the product."""
+        return self._kupershmidt_solutions(grid, self.n, self._q_ad)
+
+    def kupershmidt_solutions(self, grid: Sequence[int]) -> list[tuple[int, ...]]:
+        """Every n x m operator over the increasing integer grid that
+        is_kupershmidt accepts, in the order of the product."""
+        return self._kupershmidt_solutions(grid, self.m, self._q_rho)
+
+    def _kupershmidt_solutions(self, grid, ncols: int, q) -> list[tuple[int, ...]]:
+        """Enumerate the columns but the last and solve for the last one
+        (see the module docstring); the full identity decides each flat."""
+        n = self.n
+        last = ncols - 1
+        if last < 2:  # no pair i < j < last: nothing pins the last column
+            return [
+                flat for flat in product(grid, repeat=n * ncols)
+                if self._kupershmidt_form(flat, ncols, q)
+            ]
+        on_grid = set(grid)
+        columns = list(product(grid, repeat=n))
+        pairs = [(i, j) for i in range(last) for j in range(i + 1, last)]
+        found = []
+        for prefix in product(columns, repeat=last):
+            pinned = None
+            for i, j in pairs:
+                x, y = prefix[i], prefix[j]
+                inner = _sub(_apply(q[j], x), _apply(q[i], y))
+                rhs = self._bracket(x, y)
+                for coef, col in zip(inner, prefix):
+                    if coef:
+                        rhs = [r - coef * c for r, c in zip(rhs, col)]
+                coef = inner[last]
+                if not coef:
+                    if any(rhs):
+                        break
+                    continue
+                quotients = [divmod(r, coef) for r in rhs]
+                solved = tuple(quo for quo, _ in quotients)
+                if any(rem for _, rem in quotients) or not on_grid.issuperset(solved):
+                    break
+                if pinned is None:
+                    pinned = solved
+                elif pinned != solved:
+                    break
+            else:
+                for col in columns if pinned is None else (pinned,):
+                    flat = tuple(chain.from_iterable(zip(*prefix, col)))
+                    if self._kupershmidt_form(flat, ncols, q):
+                        found.append(flat)
+        found.sort()
+        return found
+
+    def compatible(self, t1_op: Sequence[int], t2_op: Sequence[int]) -> bool:
+        """[T1u,T2v] + [T2u,T1v] = T1(rho(T2u)v - rho(T2v)u) + T2(rho(T1u)v - rho(T1v)u)
+        for Kupershmidt T1 and T2, decided as T1 + T2 being Kupershmidt."""
+        return self.is_kupershmidt(tuple(map(add, t1_op, t2_op)))
+
     def nijenhuis_pairs(
         self, n_ops: Sequence[Sequence[int]], s_ops: Sequence[Sequence[int]]
     ) -> list[tuple[int, int]]:
@@ -166,29 +253,31 @@ class VerdictKernel:
         is_nijenhuis; callers filter n_ops with it first.
         """
         n, m = self.n, self.m
-        # The right-hand side depends on S alone, the action rho(N e_x) on
-        # N alone, so each is computed once per operator, not once per pair.
-        s_sides = []
-        for s_flat in s_ops:
+        # N enters only through its columns N e_x, so each distinct column's
+        # action is built once, and its commutator with S once per S.
+        n_cols = [tuple(tuple(n_flat[x::n]) for x in range(n)) for n_flat in n_ops]
+        actions = {
+            col: _rows([sum(map(mul, col, e)) for e in self._rho_entries], m)
+            for cols in n_cols
+            for col in cols
+        }
+        out = []
+        for j, s_flat in enumerate(s_ops):
             s = _rows(s_flat, m)
             s2 = _matmul(s, s)
-            rhs = [
-                [_sub(p, q) for p, q in zip(_matmul(_matmul(s, rx), s), _matmul(s2, rx))]
-                for rx in self._rho
+            commutators = [
+                (col, [_sub(p, q) for p, q in zip(_matmul(a, s), _matmul(s, a))])
+                for col, a in actions.items()
             ]
-            s_sides.append((s, rhs))
-        out = []
-        for i, n_flat in enumerate(n_ops):
-            actions = []
-            for x in range(n):
-                col = n_flat[x::n]
-                actions.append(_rows([sum(map(mul, col, e)) for e in self._rho_entries], m))
-            for j, (s, rhs) in enumerate(s_sides):
-                if all(
-                    [_sub(p, q) for p, q in zip(_matmul(a, s), _matmul(s, a))] == r
-                    for a, r in zip(actions, rhs)
-                ):
+            # allowed[x]: the columns that may stand at N e_x next to this S.
+            allowed = []
+            for rx in self._rho:
+                rhs = [_sub(p, q) for p, q in zip(_matmul(_matmul(s, rx), s), _matmul(s2, rx))]
+                allowed.append({col for col, c in commutators if c == rhs})
+            for i, cols in enumerate(n_cols):
+                if all(map(set.__contains__, allowed, cols)):
                     out.append((i, j))
+        out.sort()
         return out
 
     def twist_holds(

@@ -122,6 +122,27 @@ class TestGridSearch:
         with pytest.raises(LieopError):
             grid_search(aff1.algebra, None, "kupershmidt", GRID)
 
+    def test_only_pairs_with_a_kupershmidt_sum_reach_the_compatibility_report(
+        self, aff1, monkeypatch
+    ):
+        g, rho = aff1.algebra, aff1.representations["coadjoint"]
+        t_ops = grid_search(g, rho, "kupershmidt", GRID)
+        expected = [
+            (t1, t2)
+            for t1 in t_ops
+            for t2 in t_ops
+            if are_compatible_kupershmidt(g, rho, t1, t2).ok
+        ]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return are_compatible_kupershmidt(*args)
+
+        monkeypatch.setattr(catalog, "are_compatible_kupershmidt", counting)
+        assert grid_search(g, rho, "compatible_pair", GRID) == expected
+        assert (len(t_ops) ** 2, len(calls), len(expected)) == (441, 177, 177)
+
     def test_scalar_closure_of_rota_baxter_set(self, aff1):
         # the defining identity is quadratic-homogeneous, so the found set
         # is closed under the scalars that keep entries inside the grid
@@ -219,6 +240,10 @@ CONTRACT_CASES = [
     ("r_matrix", "heis3", None, FRACTIONAL_GRID),
     ("compatible_pair", "aff1", "coadjoint", ("0", "1")),
     ("compatible_pair", "mixed_aff1", "coadjoint", TWO_POINT_FRACTIONAL),
+    # Three module columns: the last one is solved for, not enumerated.
+    ("kupershmidt", "heis3", "coadjoint", ("0", "1")),
+    # TWO_POINT_FRACTIONAL has no Rota-Baxter operator on sl2; this grid has two.
+    ("rota_baxter", "sl2", None, ("-1", "-1/2")),
 ]
 
 

@@ -12,6 +12,7 @@ from lieop import (
     LieAlgebra,
     Matrix,
     adjoint_rep,
+    are_compatible_kupershmidt,
     coadjoint_rep,
     is_kupershmidt,
     is_nijenhuis,
@@ -151,6 +152,60 @@ def test_random_rationals(name, rep, data):
     pair = kernel.is_nijenhuis(n_int) and kernel.nijenhuis_pairs([n_int], [s_int]) == [(0, 0)]
     assert pair == is_nijenhuis_pair(g, rho, n_op, s_op).ok
     assert kernel.twist_holds(n_int, t_int, s_int) == (mat_mul(n_op, t_op) == mat_mul(t_op, s_op))
+
+
+SOLVE_ALGEBRAS = {"abelian_1": get_entry("abelian_1").algebra, **ALGEBRAS}
+SOLVE_GRIDS = {
+    "int": INTEGER_GRID,
+    "frac": FRACTIONAL_GRID,
+    "one": (Fraction(-1, 2),),
+    "empty": (),
+}
+# Module dimensions 1, 2 and 3. At dim 3 the filtered product has 3^9 flats
+# per three-value grid, so each form gets one such grid there; dims 1 and 2
+# take every form on every grid.
+DIM3_FULL_GRIDS = {("rota_baxter", "int"), ("coadjoint", "int"), ("adjoint", "frac")}
+SOLVE_CASES = [
+    (name, form, grid)
+    for name, g in SOLVE_ALGEBRAS.items()
+    for form in ("rota_baxter", "adjoint", "coadjoint")
+    for grid in SOLVE_GRIDS
+    if g.dim < 3 or len(SOLVE_GRIDS[grid]) < 3 or (form, grid) in DIM3_FULL_GRIDS
+]
+
+
+class TestSolvedEnumeration:
+    @pytest.mark.parametrize("name,form,grid", SOLVE_CASES)
+    def test_equals_the_filtered_product(self, name, form, grid):
+        g = SOLVE_ALGEBRAS[name]
+        if form == "rota_baxter":
+            kernel = VerdictKernel(g)
+            solutions, decide, ncols = kernel.rota_baxter_solutions, kernel.is_rota_baxter, g.dim
+        else:
+            rho = reps_of(g)[form == "coadjoint"]
+            kernel = VerdictKernel(g, rho)
+            solutions, decide = kernel.kupershmidt_solutions, kernel.is_kupershmidt
+            ncols = rho.module_dim
+        ints = clear_denominators(list(SOLVE_GRIDS[grid]))
+        expected = [flat for flat in itertools.product(ints, repeat=g.dim * ncols) if decide(flat)]
+        assert solutions(ints) == expected
+
+
+def test_sum_filter_agrees_with_the_compatibility_report(aff1):
+    g, rho = aff1.algebra, aff1.representations["coadjoint"]
+    kernel = VerdictKernel(g, rho)
+    t_ops = [
+        (combo, op)
+        for combo, op in grid_operators(INTEGER_GRID, 2, 2)
+        if is_kupershmidt(g, rho, op).ok
+    ]
+    verdicts = [
+        are_compatible_kupershmidt(g, rho, t1, t2).ok
+        for _, t1 in t_ops
+        for _, t2 in t_ops
+    ]
+    assert [kernel.compatible(f1, f2) for f1, _ in t_ops for f2, _ in t_ops] == verdicts
+    assert (len(verdicts), sum(verdicts)) == (441, 177)
 
 
 def test_clear_denominators_keeps_order_and_scale():
