@@ -24,19 +24,23 @@ scale and those of the grid values with another, and tests in integers.
 That is exact because every identity is homogeneous: of degree 1 in
 (bracket, rho) jointly and degree 2 in the operator entries, so the
 integer defect is the rational one times a positive constant. Each
-survivor is then built as a Matrix and confirmed with the public
-predicate (is_kn_structure, are_compatible_kupershmidt, ...), so a
-result is always one the reporting path accepts, and composite checks
-rerun their hypotheses as before. r_matrix has at most three free
-entries on every catalog algebra; each skew candidate is decided by the
-kernel as a Kupershmidt operator for the coadjoint action.
+survivor is then built as a Matrix and confirmed with the reporting
+path's own checks, so a result is always one the public predicate
+(is_kn_structure, are_compatible_kupershmidt, ...) accepts, and each
+hypothesis is confirmed once per distinct operator: every T by
+is_kupershmidt, every N by is_nijenhuis, every (N, S) by the pair loop,
+and then each triple by the KN conditions alone and each pair of
+operators by the compatibility report alone. The representation is
+validated against g once, before any candidate. r_matrix has at most
+three free entries on every catalog algebra; each skew candidate is
+decided by the kernel as a Kupershmidt operator for the coadjoint action.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache
 from typing import Optional, Sequence
 
 from .errors import GridCapExceeded, LieopError, ShapeError, StructureCheckError
@@ -44,7 +48,7 @@ from .kernel import VerdictKernel, clear_denominators
 from .kinds import CATALOG_KINDS, OPERATOR_SHAPES, SEARCH_KINDS
 from .lie import LieAlgebra
 from .linalg import Matrix, Scalar, rational
-from .operators import is_kupershmidt, is_nijenhuis, is_nijenhuis_pair, is_rota_baxter
+from .operators import _pair_witnesses, is_kupershmidt, is_nijenhuis, is_rota_baxter
 from .reps import (
     Representation,
     _coad_family,
@@ -55,9 +59,9 @@ from .reps import (
 from .structures import (
     BilinearForm,
     Bivector,
-    are_compatible_kupershmidt,
+    _compatibility_report,
+    _kn_conditions,
     check_bilinear_form,
-    is_kn_structure,
     is_r_matrix,
 )
 
@@ -368,11 +372,11 @@ def grid_search(
         if rho is None:
             raise LieopError(f"search kind {kind!r} requires a representation")
         m = rho.module_dim
-        rep_ok = check_representation(rho)
-        if not rep_ok.ok:
-            raise LieopError("search representation is invalid")
         if rho.algebra.dim != n:
             raise ShapeError(f"representation of a dim {rho.algebra.dim} algebra, expected {n}")
+        # Against g, not rho.algebra: every predicate below reads g's bracket.
+        if not check_representation(rho, bracket=g).ok:
+            raise LieopError("search representation is invalid")
 
     count = len(values) ** row.slots(n, m)
     if count > cap:
@@ -416,7 +420,7 @@ def _staged_search(
 
     The kernel decides each identity in integers (exact, see lieop.kernel)
     on the flat candidates; a Matrix is built only for what survives it,
-    and every result is confirmed with the public predicate, so a kernel
+    and every result is confirmed by the reporting path, so a kernel
     fault could drop a result but never add one. The survivors are visited
     in the nesting order of the full product, which keeps the lexicographic
     order of the results.
@@ -435,58 +439,60 @@ def _staged_search(
             [[value_of[c] for c in flat[r : r + ncols]] for r in range(0, len(flat), ncols)]
         )
 
-    if kind in ("nijenhuis", "rota_baxter", "kupershmidt"):
+    def kupershmidt_ops() -> list:
+        """The Kupershmidt operators T, each confirmed, with their flats."""
+        t_ops = []
+        for flat in kernel.kupershmidt_solutions(ints):
+            t_op = matrix(flat, m)
+            if is_kupershmidt(g, rho, t_op, check_rho=False).ok:
+                t_ops.append((flat, t_op))
+        return t_ops
+
+    if kind == "kupershmidt":
+        return [t_op for _, t_op in kupershmidt_ops()]
+    if kind in ("nijenhuis", "rota_baxter"):
         if kind == "nijenhuis":
-            flats = filter(kernel.is_nijenhuis, grid(n * n))
-            confirm, ncols = partial(is_nijenhuis, g), n
-        elif kind == "rota_baxter":
-            flats = kernel.rota_baxter_solutions(ints)
-            confirm, ncols = partial(is_rota_baxter, g), n
+            flats, confirm = filter(kernel.is_nijenhuis, grid(n * n)), is_nijenhuis
         else:
-            flats = kernel.kupershmidt_solutions(ints)
-            confirm, ncols = partial(is_kupershmidt, g, rho, check_rho=False), m
-        found = []
-        for flat in flats:
-            op = matrix(flat, ncols)
-            if confirm(op).ok:
-                found.append(op)
-        return found
-
-    if kind == "nijenhuis_pair":
-        n_ops = [flat for flat in grid(n * n) if kernel.is_nijenhuis(flat)]
-        s_ops = list(grid(m * m))
-        found = []
-        for i, j in kernel.nijenhuis_pairs(n_ops, s_ops):
-            n_op, s_op = matrix(n_ops[i], n), matrix(s_ops[j], m)
-            if is_nijenhuis_pair(g, rho, n_op, s_op).ok:
-                found.append((n_op, s_op))
-        return found
-
-    # Both remaining kinds start from the Kupershmidt operators T.
-    t_ops = []
-    for flat in kernel.kupershmidt_solutions(ints):
-        t_op = matrix(flat, m)
-        if is_kupershmidt(g, rho, t_op, check_rho=False).ok:
-            t_ops.append((flat, t_op))
+            flats, confirm = kernel.rota_baxter_solutions(ints), is_rota_baxter
+        return [op for op in (matrix(flat, n) for flat in flats) if confirm(g, op).ok]
 
     if kind == "compatible_pair":
+        t_ops = kupershmidt_ops()
         return [
             (t1, t2)
             for f1, t1 in t_ops
             for f2, t2 in t_ops
-            if kernel.compatible(f1, f2) and are_compatible_kupershmidt(g, rho, t1, t2).ok
+            if kernel.compatible(f1, f2) and _compatibility_report(g, rho, t1, t2).ok
+        ]
+
+    # Both remaining kinds pair a Nijenhuis N with an S. Each distinct N is
+    # built and confirmed Nijenhuis once, each S built once, and each
+    # distinct (N, S) confirmed by the pair loop once.
+    n_ops = [flat for flat in grid(n * n) if kernel.is_nijenhuis(flat)]
+    s_ops = list(grid(m * m))
+    n_matrix = cache(lambda i: matrix(n_ops[i], n))
+    s_matrix = cache(lambda j: matrix(s_ops[j], m))
+    nijenhuis_ok = cache(lambda i: is_nijenhuis(g, n_matrix(i)).ok)
+    pair_ok = cache(
+        lambda i, j: nijenhuis_ok(i) and not _pair_witnesses(rho, n_matrix(i), s_matrix(j))
+    )
+
+    if kind == "nijenhuis_pair":
+        return [
+            (n_matrix(i), s_matrix(j))
+            for i, j in kernel.nijenhuis_pairs(n_ops, s_ops)
+            if pair_ok(i, j)
         ]
 
     # kn_structure: a candidate lists T, then S, then N, so S varies slower
-    # than N once T is fixed.
-    n_ops = [flat for flat in grid(n * n) if kernel.is_nijenhuis(flat)]
-    s_ops = list(grid(m * m))
+    # than N once T is fixed. Each T was confirmed Kupershmidt by its stage.
     pairs = sorted(kernel.nijenhuis_pairs(n_ops, s_ops), key=lambda p: (p[1], p[0]))
     found = []
-    for t_flat, t_op in t_ops:
+    for t_flat, t_op in kupershmidt_ops():
         for i, j in pairs:
-            if kernel.twist_holds(n_ops[i], t_flat, s_ops[j]):
-                s_op, n_op = matrix(s_ops[j], m), matrix(n_ops[i], n)
-                if is_kn_structure(g, rho, t_op, s_op, n_op).ok:
+            if kernel.twist_holds(n_ops[i], t_flat, s_ops[j]) and pair_ok(i, j):
+                s_op, n_op = s_matrix(j), n_matrix(i)
+                if _kn_conditions(g, rho, t_op, s_op, n_op, "kn").ok:
                     found.append((t_op, s_op, n_op))
     return found

@@ -8,13 +8,19 @@ Conventions for the matrix arguments:
   N : n x n endomorphism of the algebra
   S : m x m endomorphism of the module
   T : n x m linear map from the module into the algebra
+
+The pair identities are evaluated as commutators, each the exact defect of
+the four-term identity in its predicate's docstring:
+  Nijenhuis pair       [rho(Nx) - S rho(x), S]
+  dual Nijenhuis pair  [rho(Nx) - rho(x) S, S]
+  perfect pair         [S, [S, rho(x)]]
 """
 
 from __future__ import annotations
 
 from .errors import ShapeError
 from .lie import Bracket, BracketLike, deformed_algebra, semidirect_product
-from .linalg import Matrix, Vector, block_diag, mat_mul
+from .linalg import Matrix, Vector, block_diag, commutator, mat_mul
 from .report import CheckReport, Witness, report_from_witnesses
 from .reps import (
     Representation,
@@ -145,63 +151,62 @@ def _columns_and_actions(
 def is_nijenhuis_pair(
     g: BracketLike, rho: Representation, n_op: Matrix, s_op: Matrix
 ) -> CheckReport:
-    """N Nijenhuis and rho(Nx)S = S rho(Nx) + S rho(x) S - S^2 rho(x) per basis x."""
+    """N Nijenhuis and rho(Nx)S = S rho(Nx) + S rho(x) S - S^2 rho(x) per basis x.
+
+    The defect is the commutator [rho(Nx) - S rho(x), S].
+    """
     _check_pair_shapes(rho, n_op, s_op)
-    witnesses = list(is_nijenhuis(g, n_op).witnesses)
-    s2 = mat_mul(s_op, s_op)
-    for i in range(g.dim):
-        rnx = rho.act(n_op.column(i))
-        rx = rho.matrices[i]
-        defect = (
-            mat_mul(rnx, s_op)
-            - mat_mul(s_op, rnx)
-            - mat_mul(s_op, mat_mul(rx, s_op))
-            + mat_mul(s2, rx)
-        )
-        if not defect.is_zero():
-            witnesses.append(Witness("pair", (i,), defect))
+    witnesses = is_nijenhuis(g, n_op).witnesses + _pair_witnesses(rho, n_op, s_op)
     return report_from_witnesses(witnesses, checked="nijenhuis_pair")
 
 
 def is_dual_nijenhuis_pair(
     g: BracketLike, rho: Representation, n_op: Matrix, s_op: Matrix
 ) -> CheckReport:
-    """N Nijenhuis and rho(Nx)S = S rho(Nx) + rho(x) S^2 - S rho(x) S per basis x."""
+    """N Nijenhuis and rho(Nx)S = S rho(Nx) + rho(x) S^2 - S rho(x) S per basis x.
+
+    The defect is the commutator [rho(Nx) - rho(x) S, S].
+    """
     _check_pair_shapes(rho, n_op, s_op)
-    witnesses = list(is_nijenhuis(g, n_op).witnesses)
-    s2 = mat_mul(s_op, s_op)
-    for i in range(g.dim):
-        rnx = rho.act(n_op.column(i))
-        rx = rho.matrices[i]
-        defect = (
-            mat_mul(rnx, s_op)
-            - mat_mul(s_op, rnx)
-            - mat_mul(rx, s2)
-            + mat_mul(s_op, mat_mul(rx, s_op))
-        )
-        if not defect.is_zero():
-            witnesses.append(Witness("dual_pair", (i,), defect))
+    witnesses = is_nijenhuis(g, n_op).witnesses + _pair_witnesses(
+        rho, n_op, s_op, dual=True
+    )
     return report_from_witnesses(witnesses, checked="dual_nijenhuis_pair")
+
+
+def _pair_witnesses(
+    rho: Representation, n_op: Matrix, s_op: Matrix, dual: bool = False
+) -> tuple[Witness, ...]:
+    """The (N, S) pair condition alone, without the Nijenhuis torsion of N:
+    [rho(Nx) - S rho(x), S] per basis x, or [rho(Nx) - rho(x) S, S] for the
+    dual pair.
+    """
+    label = "dual_pair" if dual else "pair"
+    witnesses = []
+    for i, rx in enumerate(rho.matrices):
+        shifted = mat_mul(rx, s_op) if dual else mat_mul(s_op, rx)
+        defect = commutator(rho.act(n_op.column(i)) - shifted, s_op)
+        if not defect.is_zero():
+            witnesses.append(Witness(label, (i,), defect))
+    return tuple(witnesses)
 
 
 def is_perfect_pair(
     g: BracketLike, rho: Representation, n_op: Matrix, s_op: Matrix
 ) -> CheckReport:
-    """Nijenhuis pair with S^2 rho(x) + rho(x) S^2 = 2 S rho(x) S per basis x."""
+    """Nijenhuis pair with S^2 rho(x) + rho(x) S^2 = 2 S rho(x) S per basis x.
+
+    The extra defect is the double commutator [S, [S, rho(x)]].
+    """
     base = is_nijenhuis_pair(g, rho, n_op, s_op)
     witnesses = base.witnesses + _perfect_witnesses(rho, s_op)
     return report_from_witnesses(witnesses, checked="perfect_pair")
 
 
 def _perfect_witnesses(rho: Representation, s_op: Matrix) -> tuple[Witness, ...]:
-    s2 = mat_mul(s_op, s_op)
     witnesses = []
     for i, rx in enumerate(rho.matrices):
-        defect = (
-            mat_mul(s2, rx)
-            + mat_mul(rx, s2)
-            - mat_mul(s_op, mat_mul(rx, s_op)).scale(2)
-        )
+        defect = commutator(s_op, commutator(s_op, rx))
         if not defect.is_zero():
             witnesses.append(Witness("perfect", (i,), defect))
     return tuple(witnesses)

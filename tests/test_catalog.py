@@ -19,6 +19,7 @@ from lieop import (
     is_nijenhuis_pair,
     is_r_matrix,
     is_rota_baxter,
+    mat_mul,
 )
 from lieop import catalog
 from lieop.catalog import SEARCH_KINDS, get_entry, grid_search, list_catalog
@@ -133,15 +134,52 @@ class TestGridSearch:
             for t2 in t_ops
             if are_compatible_kupershmidt(g, rho, t1, t2).ok
         ]
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return are_compatible_kupershmidt(*args)
-
-        monkeypatch.setattr(catalog, "are_compatible_kupershmidt", counting)
+        calls = _count_calls(monkeypatch, "_compatibility_report")
         assert grid_search(g, rho, "compatible_pair", GRID) == expected
         assert (len(t_ops) ** 2, len(calls), len(expected)) == (441, 177, 177)
+
+    def test_kn_search_confirms_each_distinct_hypothesis_once(self, aff1, monkeypatch):
+        g, ad = aff1.algebra, aff1.representations["adjoint"]
+        t_ops = grid_search(g, ad, "kupershmidt", (0, 1))
+        pairs = grid_search(g, ad, "nijenhuis_pair", (0, 1))
+        # The twist survivors: T Kupershmidt, (N, S) a pair, NT = TS.
+        survivors = [
+            (n_op, s_op)
+            for t_op in t_ops
+            for n_op, s_op in pairs
+            if mat_mul(n_op, t_op) == mat_mul(t_op, s_op)
+        ]
+        nijenhuis = _count_calls(monkeypatch, "is_nijenhuis")
+        pair_loops = _count_calls(monkeypatch, "_pair_witnesses")
+        kn_conditions = _count_calls(monkeypatch, "_kn_conditions")
+        grid_search(g, ad, "kn_structure", (0, 1))
+        n_seen = [n_op for _, n_op in nijenhuis]
+        pairs_seen = [(n_op, s_op) for _, n_op, s_op in pair_loops]
+        assert len(n_seen) == len(set(n_seen)) == len({n for n, _ in survivors}) == 16
+        assert len(pairs_seen) == len(set(pairs_seen)) == len(set(survivors)) == 64
+        assert len(kn_conditions) == len(survivors) == 116
+
+    def test_pair_search_confirms_each_distinct_n_once(self, aff1, monkeypatch):
+        g, ad = aff1.algebra, aff1.representations["adjoint"]
+        grid = ("-1/2", "0", "1/3")
+        nijenhuis = _count_calls(monkeypatch, "is_nijenhuis")
+        pair_loops = _count_calls(monkeypatch, "_pair_witnesses")
+        found = grid_search(g, ad, "nijenhuis_pair", grid)
+        n_seen = [n_op for _, n_op in nijenhuis]
+        assert len(n_seen) == len(set(n_seen)) == len({n for n, _ in found}) == 81
+        assert len(pair_loops) == len(found) == 451
+
+    @pytest.mark.parametrize(
+        "kind", ("kupershmidt", "nijenhuis_pair", "kn_structure", "compatible_pair")
+    )
+    def test_representation_is_validated_against_the_searched_algebra(
+        self, abelian2, aff1, kind, monkeypatch
+    ):
+        # aff1's adjoint action is a representation of aff1, not of the
+        # abelian algebra of the same dimension.
+        monkeypatch.setattr(catalog, "VerdictKernel", _forbidden)
+        with pytest.raises(LieopError, match="search representation is invalid"):
+            grid_search(abelian2.algebra, aff1.representations["adjoint"], kind, (0, 1))
 
     def test_scalar_closure_of_rota_baxter_set(self, aff1):
         # the defining identity is quadratic-homogeneous, so the found set
@@ -149,6 +187,23 @@ class TestGridSearch:
         found = grid_search(aff1.algebra, None, "rota_baxter", GRID)
         for m in found:
             assert m.scale(-1) in found
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a candidate was evaluated")
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap catalog's name for a call site; return the list of its calls."""
+    calls = []
+    real = getattr(catalog, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, name, counting)
+    return calls
 
 
 def _as_matrix(values, nrows, ncols):
@@ -271,11 +326,15 @@ class TestGridSearchContract:
         assert grid_search(g, rho, kind, grid) == expected
 
     def test_cap_counts_nominal_candidates_before_evaluating_any(self, aff1, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a candidate was evaluated")
-
-        for name in ("VerdictKernel", "is_kupershmidt", "is_nijenhuis_pair", "is_kn_structure"):
-            monkeypatch.setattr(catalog, name, forbidden)
+        for name in (
+            "VerdictKernel",
+            "is_kupershmidt",
+            "is_nijenhuis",
+            "_pair_witnesses",
+            "_kn_conditions",
+            "_compatibility_report",
+        ):
+            monkeypatch.setattr(catalog, name, _forbidden)
         ad = aff1.representations["adjoint"]
         # 2 ** 12 triples, although staging would evaluate far fewer.
         with pytest.raises(GridCapExceeded, match="4096 candidates"):

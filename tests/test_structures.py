@@ -8,8 +8,10 @@ from lieop import (
     BilinearForm,
     Bivector,
     Bracket,
+    LieopError,
     Matrix,
     PreconditionFailure,
+    Representation,
     ShapeError,
     Vector,
     ad_action,
@@ -36,7 +38,7 @@ from lieop import (
     rbn_to_rmn,
     rmn_to_rbn,
 )
-from lieop import structures
+from lieop import operators, structures
 from lieop.catalog import get_entry, grid_search
 from lieop.structures import compatible_via_combos
 
@@ -175,6 +177,75 @@ class TestCompatibility:
             if not are_compatible_kupershmidt(g, coad, t1, t2).ok
         ]
         assert bad, "grid is expected to contain incompatible pairs"
+
+
+def reference_are_compatible(g, rho, t1, t2):
+    """The definition: each operator's hypothesis is checked in full by
+    is_kupershmidt, which validates rho against g every time."""
+    for name, t in (("kupershmidt_t1", t1), ("kupershmidt_t2", t2)):
+        structures._require(name, is_kupershmidt(g, rho, t))
+    return structures._compatibility_report(g, rho, t1, t2)
+
+
+def _outcome(check, *args):
+    try:
+        report = check(*args)
+    except LieopError as exc:
+        failed = getattr(exc, "report", None)
+        return (
+            type(exc).__name__,
+            str(exc),
+            getattr(exc, "name", None),
+            failed.to_json() if failed is not None else None,
+        )
+    return report.to_json()
+
+
+class TestCompatibilityHypothesisParity:
+    """are_compatible_kupershmidt validates rho once, yet raises and reports
+    exactly what the full per-operator checks do, in the same order."""
+
+    def cases(self):
+        aff1, heis3 = get_entry("aff1"), get_entry("heis3")
+        g, ad = aff1.algebra, aff1.representations["adjoint"]
+        abelian = get_entry("abelian_2").algebra
+        invalid = Representation(g, (Matrix.identity(1), Matrix.identity(1)), check=False)
+        trivial = Representation(g, [Matrix([[0]])] * 2)
+        rb, zero, ident = Matrix.diagonal([1, 0]), Matrix.zeros(2, 2), Matrix.identity(2)
+        column, tall = Matrix([[1], [0]]), Matrix.zeros(3, 2)
+        return {
+            "compatible": (g, ad, rb, zero),
+            "t1_fails": (g, ad, ident, zero),
+            "t2_fails": (g, ad, rb, ident),
+            "both_fail": (g, ad, ident, ident),
+            "t1_misshaped": (g, ad, tall, zero),
+            "t1_misshaped_rho_invalid": (g, invalid, tall, column),
+            "t2_misshaped": (g, ad, rb, tall),
+            "t2_misshaped_t1_fails": (g, ad, ident, tall),
+            "rho_invalid": (g, invalid, column, column),
+            "rho_invalid_t2_misshaped": (g, invalid, column, tall),
+            "rho_of_another_algebra": (abelian, ad, rb, zero),
+            "bracket_of_another_dim": (heis3.algebra, ad, rb, zero),
+            "bracket_of_another_dim_module_dim_one": (heis3.algebra, trivial, column, column),
+        }
+
+    def test_same_exceptions_and_reports(self):
+        for name, args in self.cases().items():
+            expected = _outcome(reference_are_compatible, *args)
+            assert _outcome(are_compatible_kupershmidt, *args) == expected, name
+
+    def test_rho_is_validated_once(self, aff1, monkeypatch):
+        calls = []
+        real = operators.check_representation
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "check_representation", counting)
+        g, ad = aff1.algebra, aff1.representations["adjoint"]
+        assert are_compatible_kupershmidt(g, ad, Matrix.diagonal([1, 0]), Matrix.zeros(2, 2)).ok
+        assert len(calls) == 1
 
 
 class TestNijenhuisFromPairs:

@@ -6,6 +6,10 @@ kupershmidt_defect, which stays the definition, evaluated at every module
 basis pair. The compatibility defect is its polarization,
 K(T1 + T2) - K(T1) - K(T2), and the NT condition is N applied to the
 compatibility defect of (T, NT). Reports must agree in to_json().
+
+The (N, S) pair loops evaluate each identity as a commutator. Their
+references below expand the four-term identities, as the predicates'
+docstrings state them, term by term.
 """
 
 from __future__ import annotations
@@ -26,8 +30,11 @@ from lieop import (
     StructureCheckError,
     Vector,
     check_nt_kupershmidt_condition,
+    is_dual_nijenhuis_pair,
     is_kupershmidt,
     is_nijenhuis,
+    is_nijenhuis_pair,
+    is_perfect_pair,
     is_r_matrix,
     is_rota_baxter,
     kupershmidt_defect,
@@ -101,6 +108,59 @@ def reference_sub_adjacent(rho, t_op):
     return Bracket.from_function(m, entry)
 
 
+def _four_term_report(g, rho, n_op, s_op, label, checked, defect_at):
+    witnesses = list(is_nijenhuis(g, n_op).witnesses)
+    for i, rx in enumerate(rho.matrices):
+        defect = defect_at(rho.act(n_op.column(i)), rx, mat_mul(s_op, s_op))
+        if not defect.is_zero():
+            witnesses.append(Witness(label, (i,), defect))
+    return report_from_witnesses(witnesses, checked=checked)
+
+
+def reference_pair(g, rho, n_op, s_op):
+    """rho(Nx)S - S rho(Nx) - S rho(x) S + S^2 rho(x)."""
+    return _four_term_report(
+        g, rho, n_op, s_op, "pair", "nijenhuis_pair",
+        lambda rnx, rx, s2: mat_mul(rnx, s_op) - mat_mul(s_op, rnx)
+        - mat_mul(s_op, mat_mul(rx, s_op)) + mat_mul(s2, rx),
+    )
+
+
+def reference_dual_pair(g, rho, n_op, s_op):
+    """rho(Nx)S - S rho(Nx) - rho(x) S^2 + S rho(x) S."""
+    return _four_term_report(
+        g, rho, n_op, s_op, "dual_pair", "dual_nijenhuis_pair",
+        lambda rnx, rx, s2: mat_mul(rnx, s_op) - mat_mul(s_op, rnx)
+        - mat_mul(rx, s2) + mat_mul(s_op, mat_mul(rx, s_op)),
+    )
+
+
+def reference_perfect_pair(g, rho, n_op, s_op):
+    """The pair witnesses, then S^2 rho(x) + rho(x) S^2 - 2 S rho(x) S."""
+    s2 = mat_mul(s_op, s_op)
+    witnesses = list(reference_pair(g, rho, n_op, s_op).witnesses)
+    for i, rx in enumerate(rho.matrices):
+        defect = (
+            mat_mul(s2, rx) + mat_mul(rx, s2) - mat_mul(s_op, mat_mul(rx, s_op)).scale(2)
+        )
+        if not defect.is_zero():
+            witnesses.append(Witness("perfect", (i,), defect))
+    return report_from_witnesses(witnesses, checked="perfect_pair")
+
+
+PAIR_CHECKS = (
+    (is_nijenhuis_pair, reference_pair),
+    (is_dual_nijenhuis_pair, reference_dual_pair),
+    (is_perfect_pair, reference_perfect_pair),
+)
+
+
+def assert_pair_checks_agree(g, rho, n_op, s_op):
+    for check, reference in PAIR_CHECKS:
+        expected = reference(g, rho, n_op, s_op)
+        assert check(g, rho, n_op, s_op).to_json() == expected.to_json()
+
+
 def assert_compatibility_agrees(g, rho, t1, t2):
     """The hoisted report equals the reference, or both disagree with the
     scalar-combination cross-check, which then raises."""
@@ -149,6 +209,15 @@ class TestExhaustiveAff1:
                 assert_compatibility_agrees(g, rho, t1, t2)
 
 
+    @pytest.mark.parametrize("rep", REPS)
+    def test_pair_loops(self, aff1, rep):
+        g, rho = aff1.algebra, aff1.representations[rep]
+        ops = list(grid_matrices(2, 2))[::3]
+        for n_op in ops:
+            for s_op in ops:
+                assert_pair_checks_agree(g, rho, n_op, s_op)
+
+
 class TestMixedAff1:
     @pytest.mark.parametrize("make_rep", (adjoint_rep, coadjoint_rep))
     def test_nt_condition(self, make_rep):
@@ -186,6 +255,17 @@ def test_random_operators_match_the_per_tuple_loops(data):
     assert is_kupershmidt(g, rho, t1).to_json() == expected.to_json()
     assert sub_adjacent_bracket(g, rho, t1) == reference_sub_adjacent(rho, t1)
     assert_compatibility_agrees(g, rho, t1, t2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_pairs_match_the_four_term_identities(data):
+    entry = get_entry(data.draw(st.sampled_from(("heis3", "sl2"))))
+    g = entry.algebra
+    rho = entry.representations[data.draw(st.sampled_from(REPS))]
+    n_op = data.draw(matrices(g.dim))
+    s_op = data.draw(matrices(rho.module_dim))
+    assert_pair_checks_agree(g, rho, n_op, s_op)
 
 
 class TestShapeErrorParity:
