@@ -16,9 +16,13 @@ identity on their own, the (N, S) pair condition is decided once for all
 T, and only then are the filtered lists multiplied out, in the nesting
 order of the full product, where triples are filtered by the twist
 NT = TS and pairs of Kupershmidt operators by their sum being Kupershmidt.
-Rota-Baxter and Kupershmidt operators with three or more columns are
-enumerated without their last column, which the identity solves for.
-These verdicts come from lieop.kernel, which clears the
+Rota-Baxter operators and r-matrices are searched as the Kupershmidt
+operators they are, for the adjoint and the coadjoint action: the search
+runs the same stages and confirmations on that action family. Kupershmidt
+operators with three or more columns are enumerated without their last
+column, which the identity solves for; r-matrices are enumerated over
+their skew candidates, at most three free entries on every catalog
+algebra. These verdicts come from lieop.kernel, which clears the
 denominators of the structure constants and action matrices with one
 scale and those of the grid values with another, and tests in integers.
 That is exact because every identity is homogeneous: of degree 1 in
@@ -30,10 +34,10 @@ path's own checks, so a result is always one the public predicate
 hypothesis is confirmed once per distinct operator: every T by
 is_kupershmidt, every N by is_nijenhuis, every (N, S) by the pair loop,
 and then each triple by the KN conditions alone and each pair of
-operators by the compatibility report alone. The representation is
-validated against g once, before any candidate. r_matrix has at most
-three free entries on every catalog algebra; each skew candidate is
-decided by the kernel as a Kupershmidt operator for the coadjoint action.
+operators by the compatibility report alone. A given representation is
+validated against g once, before any candidate; the adjoint and
+coadjoint families need no validation, since the Rota-Baxter and r-matrix
+identities are read on any bracket.
 """
 
 from __future__ import annotations
@@ -48,9 +52,10 @@ from .kernel import VerdictKernel, clear_denominators
 from .kinds import CATALOG_KINDS, OPERATOR_SHAPES, SEARCH_KINDS
 from .lie import LieAlgebra
 from .linalg import Matrix, Scalar, rational
-from .operators import _pair_witnesses, is_kupershmidt, is_nijenhuis, is_rota_baxter
+from .operators import _pair_witnesses, is_kupershmidt, is_nijenhuis
 from .reps import (
     Representation,
+    _ad_family,
     _coad_family,
     adjoint_rep,
     check_representation,
@@ -62,7 +67,6 @@ from .structures import (
     _compatibility_report,
     _kn_conditions,
     check_bilinear_form,
-    is_r_matrix,
 )
 
 GRID_CAP = 10_000_000
@@ -348,6 +352,11 @@ def get_entry(name: str) -> CatalogEntry:
 # Exhaustive grid search
 # ---------------------------------------------------------------------------
 
+# Rota-Baxter operators and r-matrices are searched as the Kupershmidt
+# operators they are, for these unchecked action families.
+_ACTION_FAMILIES = {"rota_baxter": _ad_family, "r_matrix": _coad_family}
+
+
 def grid_search(
     g: LieAlgebra,
     rho: Optional[Representation],
@@ -382,35 +391,11 @@ def grid_search(
     if count > cap:
         raise GridCapExceeded(f"{count} candidates exceed the cap of {cap}")
 
-    if kind == "r_matrix":
-        return _r_matrix_search(g, values)
-    return _staged_search(g, rho if row.needs_rho else None, kind, values)
-
-
-def _r_matrix_search(g: LieAlgebra, values: list) -> list:
-    """Each skew candidate is decided as a Kupershmidt operator for the
-    coadjoint action, on its full n x n integer image; a Bivector is built
-    and confirmed with is_r_matrix only for what survives."""
-    kernel = VerdictKernel(g, _coad_family(g))
-    ints = clear_denominators(values)
-    value_of = dict(zip(ints, values))
-    n = g.dim
-    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def skew(entries) -> list:
-        rows = [[0] * n for _ in range(n)]
-        for (i, j), c in zip(upper, entries):
-            rows[i][j] = c
-            rows[j][i] = -c
-        return rows
-
-    found = []
-    for combo in itertools.product(ints, repeat=len(upper)):
-        if kernel.is_kupershmidt([c for row in skew(combo) for c in row]):
-            cand = Bivector(Matrix(skew([value_of[c] for c in combo])))
-            if is_r_matrix(g, cand).ok:
-                found.append(cand)
-    return found
+    if kind in _ACTION_FAMILIES:
+        rho = _ACTION_FAMILIES[kind](g)
+    elif not row.needs_rho:
+        rho = None
+    return _staged_search(g, rho, kind, values)
 
 
 def _staged_search(
@@ -448,14 +433,29 @@ def _staged_search(
                 t_ops.append((flat, t_op))
         return t_ops
 
-    if kind == "kupershmidt":
+    if kind in ("kupershmidt", "rota_baxter"):
         return [t_op for _, t_op in kupershmidt_ops()]
-    if kind in ("nijenhuis", "rota_baxter"):
-        if kind == "nijenhuis":
-            flats, confirm = filter(kernel.is_nijenhuis, grid(n * n)), is_nijenhuis
-        else:
-            flats, confirm = kernel.rota_baxter_solutions(ints), is_rota_baxter
-        return [op for op in (matrix(flat, n) for flat in flats) if confirm(g, op).ok]
+    if kind == "nijenhuis":
+        n_ops = (matrix(flat, n) for flat in grid(n * n) if kernel.is_nijenhuis(flat))
+        return [n_op for n_op in n_ops if is_nijenhuis(g, n_op).ok]
+    if kind == "r_matrix":
+        # Each skew candidate, over the entries above the diagonal, on its
+        # full n x n image; a Bivector is built only for a confirmed one.
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+        def skew(entries) -> list:
+            rows = [[0] * n for _ in range(n)]
+            for (i, j), c in zip(upper, entries):
+                rows[i][j], rows[j][i] = c, -c
+            return rows
+
+        found = []
+        for combo in grid(len(upper)):
+            if kernel.is_kupershmidt([c for row in skew(combo) for c in row]):
+                p = Matrix(skew([value_of[c] for c in combo]))
+                if is_kupershmidt(g, rho, p, check_rho=False).ok:
+                    found.append(Bivector(p))
+        return found
 
     if kind == "compatible_pair":
         t_ops = kupershmidt_ops()

@@ -36,8 +36,6 @@ from .reps import Representation, check_representation
 from .structures import (
     Bivector,
     hierarchy,
-    is_r_matrix_nijenhuis,
-    is_rbn_structure,
     rbn_to_rmn,
     rmn_to_rbn,
 )
@@ -217,7 +215,6 @@ def cmd_convert(args, out: _Output) -> int:
             algebra=g, representation=rho, operators={"N": n_out}, bivector=pi,
             bilinear_form=form,
         )
-        verdict = is_r_matrix_nijenhuis(g, pi, n_out)
     else:
         n_op, pi = doc.read("N", g), doc.bivector()
         try:
@@ -228,19 +225,20 @@ def cmd_convert(args, out: _Output) -> int:
             algebra=g, representation=rho, operators={"N": n_out, "R": r_out},
             bilinear_form=form,
         )
-        verdict = is_rbn_structure(g, r_out, n_out)
+    # Both conversions raise unless the converted pair passes its structure
+    # check, so the report is the pass they have already verified.
     _write_document(out, serialize(converted), args.output)
-    _print_report(out, label, verdict.report)
+    out.text(f"{label}: PASS")
     out.json(
         {
             "kind": label,
-            "verdict": "pass" if verdict.report.ok else "fail",
+            "verdict": "pass",
             "precondition": None,
-            "witnesses": [w.to_json() for w in verdict.report.witnesses],
+            "witnesses": [],
             "document": converted,
         }
     )
-    return EXIT_OK if verdict.report.ok else EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 def cmd_search(args, out: _Output) -> int:

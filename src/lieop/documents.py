@@ -139,10 +139,14 @@ def _parse_bracket_table(raw, path, dim) -> Bracket:
         value = _want(item, "value", here, dict)
         coords = [0] * dim
         for k_raw, c in value.items():
+            # Only a key written as int() writes it back: "01", " 1", "+1"
+            # or "0_1" would alias another index and drop its coefficient.
             try:
                 k = int(k_raw)
             except ValueError:
-                raise DocumentError(f"{here}.value", f"bad index key {k_raw!r}") from None
+                k = None
+            if k is None or str(k) != k_raw:
+                raise DocumentError(f"{here}.value", f"bad index key {k_raw!r}")
             if not 0 <= k < dim:
                 raise DocumentError(f"{here}.value", f"index {k} out of range")
             coords[k] = _parse_scalar(c, f"{here}.value[{k_raw!r}]")

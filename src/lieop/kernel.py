@@ -21,15 +21,20 @@ that mix them.
 Operators are flat row-major tuples of those scaled integers, exactly as
 itertools.product over the scaled grid yields them.
 
+Rota-Baxter operators and r-matrices are Kupershmidt operators for the
+adjoint and the coadjoint action, so a search for them builds its kernel
+over that action family and decides them with is_kupershmidt; the kernel
+has no separate form for either.
+
 Three shortcuts keep the searches from testing the whole product, each
 exact:
 
-- Kupershmidt-form operators (Rota-Baxter and Kupershmidt) are enumerated
-  column by column, with the last column c_L solved for rather than
-  enumerated. At a basis pair i < j < L the identity reads
-  [c_i, c_j] = sum_l inner_ij[l] c_l with inner_ij = q[j]c_i - q[i]c_j,
-  and neither the bracket nor inner_ij involves c_L; so the pair is the
-  linear equation inner_ij[L] c_L = [c_i, c_j] - sum_{l<L} inner_ij[l] c_l.
+- Kupershmidt operators are enumerated column by column, with the last
+  column c_L solved for rather than enumerated. At a basis pair i < j < L
+  the identity reads [c_i, c_j] = sum_l inner_ij[l] c_l with
+  inner_ij = q[j]c_i - q[i]c_j, and neither the bracket nor inner_ij
+  involves c_L; so the pair is the linear equation
+  inner_ij[L] c_L = [c_i, c_j] - sum_{l<L} inner_ij[l] c_l.
   A nonzero coefficient pins c_L to the exact integer quotient (or to
   nothing, when the division leaves a remainder or the quotient is off the
   grid); a zero coefficient leaves c_L free if the right side is zero and
@@ -88,7 +93,7 @@ class VerdictKernel:
 
     Built once per search; each method decides one identity for one
     candidate (or one batch of pairs) and returns a plain verdict, or,
-    for the *_solutions methods, every candidate over a grid that passes.
+    for kupershmidt_solutions, every candidate over a grid that passes.
     """
 
     def __init__(self, g: BracketLike, rho: Optional[Representation] = None):
@@ -115,8 +120,9 @@ class VerdictKernel:
                 self._brackets[j][i][k] = -c
         # q[j] is the matrix of x -> rho(x) e_j (columns indexed by x's
         # coordinates), so the Kupershmidt inner term rho(Tu)v - rho(Tv)u at
-        # (u, v) = (e_i, e_j) is q[j] Tu - q[i] Tv. For the adjoint action it
-        # is x -> [x, e_j], which serves Nijenhuis and Rota-Baxter.
+        # (u, v) = (e_i, e_j) is q[j] Tu - q[i] Tv. _q_ad is q for the
+        # adjoint action, x -> [x, e_j], which is_nijenhuis reads without a
+        # representation.
         self._q_ad = [
             [[self._brackets[k][j][p] for k in range(n)] for p in range(n)]
             for j in range(n)
@@ -163,46 +169,29 @@ class VerdictKernel:
                     return False
         return True
 
-    def is_rota_baxter(self, r_op: Sequence[int]) -> bool:
-        """[Rx,Ry] = R([Rx,y] + [x,Ry]) on basis pairs x, y."""
-        return self._kupershmidt_form(r_op, self.n, self._q_ad)
-
     def is_kupershmidt(self, t_op: Sequence[int]) -> bool:
         """[Tu,Tv] = T(rho(Tu)v - rho(Tv)u) on module basis pairs u, v."""
-        return self._kupershmidt_form(t_op, self.m, self._q_rho)
-
-    def _kupershmidt_form(self, op: Sequence[int], ncols: int, q) -> bool:
-        rows = _rows(op, ncols)
-        cols = [op[j::ncols] for j in range(ncols)]
-        for i in range(ncols):
+        m, q = self.m, self._q_rho
+        rows = _rows(t_op, m)
+        cols = [t_op[j::m] for j in range(m)]
+        for i in range(m):
             x = cols[i]
-            for j in range(i + 1, ncols):
+            for j in range(i + 1, m):
                 y = cols[j]
                 inner = _sub(_apply(q[j], x), _apply(q[i], y))
                 if self._bracket(x, y) != _apply(rows, inner):
                     return False
         return True
 
-    def rota_baxter_solutions(self, grid: Sequence[int]) -> list[tuple[int, ...]]:
-        """Every n x n operator over the increasing integer grid that
-        is_rota_baxter accepts, in the order of the product."""
-        return self._kupershmidt_solutions(grid, self.n, self._q_ad)
-
     def kupershmidt_solutions(self, grid: Sequence[int]) -> list[tuple[int, ...]]:
         """Every n x m operator over the increasing integer grid that
-        is_kupershmidt accepts, in the order of the product."""
-        return self._kupershmidt_solutions(grid, self.m, self._q_rho)
-
-    def _kupershmidt_solutions(self, grid, ncols: int, q) -> list[tuple[int, ...]]:
-        """Enumerate the columns but the last and solve for the last one
-        (see the module docstring); the full identity decides each flat."""
-        n = self.n
-        last = ncols - 1
+        is_kupershmidt accepts, in the order of the product: the columns
+        but the last are enumerated and the last is solved for (see the
+        module docstring); the full identity decides each flat."""
+        n, m, q = self.n, self.m, self._q_rho
+        last = m - 1
         if last < 2:  # no pair i < j < last: nothing pins the last column
-            return [
-                flat for flat in product(grid, repeat=n * ncols)
-                if self._kupershmidt_form(flat, ncols, q)
-            ]
+            return [flat for flat in product(grid, repeat=n * m) if self.is_kupershmidt(flat)]
         on_grid = set(grid)
         columns = list(product(grid, repeat=n))
         pairs = [(i, j) for i in range(last) for j in range(i + 1, last)]
@@ -232,7 +221,7 @@ class VerdictKernel:
             else:
                 for col in columns if pinned is None else (pinned,):
                     flat = tuple(chain.from_iterable(zip(*prefix, col)))
-                    if self._kupershmidt_form(flat, ncols, q):
+                    if self.is_kupershmidt(flat):
                         found.append(flat)
         found.sort()
         return found

@@ -202,8 +202,10 @@ _SEMIDIRECT_CACHE: dict = {}
 def semidirect_product(g: LieAlgebra, rho: "Representation") -> LieAlgebra:
     """g semidirect V via rho: [x+u, y+v] = [x,y] + rho(x)v - rho(y)u.
 
-    Raises ValidationError when rho fails the representation axiom (the
-    result would not satisfy Jacobi otherwise). Memoized: pair tests probe
+    Raises ValidationError when rho fails the representation axiom against
+    g's bracket (the result would not satisfy Jacobi otherwise), and
+    ShapeError when rho acts on an algebra of another dimension. Memoized:
+    pair tests probe
     many operators against one and the same semidirect algebra.
     """
     from .reps import check_representation  # cycle: reps builds on lie
@@ -213,7 +215,7 @@ def semidirect_product(g: LieAlgebra, rho: "Representation") -> LieAlgebra:
     cached = _SEMIDIRECT_CACHE.get(key)
     if cached is not None:
         return cached
-    rep_ok = check_representation(rho)
+    rep_ok = check_representation(rho, bracket=g)
     if not rep_ok.ok:
         raise ValidationError("not a representation", rep_ok)
     n, m = g.dim, rho.module_dim

@@ -324,15 +324,20 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _integer_rows(m: Matrix, extra: Sequence[Sequence[Rational]] = ()) -> list[list[int]]:
-    """Clear denominators per row of [m | extra]; row scaling preserves
-    solution sets (it does change determinants, handled by the caller)."""
+def _integer_rows(
+    m: Matrix, extra: Sequence[Sequence[Rational]] = ()
+) -> tuple[list[list[int]], int]:
+    """Clear denominators per row of [m | extra], and return the product of
+    the row scales too: row scaling preserves solution sets, and multiplies
+    a determinant by that product."""
     out = []
+    scales = 1
     for row, more in zip(m.rows, extra or [()] * m.nrows):
         cells = list(row) + list(more)
         scale = lcm(*(c.denominator for c in cells)) if cells else 1
+        scales *= scale
         out.append([int(c * scale) for c in cells])
-    return out
+    return out, scales
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -342,18 +347,24 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _bareiss_echelon(rows: list[list[int]], main_cols: int) -> list[tuple[int, int]]:
+def _bareiss_echelon(
+    rows: list[list[int]], main_cols: int
+) -> tuple[list[tuple[int, int]], int]:
     """In-place fraction-free row echelon; pivots only in the first
-    main_cols columns. Returns the (row, col) pivot positions."""
+    main_cols columns. Returns the (row, col) pivot positions and the sign
+    of the row swaps."""
     nrows = len(rows)
     pivots: list[tuple[int, int]] = []
+    sign = 1
     prev = 1
     r = 0
     for c in range(main_cols):
         pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
         width = len(rows[r])
         for i in range(r + 1, nrows):
             head = rows[i][c]
@@ -367,51 +378,35 @@ def _bareiss_echelon(rows: list[list[int]], main_cols: int) -> list[tuple[int, i
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, sign
 
 
 def det(m: Matrix) -> Rational:
+    """The last Bareiss pivot is the determinant of the integer rows, up to
+    the sign of the row swaps; dividing by the row scales undoes them."""
     if not m.is_square():
         raise ShapeError("determinant of a non-square matrix")
     n = m.nrows
-    if n == 0:
-        return 1
-    scale = 1
-    rows = []
-    for row in m.rows:
-        s = lcm(*(c.denominator for c in row))
-        scale *= s
-        rows.append([int(c * s) for c in row])
-    # Track row swaps: Bareiss with partial pivoting flips the sign per swap.
-    sign = 1
-    prev = 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c]), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            head = rows[i][c]
-            for j in range(c + 1, n):
-                rows[i][j] = _exact_div(
-                    rows[i][j] * rows[c][c] - head * rows[c][j], prev
-                )
-            rows[i][c] = 0
-        prev = rows[c][c]
-    return rational(Fraction(sign * rows[n - 1][n - 1], scale))
+    rows, scale = _integer_rows(m)
+    pivots, sign = _bareiss_echelon(rows, n)
+    if len(pivots) < n:
+        return 0
+    last = rows[n - 1][n - 1] if n else 1
+    return rational(Fraction(sign * last, scale))
 
 
 def _back_substitute(
     rows: list[list[int]],
     pivots: list[tuple[int, int]],
-    main_cols: int,
-    rhs_col: int,
+    x: list[Fraction],
+    rhs_col: int | None = None,
 ) -> list[Fraction]:
-    x = [Fraction(0)] * main_cols
+    """Solve the echelon rows for x's pivot variables, in place, keeping
+    its free variables as preset; rhs_col is the right-hand side's index
+    after the len(x) main columns, or None for a homogeneous system."""
+    main_cols = len(x)
     for r, c in reversed(pivots):
-        acc = Fraction(rows[r][main_cols + rhs_col])
+        acc = Fraction(0 if rhs_col is None else rows[r][main_cols + rhs_col])
         for j in range(c + 1, main_cols):
             if rows[r][j]:
                 acc -= rows[r][j] * x[j]
@@ -427,13 +422,13 @@ def solve(a: Matrix, b: Vector) -> Vector:
     if a.nrows != b.dim:
         raise ShapeError(f"matrix has {a.nrows} rows, vector dim {b.dim}")
     n = a.ncols
-    rows = _integer_rows(a, [[c] for c in b.coords])
-    pivots = _bareiss_echelon(rows, n)
+    rows, _ = _integer_rows(a, [[c] for c in b.coords])
+    pivots, _ = _bareiss_echelon(rows, n)
     pivot_rows = {r for r, _ in pivots}
     for i in range(len(rows)):
         if i not in pivot_rows and rows[i][n]:
             raise NoSolution("inconsistent linear system")
-    return Vector(_back_substitute(rows, pivots, n, 0))
+    return Vector(_back_substitute(rows, pivots, [Fraction(0)] * n, 0))
 
 
 def invert(a: Matrix) -> Matrix:
@@ -441,14 +436,14 @@ def invert(a: Matrix) -> Matrix:
     if not a.is_square():
         raise ShapeError("inverse of a non-square matrix")
     n = a.nrows
-    rows = _integer_rows(
+    rows, _ = _integer_rows(
         a, [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     )
-    pivots = _bareiss_echelon(rows, n)
+    pivots, _ = _bareiss_echelon(rows, n)
     if len(pivots) < n:
         raise NotInvertible("matrix is singular")
     cols = [
-        Vector(_back_substitute(rows, pivots, n, k)) for k in range(n)
+        Vector(_back_substitute(rows, pivots, [Fraction(0)] * n, k)) for k in range(n)
     ]
     return Matrix.from_columns(cols)
 
@@ -460,18 +455,12 @@ def is_invertible(a: Matrix) -> bool:
 def nullspace_vector(a: Matrix) -> Vector | None:
     """Some nonzero kernel element, or None when the kernel is trivial."""
     n = a.ncols
-    rows = _integer_rows(a)
-    pivots = _bareiss_echelon(rows, n)
+    rows, _ = _integer_rows(a)
+    pivots, _ = _bareiss_echelon(rows, n)
     pivot_cols = {c for _, c in pivots}
     free = next((c for c in range(n) if c not in pivot_cols), None)
     if free is None:
         return None
     x = [Fraction(0)] * n
     x[free] = Fraction(1)
-    for r, c in reversed(pivots):
-        acc = Fraction(0)
-        for j in range(c + 1, n):
-            if rows[r][j]:
-                acc -= rows[r][j] * x[j]
-        x[c] = acc / rows[r][c]
-    return Vector(x)
+    return Vector(_back_substitute(rows, pivots, x))

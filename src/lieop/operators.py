@@ -245,9 +245,6 @@ class PreLieProduct:
         self.dim = dim
         self.table = tuple(tuple(row) for row in table)
 
-    def basis_product(self, i: int, j: int) -> Vector:
-        return self.table[i][j]
-
     def __call__(self, u: Vector, v: Vector) -> Vector:
         if u.dim != self.dim or v.dim != self.dim:
             raise ShapeError("vector dims do not match product dim")

@@ -187,11 +187,7 @@ _COMBO_SAMPLES = ((1, 1), (1, -1), (2, 3))
 
 
 def compatible_via_combos(
-    g: BracketLike,
-    rho: Representation,
-    t1: Matrix,
-    t2: Matrix,
-    samples=_COMBO_SAMPLES,
+    g: BracketLike, rho: Representation, t1: Matrix, t2: Matrix
 ) -> bool:
     """Definitional route: k1 T1 + k2 T2 stays Kupershmidt on the samples.
 
@@ -200,7 +196,7 @@ def compatible_via_combos(
     """
     return all(
         is_kupershmidt(g, rho, t1.scale(k1) + t2.scale(k2), check_rho=False).ok
-        for k1, k2 in samples
+        for k1, k2 in _COMBO_SAMPLES
     )
 
 

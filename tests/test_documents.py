@@ -43,6 +43,21 @@ class TestIntegerFields:
         assert err.value.path == path
 
 
+class TestBracketKeys:
+    @pytest.mark.parametrize("key", ["01", " 1", "+1", "0_1", "-0", "x"])
+    def test_non_canonical_index_key_is_refused(self, key):
+        # {"1": "1", "01": "5"} would otherwise parse as [e0, e1] = 5 e1.
+        with pytest.raises(DocumentError) as err:
+            parse_document(_doc(brackets=[{"i": 0, "j": 1, "value": {"1": "1", key: "5"}}]))
+        assert err.value.path == "$.algebra.brackets[0].value"
+        assert f"bad index key {key!r}" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["2", "-1"])
+    def test_decimal_key_outside_the_dimension(self, key):
+        with pytest.raises(DocumentError, match=f"index {key} out of range"):
+            parse_document(_doc(brackets=[{"i": 0, "j": 1, "value": {key: "1"}}]))
+
+
 class TestDimensionBounds:
     """dim and module_dim are refused past MAX_DIM before anything is
     allocated for them; the documents here are a few hundred bytes."""

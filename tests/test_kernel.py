@@ -22,6 +22,7 @@ from lieop import (
 )
 from lieop.catalog import get_entry
 from lieop.kernel import VerdictKernel, clear_denominators
+from lieop.reps import _ad_family
 
 from conftest import MIXED_AFF1
 
@@ -54,12 +55,12 @@ def reps_of(g):
 
 
 def assert_single_operator_kernel_agrees(g, grid):
-    kernel = VerdictKernel(g)
+    kernel = VerdictKernel(g, adjoint_rep(g))
     passes = 0
     for combo, op in grid_operators(grid, g.dim, g.dim):
         nij = is_nijenhuis(g, op).ok
         assert kernel.is_nijenhuis(combo) == nij, op
-        assert kernel.is_rota_baxter(combo) == is_rota_baxter(g, op).ok, op
+        assert kernel.is_kupershmidt(combo) == is_rota_baxter(g, op).ok, op
         passes += nij
     assert passes  # the zero operator at least
 
@@ -147,7 +148,7 @@ def test_random_rationals(name, rep, data):
     n_int, s_int, t_int = flat(n_op, s_op, t_op)
 
     assert kernel.is_nijenhuis(n_int) == is_nijenhuis(g, n_op).ok
-    assert kernel.is_rota_baxter(n_int) == is_rota_baxter(g, n_op).ok
+    assert VerdictKernel(g, adjoint_rep(g)).is_kupershmidt(n_int) == is_rota_baxter(g, n_op).ok
     assert kernel.is_kupershmidt(t_int) == is_kupershmidt(g, rho, t_op, check_rho=False).ok
     pair = kernel.is_nijenhuis(n_int) and kernel.nijenhuis_pairs([n_int], [s_int]) == [(0, 0)]
     assert pair == is_nijenhuis_pair(g, rho, n_op, s_op).ok
@@ -162,9 +163,10 @@ SOLVE_GRIDS = {
     "empty": (),
 }
 # Module dimensions 1, 2 and 3. At dim 3 the filtered product has 3^9 flats
-# per three-value grid, so each form gets one such grid there; dims 1 and 2
-# take every form on every grid.
-DIM3_FULL_GRIDS = {("rota_baxter", "int"), ("coadjoint", "int"), ("adjoint", "frac")}
+# per three-value grid, so the adjoint and coadjoint forms get one such grid
+# each there, and the rota_baxter form, which builds every candidate as a
+# Matrix, none; dims 1 and 2 take every form on every grid.
+DIM3_FULL_GRIDS = {("adjoint", "int"), ("coadjoint", "int"), ("adjoint", "frac")}
 SOLVE_CASES = [
     (name, form, grid)
     for name, g in SOLVE_ALGEBRAS.items()
@@ -178,17 +180,26 @@ class TestSolvedEnumeration:
     @pytest.mark.parametrize("name,form,grid", SOLVE_CASES)
     def test_equals_the_filtered_product(self, name, form, grid):
         g = SOLVE_ALGEBRAS[name]
+        values = SOLVE_GRIDS[grid]
+        ints = clear_denominators(list(values))
         if form == "rota_baxter":
-            kernel = VerdictKernel(g)
-            solutions, decide, ncols = kernel.rota_baxter_solutions, kernel.is_rota_baxter, g.dim
+            # What a rota_baxter search runs: the kernel over the unchecked
+            # adjoint family, here against the public predicate.
+            kernel = VerdictKernel(g, _ad_family(g))
+            expected = [
+                combo
+                for combo, op in grid_operators(values, g.dim, g.dim)
+                if is_rota_baxter(g, op).ok
+            ]
         else:
             rho = reps_of(g)[form == "coadjoint"]
             kernel = VerdictKernel(g, rho)
-            solutions, decide = kernel.kupershmidt_solutions, kernel.is_kupershmidt
-            ncols = rho.module_dim
-        ints = clear_denominators(list(SOLVE_GRIDS[grid]))
-        expected = [flat for flat in itertools.product(ints, repeat=g.dim * ncols) if decide(flat)]
-        assert solutions(ints) == expected
+            expected = [
+                flat
+                for flat in itertools.product(ints, repeat=g.dim * rho.module_dim)
+                if kernel.is_kupershmidt(flat)
+            ]
+        assert kernel.kupershmidt_solutions(ints) == expected
 
 
 def test_sum_filter_agrees_with_the_compatibility_report(aff1):

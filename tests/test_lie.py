@@ -203,3 +203,14 @@ class TestSemidirect:
         )
         with pytest.raises(ValidationError):
             semidirect_product(aff1.algebra, bad)
+
+    def test_action_is_validated_against_g(self, aff1, abelian2):
+        # aff1's adjoint action on the abelian bracket: the axiom fails
+        # against g, though it holds against rho.algebra.
+        with pytest.raises(ValidationError, match="not a representation") as err:
+            semidirect_product(abelian2.algebra, aff1.representations["adjoint"])
+        assert [w.condition for w in err.value.report.witnesses] == ["rep_axiom"]
+
+    def test_action_of_another_dimension_is_rejected(self, aff1, heis3):
+        with pytest.raises(ShapeError, match="bracket dim 3 != algebra dim 2"):
+            semidirect_product(heis3.algebra, aff1.representations["adjoint"])

@@ -1,11 +1,13 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 
 from lieop import (
     Bracket,
     Matrix,
+    ShapeError,
     Vector,
     bracket_from_rep,
     check_jacobi,
@@ -188,6 +190,14 @@ class TestPairs:
         assert not report.ok
         i, j = report.witnesses[0].indices
         assert i < g.dim <= j
+
+    def test_semidirect_route_rejects_a_rep_of_another_algebra(self, aff1, heis3):
+        # The same ShapeError as is_nijenhuis_pair, not an IndexError.
+        args = (heis3.algebra, aff1.representations["adjoint"], Matrix.identity(2), Matrix.identity(2))
+        with pytest.raises(ShapeError):
+            is_nijenhuis_pair(*args)
+        with pytest.raises(ShapeError, match="bracket dim 3 != algebra dim 2"):
+            nijenhuis_pair_semidirect_test(*args)
 
 
 class TestPreLie:
