@@ -205,8 +205,8 @@ def semidirect_product(g: LieAlgebra, rho: "Representation") -> LieAlgebra:
     Raises ValidationError when rho fails the representation axiom against
     g's bracket (the result would not satisfy Jacobi otherwise), and
     ShapeError when rho acts on an algebra of another dimension. Memoized:
-    pair tests probe
-    many operators against one and the same semidirect algebra.
+    pair tests probe many operators against one and the same semidirect
+    algebra.
     """
     from .reps import check_representation  # cycle: reps builds on lie
 
