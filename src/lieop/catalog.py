@@ -18,16 +18,9 @@ order of the full product, where triples are filtered by the twist
 NT = TS and pairs of Kupershmidt operators by their sum being Kupershmidt.
 Rota-Baxter operators and r-matrices are searched as the Kupershmidt
 operators they are, for the adjoint and the coadjoint action: the search
-runs the same stages and confirmations on that action family. Kupershmidt
-operators with three or more columns are enumerated without their last
-column, which the identity solves for; r-matrices are enumerated over
-their skew candidates, at most three free entries on every catalog
-algebra. These verdicts come from lieop.kernel, which clears the
-denominators of the structure constants and action matrices with one
-scale and those of the grid values with another, and tests in integers.
-That is exact because every identity is homogeneous: of degree 1 in
-(bracket, rho) jointly and degree 2 in the operator entries, so the
-integer defect is the rational one times a positive constant. Each
+runs the same stages and confirmations on that action family, over the
+skew candidates only for r-matrices. These verdicts come from the
+integer kernel; lieop.kernel gives its shortcuts and why it is exact. Each
 survivor is then built as a Matrix and confirmed with the reporting
 path's own checks, so a result is always one the public predicate
 (is_kn_structure, are_compatible_kupershmidt, ...) accepts, and each
@@ -374,6 +367,8 @@ def grid_search(
     """
     if kind not in SEARCH_KINDS:
         raise LieopError(f"unknown search kind {kind!r}")
+    if g.dim == 0:
+        raise LieopError("grid_search needs an algebra of positive dimension")
     values = sorted({rational(v) for v in entry_set})
     row = CATALOG_KINDS[kind]
     n = m = g.dim
@@ -405,8 +400,10 @@ def _staged_search(
 
     The kernel decides each identity in integers (exact, see lieop.kernel)
     on the flat candidates; a Matrix is built only for what survives it,
-    and every result is confirmed by the reporting path, so a kernel
-    fault could drop a result but never add one. The survivors are visited
+    and every result is confirmed by the reporting path, so a fault in the
+    kernel's own shortcuts could drop a result but never add one (the
+    torsion and Kupershmidt loops the two share are tested against the
+    per-tuple definitions instead). The survivors are visited
     in the nesting order of the full product, which keeps the lexicographic
     order of the results.
     """

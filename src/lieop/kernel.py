@@ -1,30 +1,32 @@
-"""Verdict-only integer kernel behind grid_search.
+"""Integer images, the one torsion loop and the one Kupershmidt loop, and
+the verdict-only kernel behind grid_search.
 
-The public predicates build a CheckReport listing every failing basis
-tuple. An exhaustive search needs only the yes/no answer, and nearly every
-answer is no, so this kernel decides the same identities on the same basis
-tuples in Python integers and stops at the first nonzero defect.
+Every Bracket and Representation keeps an integer image (BracketImage,
+ActionImage), built on first use: its structure constants or action
+matrices times a, the lcm of their denominators. An operator is a flat
+row-major tuple of its entries times b, the lcm of theirs (integer_image;
+clear_denominators for a search grid, whose values share one b).
 
-Why integers give the exact verdict: every identity decided here is a
-polynomial whose terms all have the same degree, 1 in the bracket and the
-action matrices jointly and 2 in the operator entries (N, S and T
-together); the twist NT = TS has degree 2 in the operators and no bracket.
-Multiplying the structure constants and every rho(e_i) by one positive
-integer a, and every operator entry by one positive integer b, therefore
-multiplies each defect by a*b^2 (by b^2 for the twist), which is zero
-exactly when the rational defect is. The kernel takes a as the lcm of the
-denominators of the structure constants and the action matrices;
-clear_denominators takes b as the lcm of the grid values' denominators.
-N, S and T must share b, because the pair identity and the twist add terms
-that mix them.
+torsion_defects and kupershmidt_defects are the package's only loops over
+the Nijenhuis torsion and the Kupershmidt identity. Each yields every
+basis pair i < j where the identity fails, in lexicographic order, with
+its integer defect. Both identities are homogeneous, so that defect is
+the rational one times a*b^2:
 
-Operators are flat row-major tuples of those scaled integers, exactly as
-itertools.product over the scaled grid yields them.
+- the torsion [Nx,Ny] - N([Nx,y] + [x,Ny] - N[x,y]) has degree 1 in the
+  bracket and 2 in N;
+- the Kupershmidt defect [Tu,Tv] - T(rho(Tu)v - rho(Tv)u) has degree 2
+  in T, and degree 1 in the bracket on one side and in rho on the other.
+  The bracket's scale and the action's may differ (a deformed bracket,
+  say), so each side is multiplied by the other's scale, and a is their
+  product; neither image is rebuilt.
 
-Rota-Baxter operators and r-matrices are Kupershmidt operators for the
-adjoint and the coadjoint action, so a search for them builds its kernel
-over that action family and decides them with is_kupershmidt; the kernel
-has no separate form for either.
+The reporting predicates (is_nijenhuis and the Kupershmidt report behind
+is_kupershmidt, is_rota_baxter and is_r_matrix) divide each defect by
+a*b^2 for the exact witness; VerdictKernel decides an identity as its loop
+yielding nothing. Its other identities are homogeneous too: the pair
+condition of degree 1 in rho and 2 in N and S together, the twist NT = TS
+of degree 2 in the operators. N, S and T share b, since both mix them.
 
 Three shortcuts keep the searches from testing the whole product, each
 exact:
@@ -55,20 +57,28 @@ exact:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, product
 from math import lcm
 from operator import add, mul
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .lie import BracketLike
-from .reps import Representation
+if TYPE_CHECKING:
+    from .lie import BracketLike
+    from .linalg import Rational
+    from .reps import Representation
+
+Defects = Iterator[tuple[tuple[int, int], list[int]]]
 
 
-def clear_denominators(values: Sequence[Fraction]) -> list[int]:
+def integer_image(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """The values times the lcm of their denominators, and that lcm."""
+    scale = lcm(*{v.denominator for v in values})
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def clear_denominators(values: Sequence[Rational]) -> list[int]:
     """The values times the lcm of their denominators, in the same order."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
+    return integer_image(values)[0]
 
 
 def _rows(flat: Sequence[int], ncols: int) -> list:
@@ -88,8 +98,94 @@ def _sub(x, y) -> list:
     return [p - q for p, q in zip(x, y)]
 
 
+class BracketImage:
+    """A bracket's structure constants times their scale a."""
+
+    def __init__(self, g: BracketLike):
+        n = self.n = g.dim
+        table = sorted(g.table.items())
+        ints, self.scale = integer_image([c for _, v in table for c in v.coords])
+        # (i, j, [(k, a * c_ij^k), ...]) for the nonzero brackets, i < j.
+        self.terms = [
+            (i, j, [(k, c) for k, c in enumerate(ints[t * n : (t + 1) * n]) if c])
+            for t, ((i, j), _) in enumerate(table)
+        ]
+        # q[j] is ActionImage.q for the adjoint action, x -> [x, e_j]; its
+        # column i is a [e_i, e_j].
+        self.q = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for i, j, comps in self.terms:
+            for k, c in comps:
+                self.q[j][k][i], self.q[i][k][j] = c, -c
+
+    def __call__(self, x, y) -> list:
+        """a [x, y] for integer coordinate lists x and y."""
+        out = [0] * self.n
+        for i, j, comps in self.terms:
+            c = x[i] * y[j] - x[j] * y[i]
+            if c:
+                for k, v in comps:
+                    out[k] += c * v
+        return out
+
+
+class ActionImage:
+    """An action family's matrices times their scale a."""
+
+    def __init__(self, rho: Representation):
+        m = self.m = rho.module_dim
+        n, mats = rho.algebra.dim, rho.matrices
+        ints, self.scale = integer_image(
+            [mat.rows[p][j] for j in range(m) for p in range(m) for mat in mats]
+        )
+        # q[j] is the matrix of x -> rho(x) e_j (columns indexed by x's
+        # coordinates), so the Kupershmidt inner term rho(Tu)v - rho(Tv)u at
+        # (u, v) = (e_i, e_j) is q[j] Tu - q[i] Tv.
+        self.q = [_rows(ints[j * m * n : (j + 1) * m * n], n) for j in range(m)]
+
+
+def torsion_defects(g: BracketImage, n_op: Sequence[int]) -> Defects:
+    """[Nx,Ny] - N([Nx,y] + [x,Ny] - N[x,y]) at the basis pairs where it
+    is nonzero, a*b^2 times the rational torsion."""
+    n, q = g.n, g.q
+    if n < 2:
+        return
+    rows = _rows(n_op, n)
+    cols = [n_op[j::n] for j in range(n)]
+    for i in range(n):
+        x = cols[i]
+        for j in range(i + 1, n):
+            y = cols[j]
+            inner = _sub(
+                _sub(_apply(q[j], x), _apply(q[i], y)),
+                _apply(rows, [row[i] for row in q[j]]),
+            )
+            defect = _sub(g(x, y), _apply(rows, inner))
+            if any(defect):
+                yield (i, j), defect
+
+
+def kupershmidt_defects(g: BracketImage, rho: ActionImage, t_op: Sequence[int]) -> Defects:
+    """[Tu,Tv] - T(rho(Tu)v - rho(Tv)u) at the module basis pairs where it
+    is nonzero, a*b^2 times the rational defect for a = g.scale * rho.scale:
+    the bracket side is multiplied by rho's scale, the action side by g's."""
+    m, q = rho.m, rho.q
+    if m < 2:
+        return
+    kg, kr = rho.scale, g.scale
+    rows = _rows(t_op, m)
+    cols = [t_op[j::m] for j in range(m)]
+    for i in range(m):
+        x = cols[i]
+        for j in range(i + 1, m):
+            y = cols[j]
+            inner = _sub(_apply(q[j], x), _apply(q[i], y))
+            defect = [kg * p - kr * r for p, r in zip(g(x, y), _apply(rows, inner))]
+            if any(defect):
+                yield (i, j), defect
+
+
 class VerdictKernel:
-    """Integer images of one algebra and, optionally, one representation.
+    """The integer images of one algebra and, optionally, one representation.
 
     Built once per search; each method decides one identity for one
     candidate (or one batch of pairs) and returns a plain verdict, or,
@@ -97,98 +193,26 @@ class VerdictKernel:
     """
 
     def __init__(self, g: BracketLike, rho: Optional[Representation] = None):
-        n = g.dim
-        entries = [c for v in g.table.values() for c in v.coords]
-        if rho is not None:
-            entries += [c for mat in rho.matrices for row in mat.rows for c in row]
-        a = lcm(*(c.denominator for c in entries))
-
-        def scaled(c: Fraction) -> int:
-            return c.numerator * (a // c.denominator)
-
-        self.n = n
-        # (i, j, [(k, a * c_ij^k), ...]) for the nonzero brackets, i < j.
-        self._terms = [
-            (i, j, [(k, scaled(c)) for k, c in enumerate(v.coords) if c])
-            for (i, j), v in sorted(g.table.items())
-        ]
-        # _brackets[i][j] = a [e_i, e_j] as a list of integers.
-        self._brackets = [[[0] * n for _ in range(n)] for _ in range(n)]
-        for i, j, comps in self._terms:
-            for k, c in comps:
-                self._brackets[i][j][k] = c
-                self._brackets[j][i][k] = -c
-        # q[j] is the matrix of x -> rho(x) e_j (columns indexed by x's
-        # coordinates), so the Kupershmidt inner term rho(Tu)v - rho(Tv)u at
-        # (u, v) = (e_i, e_j) is q[j] Tu - q[i] Tv. _q_ad is q for the
-        # adjoint action, x -> [x, e_j], which is_nijenhuis reads without a
-        # representation.
-        self._q_ad = [
-            [[self._brackets[k][j][p] for k in range(n)] for p in range(n)]
-            for j in range(n)
-        ]
-        self.m = None
-        if rho is not None:
-            m = rho.module_dim
-            self.m = m
-            mats = [[[scaled(c) for c in row] for row in mat.rows] for mat in rho.matrices]
-            self._rho = mats
-            self._q_rho = [
-                [[mats[k][p][j] for k in range(n)] for p in range(m)]
-                for j in range(m)
-            ]
-            # For each matrix position (p, q), the n action entries rho_k[p][q].
-            self._rho_entries = [
-                [mats[k][p][q] for k in range(n)] for p in range(m) for q in range(m)
-            ]
-
-    def _bracket(self, x, y) -> list:
-        out = [0] * self.n
-        for i, j, comps in self._terms:
-            c = x[i] * y[j] - x[j] * y[i]
-            if c:
-                for k, v in comps:
-                    out[k] += c * v
-        return out
+        self.n = g.dim
+        self._g = g.integer_image
+        self.m = None if rho is None else rho.module_dim
+        self._rho = None if rho is None else rho.integer_image
 
     def is_nijenhuis(self, n_op: Sequence[int]) -> bool:
         """[Nx,Ny] = N([Nx,y] + [x,Ny] - N[x,y]) on basis pairs x, y."""
-        n = self.n
-        rows = _rows(n_op, n)
-        cols = [n_op[j::n] for j in range(n)]
-        q = self._q_ad
-        for a in range(n):
-            x = cols[a]
-            for b in range(a + 1, n):
-                y = cols[b]
-                inner = _sub(
-                    _sub(_apply(q[b], x), _apply(q[a], y)),
-                    _apply(rows, self._brackets[a][b]),
-                )
-                if self._bracket(x, y) != _apply(rows, inner):
-                    return False
-        return True
+        return next(torsion_defects(self._g, n_op), None) is None
 
     def is_kupershmidt(self, t_op: Sequence[int]) -> bool:
         """[Tu,Tv] = T(rho(Tu)v - rho(Tv)u) on module basis pairs u, v."""
-        m, q = self.m, self._q_rho
-        rows = _rows(t_op, m)
-        cols = [t_op[j::m] for j in range(m)]
-        for i in range(m):
-            x = cols[i]
-            for j in range(i + 1, m):
-                y = cols[j]
-                inner = _sub(_apply(q[j], x), _apply(q[i], y))
-                if self._bracket(x, y) != _apply(rows, inner):
-                    return False
-        return True
+        return next(kupershmidt_defects(self._g, self._rho, t_op), None) is None
 
     def kupershmidt_solutions(self, grid: Sequence[int]) -> list[tuple[int, ...]]:
         """Every n x m operator over the increasing integer grid that
         is_kupershmidt accepts, in the order of the product: the columns
         but the last are enumerated and the last is solved for (see the
         module docstring); the full identity decides each flat."""
-        n, m, q = self.n, self.m, self._q_rho
+        n, m, q = self.n, self.m, self._rho.q
+        kg, kr = self._rho.scale, self._g.scale  # as in kupershmidt_defects
         last = m - 1
         if last < 2:  # no pair i < j < last: nothing pins the last column
             return [flat for flat in product(grid, repeat=n * m) if self.is_kupershmidt(flat)]
@@ -200,8 +224,8 @@ class VerdictKernel:
             pinned = None
             for i, j in pairs:
                 x, y = prefix[i], prefix[j]
-                inner = _sub(_apply(q[j], x), _apply(q[i], y))
-                rhs = self._bracket(x, y)
+                inner = [kr * c for c in _sub(_apply(q[j], x), _apply(q[i], y))]
+                rhs = [kg * c for c in self._g(x, y)]
                 for coef, col in zip(inner, prefix):
                     if coef:
                         rhs = [r - coef * c for r, c in zip(rhs, col)]
@@ -241,12 +265,16 @@ class VerdictKernel:
         The other half of a Nijenhuis pair, N being Nijenhuis, is
         is_nijenhuis; callers filter n_ops with it first.
         """
-        n, m = self.n, self.m
+        n, m, q_rho = self.n, self.m, self._rho.q
+        # Each a rho(e_k), and for each matrix position (p, c) the n action
+        # entries a rho(e_k)[p][c].
+        mats = [[[q_rho[c][p][k] for c in range(m)] for p in range(m)] for k in range(n)]
+        entries = [q_rho[c][p] for p in range(m) for c in range(m)]
         # N enters only through its columns N e_x, so each distinct column's
         # action is built once, and its commutator with S once per S.
         n_cols = [tuple(tuple(n_flat[x::n]) for x in range(n)) for n_flat in n_ops]
         actions = {
-            col: _rows([sum(map(mul, col, e)) for e in self._rho_entries], m)
+            col: _rows([sum(map(mul, col, e)) for e in entries], m)
             for cols in n_cols
             for col in cols
         }
@@ -260,7 +288,7 @@ class VerdictKernel:
             ]
             # allowed[x]: the columns that may stand at N e_x next to this S.
             allowed = []
-            for rx in self._rho:
+            for rx in mats:
                 rhs = [_sub(p, q) for p, q in zip(_matmul(_matmul(s, rx), s), _matmul(s2, rx))]
                 allowed.append({col for col, c in commutators if c == rhs})
             for i, cols in enumerate(n_cols):

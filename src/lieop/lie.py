@@ -10,10 +10,12 @@ fails loudly.
 
 from __future__ import annotations
 
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import ShapeError, ValidationError
+from .kernel import BracketImage
 from .linalg import Matrix, Vector, format_rational
 from .report import CheckReport, Witness, report_from_witnesses
 
@@ -67,6 +69,11 @@ class Bracket:
                 term = value.scale(c)
                 out = term if out is None else out + term
         return Vector.zero(self.dim) if out is None else out
+
+    @cached_property
+    def integer_image(self) -> BracketImage:
+        """The table in integers (see lieop.kernel); it never changes."""
+        return BracketImage(self)
 
     def is_zero(self) -> bool:
         return not self.table

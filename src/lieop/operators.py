@@ -9,6 +9,11 @@ Conventions for the matrix arguments:
   S : m x m endomorphism of the module
   T : n x m linear map from the module into the algebra
 
+The Nijenhuis torsion and the Kupershmidt identity (behind is_kupershmidt,
+is_rota_baxter and is_r_matrix) are reported from the integer loops of
+lieop.kernel, run on the bracket's and the action's integer images; each
+integer defect is divided by its scale for the exact witness.
+
 The pair identities are evaluated as commutators, each the exact defect of
 the four-term identity in its predicate's docstring:
   Nijenhuis pair       [rho(Nx) - S rho(x), S]
@@ -18,7 +23,10 @@ the four-term identity in its predicate's docstring:
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import ShapeError
+from .kernel import integer_image, kupershmidt_defects, torsion_defects
 from .lie import Bracket, BracketLike, deformed_algebra, semidirect_product
 from .linalg import Matrix, Vector, block_diag, commutator, mat_mul
 from .report import CheckReport, Witness, report_from_witnesses
@@ -59,14 +67,11 @@ def nijenhuis_defect(g: BracketLike, n_op: Matrix, x: Vector, y: Vector) -> Vect
 
 
 def is_nijenhuis(g: BracketLike, n_op: Matrix) -> CheckReport:
+    """nijenhuis_defect at every basis pair (e_i, e_j), i < j."""
     _require_endo(g, n_op, "N")
-    witnesses = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            d = nijenhuis_defect(g, n_op, Vector.basis(g.dim, i), Vector.basis(g.dim, j))
-            if not d.is_zero():
-                witnesses.append(Witness("torsion", (i, j), d))
-    return report_from_witnesses(witnesses, checked="nijenhuis")
+    flat, b = integer_image([c for row in n_op.rows for c in row])
+    image = g.integer_image
+    return _report("torsion", torsion_defects(image, flat), image.scale * b * b, "nijenhuis")
 
 
 def is_rota_baxter(g: BracketLike, r_op: Matrix) -> CheckReport:
@@ -111,22 +116,22 @@ def is_kupershmidt(
 def _kupershmidt_report(
     g: BracketLike, rho: Representation, t_op: Matrix, label: str, checked: str
 ) -> CheckReport:
-    """The Kupershmidt witness loop, under the caller's witness label.
-
-    kupershmidt_defect at (e_i, e_j), with T e_i and rho(T e_i) computed
-    once per index: rho(Tu)v - rho(Tv)u is a difference of two columns.
-    """
-    m = rho.module_dim
-    if m > 1:  # kupershmidt_defect raises this at the first basis pair
+    """kupershmidt_defect at every module basis pair (e_i, e_j), i < j,
+    under the caller's witness label."""
+    if rho.module_dim > 1:  # kupershmidt_defect raises this at the first basis pair
         _require_bracket_dim(g, rho)
-    cols, acts = _columns_and_actions(rho, t_op)
-    witnesses = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            inner = acts[i].column(j) - acts[j].column(i)
-            d = g(cols[i], cols[j]) - (t_op @ inner)
-            if not d.is_zero():
-                witnesses.append(Witness(label, (i, j), d))
+    flat, b = integer_image([c for row in t_op.rows for c in row])
+    g_image, rho_image = g.integer_image, rho.integer_image
+    scale = g_image.scale * rho_image.scale * b * b
+    return _report(label, kupershmidt_defects(g_image, rho_image, flat), scale, checked)
+
+
+def _report(label: str, defects, scale: int, checked: str) -> CheckReport:
+    """The witnesses of an integer loop, each defect divided by its scale."""
+    witnesses = [
+        Witness(label, indices, Vector(Fraction(c, scale) for c in defect))
+        for indices, defect in defects
+    ]
     return report_from_witnesses(witnesses, checked=checked)
 
 

@@ -10,9 +10,11 @@ pair condition, so the caller decides what to validate them against.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 from .errors import ShapeError, ValidationError
+from .kernel import ActionImage
 from .lie import BracketLike, adjoint_matrices
 from .linalg import Matrix, Vector, commutator
 from .report import CheckReport, Witness, report_from_witnesses
@@ -53,6 +55,11 @@ class Representation:
             if c:
                 out = out + mat.scale(c)
         return out
+
+    @cached_property
+    def integer_image(self) -> ActionImage:
+        """The action matrices in integers (see lieop.kernel)."""
+        return ActionImage(self)
 
     def __eq__(self, other) -> bool:
         return (

@@ -29,6 +29,11 @@ GRID = (Fraction(-1), Fraction(0), Fraction(1))
 # denominator would do.
 MIXED_AFF1 = LieAlgebra.from_structure(2, {(0, 1): {0: Fraction(1, 2), 1: Fraction(1, 3)}})
 
+# sl2 in the basis (h/2, e/3, f): structure constants 1, -1 and 2/3.
+THIRD_SL2 = LieAlgebra.from_structure(
+    3, {(0, 1): {1: 1}, (0, 2): {2: -1}, (1, 2): {0: Fraction(2, 3)}}
+)
+
 
 @pytest.fixture(scope="session")
 def aff1():

@@ -5,6 +5,7 @@ import pytest
 
 from lieop import (
     GridCapExceeded,
+    LieAlgebra,
     LieopError,
     Matrix,
     Representation,
@@ -118,6 +119,12 @@ class TestGridSearch:
     def test_unknown_kind(self, aff1):
         with pytest.raises(LieopError):
             grid_search(aff1.algebra, None, "derivation", GRID)
+
+    def test_zero_dimensional_algebra_is_refused(self):
+        zero = LieAlgebra(0, {})
+        for kind in ("nijenhuis", "rota_baxter", "r_matrix"):
+            with pytest.raises(LieopError, match="positive dimension"):
+                grid_search(zero, None, kind, (0, 1))
 
     def test_missing_representation(self, aff1):
         with pytest.raises(LieopError):

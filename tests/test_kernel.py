@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieop import (
-    LieAlgebra,
     Matrix,
     adjoint_rep,
     are_compatible_kupershmidt,
@@ -24,15 +23,10 @@ from lieop.catalog import get_entry
 from lieop.kernel import VerdictKernel, clear_denominators
 from lieop.reps import _ad_family
 
-from conftest import MIXED_AFF1
+from conftest import MIXED_AFF1, THIRD_SL2
 
 INTEGER_GRID = (Fraction(-1), Fraction(0), Fraction(1))
 FRACTIONAL_GRID = (Fraction(-1, 2), Fraction(0), Fraction(1, 3))
-
-# sl2 in the basis (h/2, e/3, f): structure constants 1, -1 and 2/3.
-THIRD_SL2 = LieAlgebra.from_structure(
-    3, {(0, 1): {1: 1}, (0, 2): {2: -1}, (1, 2): {0: Fraction(2, 3)}}
-)
 
 
 def flat(*ops: Matrix) -> list[tuple[int, ...]]:

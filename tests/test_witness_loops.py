@@ -1,9 +1,11 @@
-"""Differential tests of the Kupershmidt-family witness loops.
+"""Differential tests of the Nijenhuis and Kupershmidt-family witness loops.
 
-The reporting loops compute each column T e_i and its action rho(T e_i)
-once per call. The references here are per-tuple loops over the public
-kupershmidt_defect, which stays the definition, evaluated at every module
-basis pair. The compatibility defect is its polarization,
+The torsion and Kupershmidt reports run the integer loops of lieop.kernel,
+and the other Kupershmidt-family loops compute each column T e_i and its
+action rho(T e_i) once per call. The references here are per-tuple loops
+over the public nijenhuis_defect and kupershmidt_defect, which stay the
+definitions, evaluated at every basis pair. The compatibility defect is
+its polarization,
 K(T1 + T2) - K(T1) - K(T2), and the NT condition is N applied to the
 compatibility defect of (T, NT). Reports must agree in to_json().
 
@@ -15,7 +17,9 @@ docstrings state them, term by term.
 from __future__ import annotations
 
 import itertools
+import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +33,9 @@ from lieop import (
     ShapeError,
     StructureCheckError,
     Vector,
+    check_jacobi,
     check_nt_kupershmidt_condition,
+    deformed_algebra,
     is_dual_nijenhuis_pair,
     is_kupershmidt,
     is_nijenhuis,
@@ -39,6 +45,8 @@ from lieop import (
     is_rota_baxter,
     kupershmidt_defect,
     mat_mul,
+    nijenhuis_defect,
+    semidirect_product,
     sub_adjacent_bracket,
 )
 from lieop.catalog import get_entry
@@ -46,13 +54,14 @@ from lieop.report import Witness, report_from_witnesses
 from lieop.reps import adjoint_rep, coadjoint_rep
 from lieop.structures import _compatibility_report, compatible_via_combos
 
-from conftest import GRID, MIXED_AFF1, matrices
+from conftest import GRID, MIXED_AFF1, THIRD_SL2, matrices
 
 REPS = ("adjoint", "coadjoint")
+FRACTIONAL_GRID = (Fraction(-1, 2), Fraction(0), Fraction(1, 3))
 
 
-def grid_matrices(n, m):
-    for combo in itertools.product(GRID, repeat=n * m):
+def grid_matrices(n, m, grid=GRID):
+    for combo in itertools.product(grid, repeat=n * m):
         yield Matrix([combo[r * m : (r + 1) * m] for r in range(n)])
 
 
@@ -60,6 +69,15 @@ def _basis_pairs(m):
     for i in range(m):
         for j in range(i + 1, m):
             yield i, j, Vector.basis(m, i), Vector.basis(m, j)
+
+
+def reference_nijenhuis(g, n_op):
+    witnesses = []
+    for i, j, x, y in _basis_pairs(g.dim):
+        d = nijenhuis_defect(g, n_op, x, y)
+        if not d.is_zero():
+            witnesses.append(Witness("torsion", (i, j), d))
+    return report_from_witnesses(witnesses, checked="nijenhuis")
 
 
 def reference_kupershmidt(g, rho, t_op, label="kupershmidt", checked="kupershmidt"):
@@ -243,16 +261,31 @@ class TestMixedAff1:
             assert actual.to_json() == expected.to_json()
 
 
-@settings(max_examples=60, deadline=None)
+def _bracket_and_action(data):
+    """A catalog entry's algebra and representation; MIXED_AFF1's, whose
+    scale is 6; or a deformed catalog bracket with the entry's own action,
+    whose scale differs from the bracket's. The last is no representation
+    of its bracket, so it is reported with check_rho=False."""
+    name = data.draw(st.sampled_from(("aff1", "heis3", "sl2", "mixed_aff1", "deformed")))
+    rep = data.draw(st.sampled_from(REPS))
+    if name == "mixed_aff1":
+        return MIXED_AFF1, (adjoint_rep if rep == "adjoint" else coadjoint_rep)(MIXED_AFF1), True
+    if name != "deformed":
+        entry = get_entry(name)
+        return entry.algebra, entry.representations[rep], True
+    entry = get_entry(data.draw(st.sampled_from(("aff1", "heis3", "sl2"))))
+    g = deformed_algebra(entry.algebra, data.draw(matrices(entry.algebra.dim)))
+    return g, entry.representations[rep], False
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_random_operators_match_the_per_tuple_loops(data):
-    entry = get_entry(data.draw(st.sampled_from(("aff1", "heis3", "sl2"))))
-    g = entry.algebra
-    rho = entry.representations[data.draw(st.sampled_from(REPS))]
+    g, rho, check_rho = _bracket_and_action(data)
     t1 = data.draw(matrices(g.dim, rho.module_dim))
     t2 = data.draw(matrices(g.dim, rho.module_dim))
     expected = reference_kupershmidt(g, rho, t1)
-    assert is_kupershmidt(g, rho, t1).to_json() == expected.to_json()
+    assert is_kupershmidt(g, rho, t1, check_rho=check_rho).to_json() == expected.to_json()
     assert sub_adjacent_bracket(g, rho, t1) == reference_sub_adjacent(rho, t1)
     assert_compatibility_agrees(g, rho, t1, t2)
 
@@ -266,6 +299,62 @@ def test_random_pairs_match_the_four_term_identities(data):
     n_op = data.draw(matrices(g.dim))
     s_op = data.draw(matrices(rho.module_dim))
     assert_pair_checks_agree(g, rho, n_op, s_op)
+
+
+_aff1 = get_entry("aff1")
+AFF1_AD = semidirect_product(_aff1.algebra, _aff1.representations["adjoint"])
+# An operator with fractional entries that is not Nijenhuis: it deforms
+# aff1 x ad into a bracket with scale 6 that fails Jacobi. No such
+# operator turned up on the 3-dimensional catalog algebras.
+_NOT_NIJENHUIS = Matrix(
+    [[Fraction(1, 2), 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, Fraction(-1, 3)]]
+)
+NIJENHUIS_ALGEBRAS = {
+    "mixed_aff1": MIXED_AFF1,
+    "third_sl2": THIRD_SL2,
+    "deformed_aff1_ad": deformed_algebra(AFF1_AD, _NOT_NIJENHUIS),
+    "aff1_ad": AFF1_AD,
+}
+
+
+def torsion_candidates(n, grid):
+    """Every n x n operator over the grid when n = 2; above that, every
+    diagonal one and 100 drawn with a fixed seed."""
+    if n == 2:
+        yield from grid_matrices(2, 2, grid)
+        return
+    for diag in itertools.product(grid, repeat=n):
+        yield Matrix.diagonal(diag)
+    rng = random.Random(f"torsion/{n}")
+    for _ in range(100):
+        entries = rng.choices(grid, k=n * n)
+        yield Matrix([entries[r * n : (r + 1) * n] for r in range(n)])
+
+
+class TestNijenhuisLoop:
+    def test_deformed_bracket_fails_jacobi(self):
+        assert not check_jacobi(NIJENHUIS_ALGEBRAS["deformed_aff1_ad"]).ok
+
+    @pytest.mark.parametrize("grid", (GRID, FRACTIONAL_GRID), ids=("int", "frac"))
+    @pytest.mark.parametrize("name", sorted(NIJENHUIS_ALGEBRAS))
+    def test_grid_operators(self, name, grid):
+        g = NIJENHUIS_ALGEBRAS[name]
+        verdicts = set()
+        for n_op in torsion_candidates(g.dim, grid):
+            expected = reference_nijenhuis(g, n_op)
+            assert is_nijenhuis(g, n_op).to_json() == expected.to_json()
+            verdicts.add(expected.ok)
+        # By Cayley-Hamilton, every operator on a 2-dimensional algebra is
+        # Nijenhuis.
+        assert verdicts == ({True} if g.dim == 2 else {True, False})
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(NIJENHUIS_ALGEBRAS)), data=st.data())
+def test_random_operators_match_the_torsion_loop(name, data):
+    g = NIJENHUIS_ALGEBRAS[name]
+    n_op = data.draw(matrices(g.dim))
+    assert is_nijenhuis(g, n_op).to_json() == reference_nijenhuis(g, n_op).to_json()
 
 
 class TestShapeErrorParity:
