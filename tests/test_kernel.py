@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from lieop import (
     Matrix,
+    Representation,
     adjoint_rep,
     are_compatible_kupershmidt,
     coadjoint_rep,
+    invert,
     is_kupershmidt,
     is_nijenhuis,
     is_nijenhuis_pair,
@@ -46,6 +48,14 @@ def grid_operators(grid, nrows: int, ncols: int):
 
 def reps_of(g):
     return [adjoint_rep(g), coadjoint_rep(g)]
+
+
+def rescaled_adjoint(g):
+    """The adjoint action conjugated by diag(1, ..., n): its scale differs
+    from the algebra's on heis3, sl2, MIXED_AFF1 and THIRD_SL2, so the
+    solved enumeration meets two scales there."""
+    p = Matrix.diagonal(range(1, g.dim + 1))
+    return Representation(g, [mat_mul(mat_mul(p, a), invert(p)) for a in adjoint_rep(g).matrices])
 
 
 def assert_single_operator_kernel_agrees(g, grid):
@@ -157,14 +167,16 @@ SOLVE_GRIDS = {
     "empty": (),
 }
 # Module dimensions 1, 2 and 3. At dim 3 the filtered product has 3^9 flats
-# per three-value grid, so the adjoint and coadjoint forms get one such grid
-# each there, and the rota_baxter form, which builds every candidate as a
-# Matrix, none; dims 1 and 2 take every form on every grid.
-DIM3_FULL_GRIDS = {("adjoint", "int"), ("coadjoint", "int"), ("adjoint", "frac")}
+# per three-value grid, so the adjoint, coadjoint and rescaled forms get one
+# or two such grids there, and the rota_baxter form, which builds every
+# candidate as a Matrix, none; dims 1 and 2 take every form on every grid.
+DIM3_FULL_GRIDS = {
+    ("adjoint", "int"), ("coadjoint", "int"), ("adjoint", "frac"), ("rescaled", "frac")
+}
 SOLVE_CASES = [
     (name, form, grid)
     for name, g in SOLVE_ALGEBRAS.items()
-    for form in ("rota_baxter", "adjoint", "coadjoint")
+    for form in ("rota_baxter", "adjoint", "coadjoint", "rescaled")
     for grid in SOLVE_GRIDS
     if g.dim < 3 or len(SOLVE_GRIDS[grid]) < 3 or (form, grid) in DIM3_FULL_GRIDS
 ]
@@ -186,7 +198,7 @@ class TestSolvedEnumeration:
                 if is_rota_baxter(g, op).ok
             ]
         else:
-            rho = reps_of(g)[form == "coadjoint"]
+            rho = rescaled_adjoint(g) if form == "rescaled" else reps_of(g)[form == "coadjoint"]
             kernel = VerdictKernel(g, rho)
             expected = [
                 flat
