@@ -206,17 +206,18 @@ def deformed_algebra(g: BracketLike, n_op: Matrix) -> Bracket:
 _SEMIDIRECT_CACHE: dict = {}
 
 
-def semidirect_product(g: LieAlgebra, rho: "Representation") -> LieAlgebra:
+def semidirect_product(g: BracketLike, rho: "Representation") -> LieAlgebra:
     """g semidirect V via rho: [x+u, y+v] = [x,y] + rho(x)v - rho(y)u.
 
-    Raises ValidationError when rho fails the representation axiom against
-    g's bracket (the result would not satisfy Jacobi otherwise), and
-    ShapeError when rho acts on an algebra of another dimension. Memoized:
-    pair tests probe many operators against one and the same semidirect
-    algebra.
+    A plain Bracket is promoted first (default basis names). Raises
+    ValidationError when g fails Jacobi or rho fails the representation
+    axiom against g's bracket, and ShapeError when rho acts on an algebra
+    of another dimension. Memoized: pair tests probe many operators against
+    one and the same semidirect algebra.
     """
     from .reps import check_representation  # cycle: reps builds on lie
 
+    g = g if isinstance(g, LieAlgebra) else promote(g)
     # Bracket equality ignores basis names, but the result carries g's.
     key = (g, g.basis_names, rho)
     cached = _SEMIDIRECT_CACHE.get(key)

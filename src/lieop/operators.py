@@ -10,9 +10,9 @@ Conventions for the matrix arguments:
   T : n x m linear map from the module into the algebra
 
 The Nijenhuis torsion and the Kupershmidt identity (behind is_kupershmidt,
-is_rota_baxter and is_r_matrix) are reported from the integer loops of
-lieop.kernel, run on the bracket's and the action's integer images; each
-integer defect is divided by its scale for the exact witness.
+is_rota_baxter, is_r_matrix and structures' compatibility and NT checks)
+are reported from lieop.kernel's integer loops on the bracket's and the
+action's integer images, each defect divided by its scale for the witness.
 
 The pair identities are evaluated as commutators, each the exact defect of
 the four-term identity in its predicate's docstring:
@@ -26,13 +26,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ShapeError
-from .kernel import integer_image, kupershmidt_defects, torsion_defects
+from .kernel import ActionImage, integer_image, kupershmidt_defects, torsion_defects
 from .lie import Bracket, BracketLike, deformed_algebra, semidirect_product
 from .linalg import Matrix, Vector, block_diag, commutator, mat_mul
 from .report import CheckReport, Witness, report_from_witnesses
 from .reps import (
     Representation,
-    _ad_family,
     _check_pair_shapes,
     check_representation,
     dual_representation,
@@ -81,7 +80,7 @@ def is_rota_baxter(g: BracketLike, r_op: Matrix) -> CheckReport:
     not validated, so g may be any bracket, Jacobi or not.
     """
     _require_endo(g, r_op, "R")
-    return _kupershmidt_report(g, _ad_family(g), r_op, "rota_baxter", "rota_baxter")
+    return _action_report(g, g.integer_image.ad, r_op, "rota_baxter", "rota_baxter")
 
 
 def kupershmidt_defect(
@@ -120,10 +119,16 @@ def _kupershmidt_report(
     under the caller's witness label."""
     if rho.module_dim > 1:  # kupershmidt_defect raises this at the first basis pair
         _require_bracket_dim(g, rho)
+    return _action_report(g, rho.integer_image, t_op, label, checked)
+
+
+def _action_report(
+    g: BracketLike, action: ActionImage, t_op: Matrix, label: str, checked: str
+) -> CheckReport:
+    """The Kupershmidt report on an action's integer image."""
     flat, b = integer_image([c for row in t_op.rows for c in row])
-    g_image, rho_image = g.integer_image, rho.integer_image
-    scale = g_image.scale * rho_image.scale * b * b
-    return _report(label, kupershmidt_defects(g_image, rho_image, flat), scale, checked)
+    scale = g.integer_image.scale * action.scale * b * b
+    return _report(label, kupershmidt_defects(g.integer_image, action, flat), scale, checked)
 
 
 def _report(label: str, defects, scale: int, checked: str) -> CheckReport:
@@ -138,14 +143,6 @@ def _report(label: str, defects, scale: int, checked: str) -> CheckReport:
 def _require_bracket_dim(g: BracketLike, rho: Representation) -> None:
     if g.dim != rho.algebra.dim:
         raise ShapeError(f"bracket dim {g.dim} != algebra dim {rho.algebra.dim}")
-
-
-def _columns_and_actions(
-    rho: Representation, t_op: Matrix
-) -> tuple[list[Vector], list[Matrix]]:
-    """The columns T e_i of a module map and their actions rho(T e_i)."""
-    cols = [t_op.column(i) for i in range(rho.module_dim)]
-    return cols, [rho.act(c) for c in cols]
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +215,7 @@ def _perfect_witnesses(rho: Representation, s_op: Matrix) -> tuple[Witness, ...]
 
 
 def nijenhuis_pair_semidirect_test(
-    g, rho: Representation, n_op: Matrix, s_op: Matrix
+    g: BracketLike, rho: Representation, n_op: Matrix, s_op: Matrix
 ) -> CheckReport:
     """Pair test via the semidirect product: N (+) S must be Nijenhuis there.
 
@@ -329,7 +326,7 @@ def sub_adjacent_bracket(g: BracketLike, rho: Representation, t_op: Matrix) -> B
     """
     _require_module_map(rho, t_op)
     _require_bracket_dim(g, rho)
-    _, acts = _columns_and_actions(rho, t_op)
+    acts = [rho.act(t_op.column(i)) for i in range(rho.module_dim)]
     return Bracket.from_function(
         rho.module_dim, lambda i, j: acts[i].column(j) - acts[j].column(i)
     )

@@ -59,7 +59,7 @@ class Representation:
     @cached_property
     def integer_image(self) -> ActionImage:
         """The action matrices in integers (see lieop.kernel)."""
-        return ActionImage(self)
+        return ActionImage.from_family(self)
 
     def __eq__(self, other) -> bool:
         return (

@@ -12,6 +12,9 @@ M[i][j] = B(e_i, e_j). The induced map from covectors to vectors is then
 the inverse matrix, and ad-invariance of the form, ad(x)^T M + M ad(x) = 0,
 is equivalent to that map intertwining the coadjoint and adjoint actions.
 
+Compatibility is the polarization K(T1 + T2) - K(T1) - K(T2) of the
+Kupershmidt report K, and the NT condition is N applied to it at (T, NT).
+
 Every composite check reruns its hypotheses and raises PreconditionFailure
 when one fails: its verdict is only defined under those hypotheses, and a
 failed hypothesis must never be conflated with a failed condition.
@@ -20,6 +23,7 @@ failed hypothesis must never be conflated with a failed condition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable
 
 from .errors import (
@@ -27,7 +31,7 @@ from .errors import (
     ShapeError,
     StructureCheckError,
 )
-from .lie import BracketLike, ad_action
+from .lie import BracketLike, ad_action, deformed_algebra
 from .linalg import (
     Matrix,
     Vector,
@@ -38,7 +42,7 @@ from .linalg import (
     nullspace_vector,
 )
 from .operators import (
-    _columns_and_actions,
+    _action_report,
     _kupershmidt_report,
     deform_bracket_by_s,
     is_dual_nijenhuis_pair,
@@ -138,12 +142,10 @@ def _kn_conditions(
         witnesses.append(Witness("twist", (), twist))
     via_nt = sub_adjacent_bracket(g, rho, nt)
     deformed = deform_bracket_by_s(sub_adjacent_bracket(g, rho, t_op), s_op)
-    m = rho.module_dim
-    for i in range(m):
-        for j in range(i + 1, m):
-            defect = via_nt.basis_bracket(i, j) - deformed.basis_bracket(i, j)
-            if not defect.is_zero():
-                witnesses.append(Witness("bracket_match", (i, j), defect))
+    for ij in combinations(range(rho.module_dim), 2):
+        defect = via_nt.basis_bracket(*ij) - deformed.basis_bracket(*ij)
+        if not defect.is_zero():
+            witnesses.append(Witness("bracket_match", ij, defect))
     report = report_from_witnesses(witnesses, checked=kind)
     via_name, deformed_name = certificate_names
     return StructureVerdict(kind, report, {via_name: via_nt, deformed_name: deformed})
@@ -214,24 +216,30 @@ def are_compatible_kupershmidt(
     return _compatibility_report(g, rho, t1, t2)
 
 
+def _polarization(g: BracketLike, rho: Representation, t1: Matrix, t2: Matrix):
+    """C = K(T1 + T2) - K(T1) - K(T2) at every module basis pair i < j, K
+    the Kupershmidt defect: the compatibility defect of any T1 and T2, as
+    C is the bilinear form of the quadratic K."""
+    reports = (
+        _kupershmidt_report(g, rho, t, "kupershmidt", "kupershmidt")
+        for t in (t1 + t2, t1, t2)
+    )
+    k12, k1, k2 = ({w.indices: w.defect for w in r.witnesses} for r in reports)
+    zero = Vector.zero(g.dim)
+    for ij in combinations(range(rho.module_dim), 2):
+        yield ij, k12.get(ij, zero) - k1.get(ij, zero) - k2.get(ij, zero)
+
+
 def _compatibility_report(
     g: BracketLike, rho: Representation, t1: Matrix, t2: Matrix
 ) -> CheckReport:
-    """The compatibility witness loop and its scalar-combination
+    """The compatibility witnesses and their scalar-combination
     cross-check, for operators the caller knows to be Kupershmidt."""
-    m = rho.module_dim
-    c1, a1 = _columns_and_actions(rho, t1)
-    c2, a2 = _columns_and_actions(rho, t2)
-    witnesses = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            lhs = g(c1[i], c2[j]) + g(c2[i], c1[j])
-            rhs = (t1 @ (a2[i].column(j) - a2[j].column(i))) + (
-                t2 @ (a1[i].column(j) - a1[j].column(i))
-            )
-            defect = lhs - rhs
-            if not defect.is_zero():
-                witnesses.append(Witness("compatibility", (i, j), defect))
+    witnesses = [
+        Witness("compatibility", ij, c)
+        for ij, c in _polarization(g, rho, t1, t2)
+        if not c.is_zero()
+    ]
     report = report_from_witnesses(witnesses, checked="compatible_kupershmidt")
     if report.ok != compatible_via_combos(g, rho, t1, t2):
         raise StructureCheckError(
@@ -260,23 +268,15 @@ def check_nt_kupershmidt_condition(
     """N([NTu,Tv] + [Tu,NTv]) = N(T(rho(NTu)v - rho(NTv)u) + NT(rho(Tu)v - rho(Tv)u)).
 
     Holds iff NT is again Kupershmidt (for T Kupershmidt, N Nijenhuis).
+    The defect is N applied to the compatibility defect of (T, NT).
     """
     _require("kupershmidt", is_kupershmidt(g, rho, t_op))
     _require("nijenhuis", is_nijenhuis(g, n_op))
-    nt = mat_mul(n_op, t_op)
-    m = rho.module_dim
-    tc, ta = _columns_and_actions(rho, t_op)
-    ntc, nta = _columns_and_actions(rho, nt)
-    witnesses = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            lhs = n_op @ (g(ntc[i], tc[j]) + g(tc[i], ntc[j]))
-            inner = (t_op @ (nta[i].column(j) - nta[j].column(i))) + (
-                nt @ (ta[i].column(j) - ta[j].column(i))
-            )
-            defect = lhs - (n_op @ inner)
-            if not defect.is_zero():
-                witnesses.append(Witness("nt_condition", (i, j), defect))
+    witnesses = [
+        Witness("nt_condition", ij, defect)
+        for ij, c in _polarization(g, rho, t_op, mat_mul(n_op, t_op))
+        if not (defect := n_op @ c).is_zero()
+    ]
     return report_from_witnesses(witnesses, checked="nt_kupershmidt_condition")
 
 
@@ -318,36 +318,21 @@ def hierarchy(
             raise StructureCheckError(f"N^{k} T != T S^{k}")
         if not is_kupershmidt(g, rho, op, check_rho=False).ok:
             raise StructureCheckError(f"T_{k} is not a Kupershmidt operator")
-    for a in range(k_max + 1):
-        for b in range(a + 1, k_max + 1):
-            if not _compatibility_report(g, rho, ops[a], ops[b]).ok:
-                raise StructureCheckError(f"T_{a} and T_{b} are not compatible")
+    for a, b in combinations(range(k_max + 1), 2):
+        if not _compatibility_report(g, rho, ops[a], ops[b]).ok:
+            raise StructureCheckError(f"T_{a} and T_{b} are not compatible")
 
     m = rho.module_dim
     base_bracket = sub_adjacent_bracket(g, rho, t_op)
     deformed = [deform_bracket_by_s(base_bracket, s_pow) for s_pow in s_pows]
-    for k in range(k_max + 1):
-        if sub_adjacent_bracket(g, rho, ops[k]) != deformed[k]:
-            raise StructureCheckError(
-                f"bracket of T_{k} differs from the S^{k}-deformed bracket"
-            )
-    for k in range(k_max + 1):
-        cols = [ops[k].column(a) for a in range(m)]
-        pairs = [
-            (a, b, g(cols[a], cols[b]))
-            for a in range(m)
-            for b in range(a + 1, m)
-        ]
+    n_deformed = [deformed_algebra(g, n_pow) for n_pow in n_pows]
+    for k, op in enumerate(ops):
+        if sub_adjacent_bracket(g, rho, op) != deformed[k]:
+            raise StructureCheckError(f"bracket of T_{k} differs from the S^{k}-deformed bracket")
+        cols = [op.column(a) for a in range(m)]
         for i in range(k_max + 1 - k):
-            n_cols = [n_pows[i] @ c for c in cols]
-            for a, b, bracket in pairs:
-                lhs = ops[k] @ deformed[k + i].basis_bracket(a, b)
-                rhs = (
-                    g(n_cols[a], cols[b])
-                    + g(cols[a], n_cols[b])
-                    - (n_pows[i] @ bracket)
-                )
-                if lhs != rhs:
+            for a, b in combinations(range(m), 2):
+                if op @ deformed[k + i].basis_bracket(a, b) != n_deformed[i](cols[a], cols[b]):
                     raise StructureCheckError(
                         f"morphism identity fails at k={k}, i={i}, pair ({a},{b})"
                     )
@@ -385,7 +370,7 @@ def is_r_matrix(g: BracketLike, pi: Bivector) -> CheckReport:
     p = pi.matrix
     if p.nrows != g.dim:
         raise ShapeError(f"bivector of size {p.nrows} on algebra of dim {g.dim}")
-    return _kupershmidt_report(g, _coad_family(g), p, "yang_baxter", "r_matrix")
+    return _action_report(g, g.integer_image.coad, p, "yang_baxter", "r_matrix")
 
 
 def is_r_matrix_nijenhuis(

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from lieop import (
     Bracket,
     LieAlgebra,
+    LieopError,
     Matrix,
     ShapeError,
     ValidationError,
     Vector,
+    adjoint_matrices,
     check_jacobi,
     deformed_algebra,
     is_nijenhuis,
@@ -214,3 +216,18 @@ class TestSemidirect:
     def test_action_of_another_dimension_is_rejected(self, aff1, heis3):
         with pytest.raises(ShapeError, match="bracket dim 3 != algebra dim 2"):
             semidirect_product(heis3.algebra, aff1.representations["adjoint"])
+
+    def test_plain_jacobi_bracket_is_promoted(self, aff1):
+        raw = Bracket(aff1.algebra.dim, aff1.algebra.table)
+        rho = aff1.representations["adjoint"]
+        big = semidirect_product(raw, rho)
+        assert big == semidirect_product(promote(raw), rho)
+        assert big.basis_names == ("e1", "e2", "v1", "v2")
+
+    def test_plain_bracket_failing_jacobi_is_rejected(self):
+        from lieop.reps import Representation
+
+        raw = Bracket(3, {(0, 1): Vector([0, 0, 1]), (0, 2): Vector([1, 0, 0])})
+        rho = Representation(raw, adjoint_matrices(raw), check=False)
+        with pytest.raises(LieopError, match="Jacobi identity fails"):
+            semidirect_product(raw, rho)

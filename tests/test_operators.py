@@ -6,9 +6,12 @@ from hypothesis import given, settings
 
 from lieop import (
     Bracket,
+    LieopError,
     Matrix,
+    Representation,
     ShapeError,
     Vector,
+    adjoint_matrices,
     bracket_from_rep,
     check_jacobi,
     check_pre_lie,
@@ -24,6 +27,7 @@ from lieop import (
     nijenhuis_pair_semidirect_test,
     pre_lie_nijenhuis,
     pre_lie_product,
+    promote,
     rho_hat,
     sub_adjacent_bracket,
 )
@@ -198,6 +202,21 @@ class TestPairs:
             is_nijenhuis_pair(*args)
         with pytest.raises(ShapeError, match="bracket dim 3 != algebra dim 2"):
             nijenhuis_pair_semidirect_test(*args)
+
+    def test_semidirect_route_on_a_plain_jacobi_bracket(self, aff1):
+        # The report on the bare Bracket is the one on its promoted algebra.
+        raw = Bracket(aff1.algebra.dim, aff1.algebra.table)
+        rho = aff1.representations["adjoint"]
+        for n_op, s_op in ((Matrix.identity(2), Matrix([[0, 1], [0, 0]])), (Matrix.identity(2),) * 2):
+            report = nijenhuis_pair_semidirect_test(raw, rho, n_op, s_op)
+            expected = nijenhuis_pair_semidirect_test(promote(raw), rho, n_op, s_op)
+            assert report.to_json() == expected.to_json()
+
+    def test_semidirect_route_rejects_a_bracket_failing_jacobi(self):
+        raw = Bracket(3, {(0, 1): Vector([0, 0, 1]), (0, 2): Vector([1, 0, 0])})
+        rho = Representation(raw, adjoint_matrices(raw), check=False)
+        with pytest.raises(LieopError, match="Jacobi identity fails"):
+            nijenhuis_pair_semidirect_test(raw, rho, Matrix.identity(3), Matrix.identity(3))
 
 
 class TestPreLie:

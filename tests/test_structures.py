@@ -373,19 +373,27 @@ class TestHierarchy:
         assert len(calls) == 1 + 11 + 55 * 3
 
     def test_deformed_brackets_are_built_once_per_power(self, monkeypatch):
-        # One in the KN test and one per S^p, p = 0..10, shared by the
-        # bracket and morphism loops. Building them per (k, i) in the
-        # morphism loop would add 66.
+        # S side: one in the KN test and one per S^p, p = 0..10, shared by
+        # the bracket and morphism loops. N side: one deformed algebra per
+        # N^i, i = 0..10. Building either per (k, i) in the morphism loop
+        # would add 66.
         e = get_entry("aff1")
         op = next(o for o in e.operators if o.name == "kn_diag")
-        calls = []
-        deform = structures.deform_bracket_by_s
+        calls, n_calls = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return deform(*args, **kwargs)
+        def counter(log, build):
+            def counted(*args, **kwargs):
+                log.append(args)
+                return build(*args, **kwargs)
 
-        monkeypatch.setattr(structures, "deform_bracket_by_s", counted)
+            return counted
+
+        monkeypatch.setattr(
+            structures, "deform_bracket_by_s", counter(calls, structures.deform_bracket_by_s)
+        )
+        monkeypatch.setattr(
+            structures, "deformed_algebra", counter(n_calls, structures.deformed_algebra)
+        )
         ops = hierarchy(
             e.algebra,
             e.representations[op.rep],
@@ -396,6 +404,7 @@ class TestHierarchy:
         )
         assert len(ops) == 11
         assert len(calls) == 1 + 11
+        assert len(n_calls) == 11
 
 
 class TestKdnFromCompatible:
