@@ -48,8 +48,6 @@ from .linalg import Matrix, Scalar, rational
 from .operators import _pair_witnesses, is_kupershmidt, is_nijenhuis
 from .reps import (
     Representation,
-    _ad_family,
-    _coad_family,
     adjoint_rep,
     check_representation,
     coadjoint_rep,
@@ -346,8 +344,8 @@ def get_entry(name: str) -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 # Rota-Baxter operators and r-matrices are searched as the Kupershmidt
-# operators they are, for these unchecked action families.
-_ACTION_FAMILIES = {"rota_baxter": _ad_family, "r_matrix": _coad_family}
+# operators they are, for these unchecked action families kept on the bracket.
+_ACTION_FAMILIES = {"rota_baxter": "ad_family", "r_matrix": "coad_family"}
 
 
 def grid_search(
@@ -387,7 +385,7 @@ def grid_search(
         raise GridCapExceeded(f"{count} candidates exceed the cap of {cap}")
 
     if kind in _ACTION_FAMILIES:
-        rho = _ACTION_FAMILIES[kind](g)
+        rho = getattr(g, _ACTION_FAMILIES[kind])
     elif not row.needs_rho:
         rho = None
     return _staged_search(g, rho, kind, values)

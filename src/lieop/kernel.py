@@ -57,7 +57,6 @@ exact:
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain, product
 from math import lcm
 from operator import add, mul
@@ -100,8 +99,7 @@ def _sub(x, y) -> list:
 
 
 class BracketImage:
-    """A bracket's structure constants times their scale a, and (ad, coad)
-    the images of its adjoint and coadjoint actions."""
+    """A bracket's structure constants times their scale a."""
 
     def __init__(self, g: BracketLike):
         n = self.n = g.dim
@@ -119,17 +117,6 @@ class BracketImage:
             for k, c in comps:
                 self.q[j][k][i], self.q[i][k][j] = c, -c
 
-    @cached_property
-    def ad(self) -> ActionImage:
-        """The adjoint action's image: its q and scale are this image's."""
-        return ActionImage(self.q, self.scale)
-
-    @cached_property
-    def coad(self) -> ActionImage:
-        """The image of x -> -ad(x)^T, whose q[j][p][i] is -q[p][j][i]."""
-        r, q = range(self.n), self.q
-        return ActionImage([[[-q[p][j][i] for i in r] for p in r] for j in r], self.scale)
-
     def __call__(self, x, y) -> list:
         """a [x, y] for integer coordinate lists x and y."""
         out = [0] * self.n
@@ -144,19 +131,16 @@ class BracketImage:
 class ActionImage:
     """An action family's matrices times their scale a."""
 
-    def __init__(self, q: list, scale: int):
+    def __init__(self, rho: Representation):
+        m = self.m = rho.module_dim
+        n, mats = rho.algebra.dim, rho.matrices
+        ints, self.scale = integer_image(
+            [mat.rows[p][j] for j in range(m) for p in range(m) for mat in mats]
+        )
         # q[j] is the matrix of x -> rho(x) e_j (columns indexed by x's
         # coordinates), so the Kupershmidt inner term rho(Tu)v - rho(Tv)u at
         # (u, v) = (e_i, e_j) is q[j] Tu - q[i] Tv.
-        self.q, self.scale, self.m = q, scale, len(q)
-
-    @classmethod
-    def from_family(cls, rho: Representation) -> ActionImage:
-        m, n, mats = rho.module_dim, rho.algebra.dim, rho.matrices
-        ints, scale = integer_image(
-            [mat.rows[p][j] for j in range(m) for p in range(m) for mat in mats]
-        )
-        return cls([_rows(ints[j * m * n : (j + 1) * m * n], n) for j in range(m)], scale)
+        self.q = [_rows(ints[j * m * n : (j + 1) * m * n], n) for j in range(m)]
 
 
 def torsion_defects(g: BracketImage, n_op: Sequence[int]) -> Defects:

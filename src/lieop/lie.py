@@ -75,6 +75,18 @@ class Bracket:
         """The table in integers (see lieop.kernel); it never changes."""
         return BracketImage(self)
 
+    @cached_property
+    def ad_family(self) -> "Representation":
+        """The unchecked adjoint action family (see reps), built once."""
+        from .reps import _ad_family  # cycle: reps builds on lie
+        return _ad_family(self)
+
+    @cached_property
+    def coad_family(self) -> "Representation":
+        """The unchecked coadjoint action family (see reps), built once."""
+        from .reps import _coad_family  # cycle: reps builds on lie
+        return _coad_family(self)
+
     def is_zero(self) -> bool:
         return not self.table
 
@@ -209,7 +221,7 @@ _SEMIDIRECT_CACHE: dict = {}
 def semidirect_product(g: BracketLike, rho: "Representation") -> LieAlgebra:
     """g semidirect V via rho: [x+u, y+v] = [x,y] + rho(x)v - rho(y)u.
 
-    A plain Bracket is promoted first (default basis names). Raises
+    A plain Bracket is promoted (default basis names). Raises
     ValidationError when g fails Jacobi or rho fails the representation
     axiom against g's bracket, and ShapeError when rho acts on an algebra
     of another dimension. Memoized: pair tests probe many operators against
@@ -217,12 +229,12 @@ def semidirect_product(g: BracketLike, rho: "Representation") -> LieAlgebra:
     """
     from .reps import check_representation  # cycle: reps builds on lie
 
-    g = g if isinstance(g, LieAlgebra) else promote(g)
     # Bracket equality ignores basis names, but the result carries g's.
-    key = (g, g.basis_names, rho)
+    key = (g, getattr(g, "basis_names", None), rho)
     cached = _SEMIDIRECT_CACHE.get(key)
     if cached is not None:
         return cached
+    g = g if isinstance(g, LieAlgebra) else promote(g)
     rep_ok = check_representation(rho, bracket=g)
     if not rep_ok.ok:
         raise ValidationError("not a representation", rep_ok)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ShapeError
-from .kernel import ActionImage, integer_image, kupershmidt_defects, torsion_defects
+from .kernel import integer_image, kupershmidt_defects, torsion_defects
 from .lie import Bracket, BracketLike, deformed_algebra, semidirect_product
 from .linalg import Matrix, Vector, block_diag, commutator, mat_mul
 from .report import CheckReport, Witness, report_from_witnesses
@@ -80,7 +80,7 @@ def is_rota_baxter(g: BracketLike, r_op: Matrix) -> CheckReport:
     not validated, so g may be any bracket, Jacobi or not.
     """
     _require_endo(g, r_op, "R")
-    return _action_report(g, g.integer_image.ad, r_op, "rota_baxter", "rota_baxter")
+    return _kupershmidt_report(g, g.ad_family, r_op, "rota_baxter", "rota_baxter")
 
 
 def kupershmidt_defect(
@@ -119,16 +119,10 @@ def _kupershmidt_report(
     under the caller's witness label."""
     if rho.module_dim > 1:  # kupershmidt_defect raises this at the first basis pair
         _require_bracket_dim(g, rho)
-    return _action_report(g, rho.integer_image, t_op, label, checked)
-
-
-def _action_report(
-    g: BracketLike, action: ActionImage, t_op: Matrix, label: str, checked: str
-) -> CheckReport:
-    """The Kupershmidt report on an action's integer image."""
     flat, b = integer_image([c for row in t_op.rows for c in row])
-    scale = g.integer_image.scale * action.scale * b * b
-    return _report(label, kupershmidt_defects(g.integer_image, action, flat), scale, checked)
+    g_image, rho_image = g.integer_image, rho.integer_image
+    scale = g_image.scale * rho_image.scale * b * b
+    return _report(label, kupershmidt_defects(g_image, rho_image, flat), scale, checked)
 
 
 def _report(label: str, defects, scale: int, checked: str) -> CheckReport:

@@ -59,7 +59,7 @@ class Representation:
     @cached_property
     def integer_image(self) -> ActionImage:
         """The action matrices in integers (see lieop.kernel)."""
-        return ActionImage.from_family(self)
+        return ActionImage(self)
 
     def __eq__(self, other) -> bool:
         return (
@@ -115,6 +115,7 @@ def coadjoint_rep(g: BracketLike) -> Representation:
 
 # Unchecked action families for identities that are defined on any bracket:
 # the Rota-Baxter and r-matrix checks read them as Kupershmidt identities.
+# Each bracket keeps its own (Bracket.ad_family, Bracket.coad_family).
 
 
 def _ad_family(g: BracketLike) -> Representation:

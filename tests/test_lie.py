@@ -224,6 +224,25 @@ class TestSemidirect:
         assert big == semidirect_product(promote(raw), rho)
         assert big.basis_names == ("e1", "e2", "v1", "v2")
 
+    def test_plain_bracket_is_promoted_once(self, aff1, monkeypatch):
+        # The memo is keyed on the raw bracket, so a repeated call skips
+        # promotion and its Jacobi check.
+        from lieop import lie
+
+        monkeypatch.setattr(lie, "_SEMIDIRECT_CACHE", {})
+        calls = []
+
+        def counted(b):
+            calls.append(b)
+            return promote(b)
+
+        monkeypatch.setattr(lie, "promote", counted)
+        raw = Bracket(aff1.algebra.dim, aff1.algebra.table)
+        rho = aff1.representations["adjoint"]
+        first = semidirect_product(raw, rho)
+        assert semidirect_product(raw, rho) is first
+        assert len(calls) == 1
+
     def test_plain_bracket_failing_jacobi_is_rejected(self):
         from lieop.reps import Representation
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from lieop import (
+    Bivector,
     Bracket,
     LieopError,
     Matrix,
@@ -21,6 +22,7 @@ from lieop import (
     is_nijenhuis,
     is_nijenhuis_pair,
     is_perfect_pair,
+    is_r_matrix,
     is_rota_baxter,
     kupershmidt_defect,
     nijenhuis_defect,
@@ -100,6 +102,21 @@ class TestRotaBaxter:
 
         for r_op in grid_matrices(2):
             assert oracle(r_op) == is_rota_baxter(g, r_op).ok
+
+    def test_action_family_is_built_once_per_bracket(self, monkeypatch):
+        # Rota-Baxter and r-matrix checks read the bracket's cached
+        # adjoint and coadjoint families instead of rebuilding them.
+        from lieop import reps
+
+        built = []
+        for name in ("_ad_family", "_coad_family"):
+            build = getattr(reps, name)
+            monkeypatch.setattr(reps, name, lambda g, b=build: built.append(b) or b(g))
+        g = Bracket(2, {(0, 1): Vector([0, 1])})
+        for r_op in grid_matrices(2):
+            is_rota_baxter(g, r_op)
+            is_r_matrix(g, Bivector(Matrix([[0, r_op[0, 1]], [-r_op[0, 1], 0]])))
+        assert len(built) == 2
 
 
 class TestKupershmidt:

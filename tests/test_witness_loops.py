@@ -49,7 +49,7 @@ from lieop import (
     semidirect_product,
     sub_adjacent_bracket,
 )
-from lieop.catalog import get_entry, grid_search
+from lieop.catalog import get_entry
 from lieop.report import Witness, report_from_witnesses
 from lieop.reps import adjoint_rep, coadjoint_rep
 from lieop.structures import _compatibility_report, compatible_via_combos
@@ -249,8 +249,8 @@ class TestMixedAff1:
     )
     def test_nt_condition(self, g, make_rep, grid):
         rho = make_rep(g)
-        ts = grid_search(g, rho, "kupershmidt", grid)
-        ns = grid_search(g, None, "nijenhuis", grid)
+        ts = [t for t in grid_matrices(g.dim, g.dim, grid) if is_kupershmidt(g, rho, t).ok]
+        ns = [n for n in grid_matrices(g.dim, g.dim, grid) if is_nijenhuis(g, n).ok]
         assert ts and ns
         most = 0
         for t_op in ts:
