@@ -1,5 +1,5 @@
-"""Integer images, the one torsion loop and the one Kupershmidt loop, and
-the verdict-only kernel behind grid_search.
+"""Integer images, the one torsion loop, the one Kupershmidt loop and the
+one (N, S) pair loop, and the verdict-only kernel behind grid_search.
 
 Every Bracket and Representation keeps an integer image (BracketImage,
 ActionImage), built on first use: its structure constants or action
@@ -10,8 +10,9 @@ clear_denominators for a search grid, whose values share one b).
 torsion_defects and kupershmidt_defects are the package's only loops over
 the Nijenhuis torsion and the Kupershmidt identity. Each yields every
 basis pair i < j where the identity fails, in lexicographic order, with
-its integer defect. Both identities are homogeneous, so that defect is
-the rational one times a*b^2:
+its integer defect; pair_defects does the same for the (N, S) identities
+at every basis vector x (the third shortcut below). All are homogeneous,
+so that defect is the rational one times a*b^2:
 
 - the torsion [Nx,Ny] - N([Nx,y] + [x,Ny] - N[x,y]) has degree 1 in the
   bracket and 2 in N;
@@ -21,12 +22,12 @@ the rational one times a*b^2:
   say), so each side is multiplied by the other's scale, and a is their
   product; neither image is rebuilt.
 
-The reporting predicates (is_nijenhuis and the Kupershmidt report behind
-is_kupershmidt, is_rota_baxter and is_r_matrix) divide each defect by
-a*b^2 for the exact witness; VerdictKernel decides an identity as its loop
-yielding nothing. Its other identities are homogeneous too: the pair
-condition of degree 1 in rho and 2 in N and S together, the twist NT = TS
-of degree 2 in the operators. N, S and T share b, since both mix them.
+The reporting predicates (is_nijenhuis, the Kupershmidt report behind
+is_kupershmidt, is_rota_baxter and is_r_matrix, and the pair, dual-pair
+and perfect-pair reports) divide each defect by a*b^2 for the exact
+witness; VerdictKernel decides an identity as its loop yielding nothing.
+Its twist NT = TS is homogeneous too, of degree 2 in the operators. N, S
+and T share b, since the pair identities and the twist mix them.
 
 Three shortcuts keep the searches from testing the whole product, each
 exact:
@@ -50,9 +51,17 @@ exact:
   quadratic and C is its symmetric bilinear form. With K(T1) = K(T2) = 0,
   C vanishes exactly when T1 + T2 is Kupershmidt, and the sum of two
   images under one scale b is the image of the sum.
-- The Nijenhuis pair condition sees N only through the actions
-  rho(N e_x), so the commutators [rho(c), S] are computed once per S and
-  distinct column c, and a pair costs one set lookup per basis vector.
+- The pair identities share the n terms C_k = [rho(e_k), S], computed
+  once per S. At a basis x, with rho(Nx) = sum_k N_kx rho(e_k):
+  - the Nijenhuis pair [rho(Nx) - S rho(x), S] is sum_k N_kx C_k - S C_x;
+  - the dual pair [rho(Nx) - rho(x) S, S] is sum_k N_kx C_k - C_x S;
+  - the perfect pair [S, [S, rho(x)]] is C_x S - S C_x.
+  Each is of degree 1 in rho and 2 in N and S together (C_k is of degree
+  1 in each of rho and S), so on the images, where C_k comes out a*b
+  times the rational one and N and S b times theirs, each defect is a*b^2
+  times the rational one. A search meets N only through its columns
+  N e_x, so it forms sum_k c_k C_k once per S and distinct column c, and a
+  pair costs one comparison with S C_x per basis vector.
 """
 
 from __future__ import annotations
@@ -98,6 +107,10 @@ def _sub(x, y) -> list:
     return [p - q for p, q in zip(x, y)]
 
 
+def _msub(x, y) -> list:
+    return [_sub(p, q) for p, q in zip(x, y)]
+
+
 class BracketImage:
     """A bracket's structure constants times their scale a."""
 
@@ -141,6 +154,8 @@ class ActionImage:
         # coordinates), so the Kupershmidt inner term rho(Tu)v - rho(Tv)u at
         # (u, v) = (e_i, e_j) is q[j] Tu - q[i] Tv.
         self.q = [_rows(ints[j * m * n : (j + 1) * m * n], n) for j in range(m)]
+        # mats[k] is a rho(e_k) itself, for the pair loops.
+        self.mats = [[[self.q[c][p][k] for c in range(m)] for p in range(m)] for k in range(n)]
 
 
 def torsion_defects(g: BracketImage, n_op: Sequence[int]) -> Defects:
@@ -182,6 +197,40 @@ def kupershmidt_defects(g: BracketImage, rho: ActionImage, t_op: Sequence[int]) 
             defect = [kg * p - kr * r for p, r in zip(g(x, y), _apply(rows, inner))]
             if any(defect):
                 yield (i, j), defect
+
+
+def _commutators(rho: ActionImage, s: list) -> list:
+    """C_k = [a rho(e_k), S] for every basis e_k, S given by its rows."""
+    return [_msub(_matmul(r, s), _matmul(s, r)) for r in rho.mats]
+
+
+def _combine(coefs: Sequence[int], mats: list) -> list:
+    """sum_k coefs[k] mats[k]."""
+    return [[sum(map(mul, coefs, entries)) for entries in zip(*rows)] for rows in zip(*mats)]
+
+
+def pair_defects(
+    rho: ActionImage, identity: str, s_op: Sequence[int], n_op: Sequence[int] = ()
+) -> Iterator[tuple[tuple[int], list[list[int]]]]:
+    """One (N, S) identity at the basis vectors x where it fails, in order,
+    a*b^2 times the rational m x m defect; with C_k = [rho(e_k), S]:
+
+    - "pair":      [rho(Nx) - S rho(x), S] = sum_k N_kx C_k - S C_x
+    - "dual_pair": [rho(Nx) - rho(x) S, S] = sum_k N_kx C_k - C_x S
+    - "perfect":   [S, [S, rho(x)]]        = C_x S - S C_x (N unused)
+    """
+    m = rho.m
+    s = _rows(s_op, m)
+    cs = _commutators(rho, s)
+    n = len(cs)
+    for x, c in enumerate(cs):
+        if identity == "perfect":
+            defect = _msub(_matmul(c, s), _matmul(s, c))
+        else:
+            shifted = _matmul(s, c) if identity == "pair" else _matmul(c, s)
+            defect = _msub(_combine(n_op[x::n], cs), shifted)
+        if any(map(any, defect)):
+            yield (x,), defect
 
 
 class VerdictKernel:
@@ -265,34 +314,20 @@ class VerdictKernel:
         The other half of a Nijenhuis pair, N being Nijenhuis, is
         is_nijenhuis; callers filter n_ops with it first.
         """
-        n, m, q_rho = self.n, self.m, self._rho.q
-        # Each a rho(e_k), and for each matrix position (p, c) the n action
-        # entries a rho(e_k)[p][c].
-        mats = [[[q_rho[c][p][k] for c in range(m)] for p in range(m)] for k in range(n)]
-        entries = [q_rho[c][p] for p in range(m) for c in range(m)]
+        n, m = self.n, self.m
+        # As in pair_defects, the condition at x reads sum_k N_kx C_k = S C_x:
         # N enters only through its columns N e_x, so each distinct column's
-        # action is built once, and its commutator with S once per S.
+        # combination of the C_k is formed once per S.
         n_cols = [tuple(tuple(n_flat[x::n]) for x in range(n)) for n_flat in n_ops]
-        actions = {
-            col: _rows([sum(map(mul, col, e)) for e in entries], m)
-            for cols in n_cols
-            for col in cols
-        }
+        distinct = set(chain.from_iterable(n_cols))
         out = []
         for j, s_flat in enumerate(s_ops):
             s = _rows(s_flat, m)
-            s2 = _matmul(s, s)
-            commutators = [
-                (col, [_sub(p, q) for p, q in zip(_matmul(a, s), _matmul(s, a))])
-                for col, a in actions.items()
-            ]
-            # allowed[x]: the columns that may stand at N e_x next to this S.
-            allowed = []
-            for rx in mats:
-                rhs = [_sub(p, q) for p, q in zip(_matmul(_matmul(s, rx), s), _matmul(s2, rx))]
-                allowed.append({col for col, c in commutators if c == rhs})
+            cs = _commutators(self._rho, s)
+            rhs = [_matmul(s, c) for c in cs]
+            combos = {col: _combine(col, cs) for col in distinct}
             for i, cols in enumerate(n_cols):
-                if all(map(set.__contains__, allowed, cols)):
+                if all(map(list.__eq__, map(combos.__getitem__, cols), rhs)):
                     out.append((i, j))
         out.sort()
         return out

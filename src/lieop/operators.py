@@ -9,16 +9,18 @@ Conventions for the matrix arguments:
   S : m x m endomorphism of the module
   T : n x m linear map from the module into the algebra
 
-The Nijenhuis torsion and the Kupershmidt identity (behind is_kupershmidt,
+The Nijenhuis torsion, the Kupershmidt identity (behind is_kupershmidt,
 is_rota_baxter, is_r_matrix and structures' compatibility and NT checks)
-are reported from lieop.kernel's integer loops on the bracket's and the
-action's integer images, each defect divided by its scale for the witness.
+and the (N, S) pair identities are reported from lieop.kernel's integer
+loops on the bracket's and the action's integer images, each defect
+divided by its scale for the witness.
 
-The pair identities are evaluated as commutators, each the exact defect of
-the four-term identity in its predicate's docstring:
-  Nijenhuis pair       [rho(Nx) - S rho(x), S]
-  dual Nijenhuis pair  [rho(Nx) - rho(x) S, S]
-  perfect pair         [S, [S, rho(x)]]
+The pair loop reads each pair identity off the commutators
+C_k = [rho(e_k), S], each defect the exact one of the four-term identity
+in its predicate's docstring:
+  Nijenhuis pair       [rho(Nx) - S rho(x), S] = sum_k N_kx C_k - S C_x
+  dual Nijenhuis pair  [rho(Nx) - rho(x) S, S] = sum_k N_kx C_k - C_x S
+  perfect pair         [S, [S, rho(x)]]        = C_x S - S C_x
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ShapeError
-from .kernel import integer_image, kupershmidt_defects, torsion_defects
+from .kernel import integer_image, kupershmidt_defects, pair_defects, torsion_defects
 from .lie import Bracket, BracketLike, deformed_algebra, semidirect_product
-from .linalg import Matrix, Vector, block_diag, commutator, mat_mul
+from .linalg import Matrix, Vector, block_diag
 from .report import CheckReport, Witness, report_from_witnesses
 from .reps import (
     Representation,
@@ -177,14 +179,7 @@ def _pair_witnesses(
     [rho(Nx) - S rho(x), S] per basis x, or [rho(Nx) - rho(x) S, S] for the
     dual pair.
     """
-    label = "dual_pair" if dual else "pair"
-    witnesses = []
-    for i, rx in enumerate(rho.matrices):
-        shifted = mat_mul(rx, s_op) if dual else mat_mul(s_op, rx)
-        defect = commutator(rho.act(n_op.column(i)) - shifted, s_op)
-        if not defect.is_zero():
-            witnesses.append(Witness(label, (i,), defect))
-    return tuple(witnesses)
+    return _pair_loop_witnesses(rho, "dual_pair" if dual else "pair", s_op, n_op)
 
 
 def is_perfect_pair(
@@ -200,12 +195,23 @@ def is_perfect_pair(
 
 
 def _perfect_witnesses(rho: Representation, s_op: Matrix) -> tuple[Witness, ...]:
-    witnesses = []
-    for i, rx in enumerate(rho.matrices):
-        defect = commutator(s_op, commutator(s_op, rx))
-        if not defect.is_zero():
-            witnesses.append(Witness("perfect", (i,), defect))
-    return tuple(witnesses)
+    return _pair_loop_witnesses(rho, "perfect", s_op)
+
+
+def _pair_loop_witnesses(
+    rho: Representation, identity: str, s_op: Matrix, n_op: Matrix | None = None
+) -> tuple[Witness, ...]:
+    """The witnesses of lieop.kernel's pair loop for one identity, each
+    defect divided by a*b^2, where N and S share the scale b."""
+    ops = (s_op,) if n_op is None else (s_op, n_op)
+    flat, b = integer_image([c for op in ops for row in op.rows for c in row])
+    image = rho.integer_image
+    scale = image.scale * b * b
+    m2 = s_op.nrows * s_op.ncols
+    return tuple(
+        Witness(identity, x, Matrix([[Fraction(c, scale) for c in row] for row in defect]))
+        for x, defect in pair_defects(image, identity, flat[:m2], flat[m2:])
+    )
 
 
 def nijenhuis_pair_semidirect_test(

@@ -26,6 +26,7 @@ from lieop.kernel import VerdictKernel, clear_denominators
 from lieop.reps import _ad_family
 
 from conftest import MIXED_AFF1, THIRD_SL2
+from test_witness_loops import reference_pair
 
 INTEGER_GRID = (Fraction(-1), Fraction(0), Fraction(1))
 FRACTIONAL_GRID = (Fraction(-1, 2), Fraction(0), Fraction(1, 3))
@@ -58,18 +59,24 @@ def rescaled_adjoint(g):
     return Representation(g, [mat_mul(mat_mul(p, a), invert(p)) for a in adjoint_rep(g).matrices])
 
 
-def assert_single_operator_kernel_agrees(g, grid):
+def assert_single_operator_kernel_agrees(g, grid) -> set[bool]:
+    """The Nijenhuis verdicts met, which include a pass (the zero operator
+    at least)."""
     kernel = VerdictKernel(g, adjoint_rep(g))
-    passes = 0
+    verdicts = set()
     for combo, op in grid_operators(grid, g.dim, g.dim):
         nij = is_nijenhuis(g, op).ok
         assert kernel.is_nijenhuis(combo) == nij, op
         assert kernel.is_kupershmidt(combo) == is_rota_baxter(g, op).ok, op
-        passes += nij
-    assert passes  # the zero operator at least
+        verdicts.add(nij)
+    assert True in verdicts
+    return verdicts
 
 
-def assert_module_kernel_agrees(g, rho, grid):
+def assert_module_kernel_agrees(g, rho, grid, four_term=False):
+    """With four_term, the pair verdicts are also compared with the four-term
+    reference, which does not read the commutators [rho(e_k), S] that both
+    nijenhuis_pairs and is_nijenhuis_pair read."""
     kernel = VerdictKernel(g, rho)
     n, m = g.dim, rho.module_dim
     for combo, t_op in grid_operators(grid, n, m):
@@ -89,6 +96,13 @@ def assert_module_kernel_agrees(g, rho, grid):
     }
     assert decided == expected
     assert expected
+    if four_term:
+        assert expected == {
+            (i, j)
+            for i, (_, n_op) in enumerate(n_ops)
+            for j, (_, s_op) in enumerate(s_ops)
+            if reference_pair(g, rho, n_op, s_op).ok
+        }
 
 
 class TestIntegerGrid:
@@ -107,13 +121,21 @@ class TestFractionalGrid:
 
     @pytest.mark.parametrize("rep", ["adjoint", "coadjoint"])
     def test_kupershmidt_and_pairs_on_aff1(self, aff1, rep):
-        assert_module_kernel_agrees(aff1.algebra, aff1.representations[rep], FRACTIONAL_GRID)
+        rho = aff1.representations[rep]
+        assert_module_kernel_agrees(aff1.algebra, rho, FRACTIONAL_GRID, four_term=True)
 
 
 class TestFractionalStructureConstants:
     @pytest.mark.parametrize("grid", [INTEGER_GRID, FRACTIONAL_GRID], ids=["int", "frac"])
     def test_nijenhuis_and_rota_baxter(self, grid):
         assert_single_operator_kernel_agrees(MIXED_AFF1, grid)
+
+    def test_nijenhuis_fails_and_passes_on_third_sl2(self):
+        # By Cayley-Hamilton every operator on a 2-dimensional algebra,
+        # MIXED_AFF1 included, is Nijenhuis; a 3-dimensional one compares
+        # failing verdicts too.
+        grid = (Fraction(0), Fraction(1, 2))
+        assert assert_single_operator_kernel_agrees(THIRD_SL2, grid) == {True, False}
 
     @pytest.mark.parametrize("rep", [0, 1], ids=["adjoint", "coadjoint"])
     def test_kupershmidt_and_pairs(self, rep):

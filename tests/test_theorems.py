@@ -5,13 +5,20 @@ Kupershmidt, any two are compatible, and T_k is a morphism from the
 S^(k+i)-deformed sub-adjacent bracket to the N^i-deformed algebra. hierarchy()
 verifies each of these claims and raises when one fails, so it must return
 for every KN structure.
+
+The morphism identity's right side [T_k u, T_k v]_{N^i} is a bilinear
+antisymmetric form in T_k u and T_k v, so on a 2-dimensional algebra it
+vanishes unless T_k has rank 2. On aff1's adjoint action no Kupershmidt T
+does (its inverse would be an invertible derivation, and every derivation
+of aff1 is inner), so those results cannot tell one power of N from
+another; some coadjoint results over {-1, 0, 1} can.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from lieop import hierarchy, is_kn_structure
+from lieop import deformed_algebra, hierarchy, is_kn_structure
 from lieop.catalog import grid_search
 
 
@@ -24,3 +31,18 @@ def test_kn_structures_generate_hierarchies(aff1, rep, count):
         assert is_kn_structure(g, rho, t_op, s_op, n_op).ok
         ops = hierarchy(g, rho, t_op, s_op, n_op, 4)
         assert ops[0] == t_op and len(ops) == 5
+
+
+def test_kn_structures_tell_the_powers_of_n_apart(aff1):
+    g, rho = aff1.algebra, aff1.representations["coadjoint"]
+    found = grid_search(g, rho, "kn_structure", (-1, 0, 1))
+    assert len(found) == 1101
+    telling = 0
+    for t_op, s_op, n_op in found:
+        ops = hierarchy(g, rho, t_op, s_op, n_op, 4)
+        assert ops[0] == t_op and len(ops) == 5
+        # At k = i = 0 the identity reads T[u,v]^T = [Tu,Tv]; read at N^1
+        # instead, it fails wherever [Tu,Tv] and [Tu,Tv]_N differ.
+        u, v = t_op.column(0), t_op.column(1)
+        telling += g(u, v) != deformed_algebra(g, n_op)(u, v)
+    assert telling == 36
