@@ -18,19 +18,23 @@ order of the full product, where triples are filtered by the twist
 NT = TS and pairs of Kupershmidt operators by their sum being Kupershmidt.
 Rota-Baxter operators and r-matrices are searched as the Kupershmidt
 operators they are, for the adjoint and the coadjoint action: the search
-runs the same stages and confirmations on that action family, over the
-skew candidates only for r-matrices. These verdicts come from the
-integer kernel; lieop.kernel gives its shortcuts and why it is exact. Each
-survivor is then built as a Matrix and confirmed with the reporting
-path's own checks, so a result is always one the public predicate
-(is_kn_structure, are_compatible_kupershmidt, ...) accepts, and each
-hypothesis is confirmed once per distinct operator: every T by
-is_kupershmidt, every N by is_nijenhuis, every (N, S) by the pair loop,
-and then each triple by the KN conditions alone and each pair of
-operators by the compatibility report alone. A given representation is
-validated against g once, before any candidate; the adjoint and
-coadjoint families need no validation, since the Rota-Baxter and r-matrix
-identities are read on any bracket.
+runs the same stages on that action family, over the skew candidates only
+for r-matrices.
+
+Every verdict comes from the loop that the public predicate itself runs
+(lieop.kernel: the torsion, Kupershmidt and pair loops), read on the
+grid's integer image. That is exact: each identity is homogeneous, so a
+candidate's verdict does not depend on the scale b its entries are
+cleared by, and for two Kupershmidt operators the compatibility defect
+is the polarization K(T1 + T2) - K(T1) - K(T2) = K(T1 + T2). A result is
+therefore one the public predicate (is_kn_structure,
+are_compatible_kupershmidt, ...) accepts, and each identity is decided
+once: no survivor is rerun through the reporting path. The KN bracket
+match has no kernel loop; _kn_conditions decides it, on each twist
+survivor. A given representation is validated
+against g once, before any candidate; the adjoint and coadjoint families
+need no validation, since the Rota-Baxter and r-matrix identities are
+read on any bracket.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .kernel import VerdictKernel, clear_denominators
 from .kinds import CATALOG_KINDS, OPERATOR_SHAPES, SEARCH_KINDS
 from .lie import LieAlgebra
 from .linalg import Matrix, Scalar, rational
-from .operators import _pair_witnesses, is_kupershmidt, is_nijenhuis
 from .reps import (
     Representation,
     adjoint_rep,
@@ -55,7 +58,6 @@ from .reps import (
 from .structures import (
     BilinearForm,
     Bivector,
-    _compatibility_report,
     _kn_conditions,
     check_bilinear_form,
 )
@@ -394,16 +396,15 @@ def grid_search(
 def _staged_search(
     g: LieAlgebra, rho: Optional[Representation], kind: str, values: list
 ) -> list:
-    """Filter each factor, pair the factors, and confirm the survivors.
+    """Filter each factor, then pair the factors.
 
-    The kernel decides each identity in integers (exact, see lieop.kernel)
-    on the flat candidates; a Matrix is built only for what survives it,
-    and every result is confirmed by the reporting path, so a fault in the
-    kernel's own shortcuts could drop a result but never add one (the
-    torsion and Kupershmidt loops the two share are tested against the
-    per-tuple definitions instead). The survivors are visited
-    in the nesting order of the full product, which keeps the lexicographic
-    order of the results.
+    The kernel decides each identity in integers on the flat candidates,
+    with the loop its public predicate runs (exact, see the module
+    docstring and lieop.kernel); a Matrix is built only for what passes,
+    and _kn_conditions decides the KN bracket match. The loops themselves
+    are tested against the per-tuple definitions. The survivors are
+    visited in the nesting order of the full product, which keeps the
+    lexicographic order of the results.
     """
     kernel = VerdictKernel(g, rho)
     ints = clear_denominators(values)
@@ -420,22 +421,16 @@ def _staged_search(
         )
 
     def kupershmidt_ops() -> list:
-        """The Kupershmidt operators T, each confirmed, with their flats."""
-        t_ops = []
-        for flat in kernel.kupershmidt_solutions(ints):
-            t_op = matrix(flat, m)
-            if is_kupershmidt(g, rho, t_op, check_rho=False).ok:
-                t_ops.append((flat, t_op))
-        return t_ops
+        """The Kupershmidt operators T, with their flats."""
+        return [(flat, matrix(flat, m)) for flat in kernel.kupershmidt_solutions(ints)]
 
     if kind in ("kupershmidt", "rota_baxter"):
         return [t_op for _, t_op in kupershmidt_ops()]
     if kind == "nijenhuis":
-        n_ops = (matrix(flat, n) for flat in grid(n * n) if kernel.is_nijenhuis(flat))
-        return [n_op for n_op in n_ops if is_nijenhuis(g, n_op).ok]
+        return [matrix(flat, n) for flat in grid(n * n) if kernel.is_nijenhuis(flat)]
     if kind == "r_matrix":
         # Each skew candidate, over the entries above the diagonal, on its
-        # full n x n image; a Bivector is built only for a confirmed one.
+        # full n x n image.
         upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
         def skew(entries) -> list:
@@ -444,49 +439,34 @@ def _staged_search(
                 rows[i][j], rows[j][i] = c, -c
             return rows
 
-        found = []
-        for combo in grid(len(upper)):
-            if kernel.is_kupershmidt([c for row in skew(combo) for c in row]):
-                p = Matrix(skew([value_of[c] for c in combo]))
-                if is_kupershmidt(g, rho, p, check_rho=False).ok:
-                    found.append(Bivector(p))
-        return found
+        return [
+            Bivector(Matrix(skew([value_of[c] for c in combo])))
+            for combo in grid(len(upper))
+            if kernel.is_kupershmidt([c for row in skew(combo) for c in row])
+        ]
 
     if kind == "compatible_pair":
         t_ops = kupershmidt_ops()
-        return [
-            (t1, t2)
-            for f1, t1 in t_ops
-            for f2, t2 in t_ops
-            if kernel.compatible(f1, f2) and _compatibility_report(g, rho, t1, t2).ok
-        ]
+        return [(t1, t2) for f1, t1 in t_ops for f2, t2 in t_ops if kernel.compatible(f1, f2)]
 
-    # Both remaining kinds pair a Nijenhuis N with an S. Each distinct N is
-    # built and confirmed Nijenhuis once, each S built once, and each
-    # distinct (N, S) confirmed by the pair loop once.
+    # Both remaining kinds pair a Nijenhuis N with an S; each distinct N and
+    # S is built as a Matrix once.
     n_ops = [flat for flat in grid(n * n) if kernel.is_nijenhuis(flat)]
     s_ops = list(grid(m * m))
     n_matrix = cache(lambda i: matrix(n_ops[i], n))
     s_matrix = cache(lambda j: matrix(s_ops[j], m))
-    nijenhuis_ok = cache(lambda i: is_nijenhuis(g, n_matrix(i)).ok)
-    pair_ok = cache(
-        lambda i, j: nijenhuis_ok(i) and not _pair_witnesses(rho, n_matrix(i), s_matrix(j))
-    )
 
     if kind == "nijenhuis_pair":
-        return [
-            (n_matrix(i), s_matrix(j))
-            for i, j in kernel.nijenhuis_pairs(n_ops, s_ops)
-            if pair_ok(i, j)
-        ]
+        return [(n_matrix(i), s_matrix(j)) for i, j in kernel.nijenhuis_pairs(n_ops, s_ops)]
 
     # kn_structure: a candidate lists T, then S, then N, so S varies slower
-    # than N once T is fixed. Each T was confirmed Kupershmidt by its stage.
+    # than N once T is fixed. The bracket match is decided by _kn_conditions
+    # alone, on the twist survivors.
     pairs = sorted(kernel.nijenhuis_pairs(n_ops, s_ops), key=lambda p: (p[1], p[0]))
     found = []
     for t_flat, t_op in kupershmidt_ops():
         for i, j in pairs:
-            if kernel.twist_holds(n_ops[i], t_flat, s_ops[j]) and pair_ok(i, j):
+            if kernel.twist_holds(n_ops[i], t_flat, s_ops[j]):
                 s_op, n_op = s_matrix(j), n_matrix(i)
                 if _kn_conditions(g, rho, t_op, s_op, n_op, "kn").ok:
                     found.append((t_op, s_op, n_op))

@@ -116,7 +116,8 @@ def _emit(out: _Output, kind: str, report: CheckReport, certificates=None, preco
 
 
 def _emit_hypothesis(out: _Output, kind: str, exc: PreconditionFailure) -> int:
-    return _emit(out, kind, exc.report or CheckReport(False, ()), precondition=exc.name)
+    report = exc.report if exc.report is not None else CheckReport(False, ())
+    return _emit(out, kind, report, precondition=exc.name)
 
 
 def _write_document(out: _Output, text: str, path) -> None:

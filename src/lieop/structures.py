@@ -43,6 +43,7 @@ from .linalg import (
 )
 from .operators import (
     _kupershmidt_report,
+    _pair_witnesses,
     deform_bracket_by_s,
     is_dual_nijenhuis_pair,
     is_kupershmidt,
@@ -52,7 +53,7 @@ from .operators import (
     sub_adjacent_bracket,
 )
 from .report import CheckReport, Witness, report_from_witnesses
-from .reps import Representation
+from .reps import Representation, _check_pair_shapes
 
 
 @dataclass(frozen=True)
@@ -305,11 +306,20 @@ def hierarchy(
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    kn = is_kn_structure(g, rho, t_op, s_op, n_op)
-    if not kn.report.ok:
-        kdn = is_kdn_structure(g, rho, t_op, s_op, n_op)
-        if not kdn.report.ok:
-            raise PreconditionFailure("kn_or_kdn", kn.report.merge(kdn.report))
+    # KN and KdN differ only in the (N, S) pair loop, so each other
+    # hypothesis is checked once; the dual-pair loop runs only when the pair
+    # loop fails, and both sets of witnesses are kept only when both fail.
+    _require("kupershmidt", is_kupershmidt(g, rho, t_op))
+    _check_pair_shapes(rho, n_op, s_op)
+    torsion = is_nijenhuis(g, n_op).witnesses
+    pair = _pair_witnesses(rho, n_op, s_op)
+    if pair:
+        dual = _pair_witnesses(rho, n_op, s_op, dual=True)
+        pair = pair + dual if dual else ()
+    kn_or_kdn = _kn_conditions(
+        g, rho, t_op, s_op, n_op, "kn_or_kdn", pair_witnesses=torsion + pair
+    )
+    _require("kn_or_kdn", kn_or_kdn.report)
 
     n_pows = [mat_pow(n_op, k) for k in range(k_max + 1)]
     s_pows = [mat_pow(s_op, k) for k in range(k_max + 1)]

@@ -22,7 +22,7 @@ from lieop import (
     is_rota_baxter,
     mat_mul,
 )
-from lieop import catalog
+from lieop import catalog, kernel
 from lieop.catalog import SEARCH_KINDS, get_entry, grid_search, list_catalog
 from lieop.structures import Bivector
 
@@ -130,9 +130,9 @@ class TestGridSearch:
         with pytest.raises(LieopError):
             grid_search(aff1.algebra, None, "kupershmidt", GRID)
 
-    def test_only_pairs_with_a_kupershmidt_sum_reach_the_compatibility_report(
-        self, aff1, monkeypatch
-    ):
+    def test_only_pairs_with_a_kupershmidt_sum_reach_the_compatibility_report(self, aff1):
+        # The search keeps a pair exactly when T1 + T2 is Kupershmidt; that
+        # is the compatibility the public predicate reports, over all pairs.
         g, rho = aff1.algebra, aff1.representations["coadjoint"]
         t_ops = grid_search(g, rho, "kupershmidt", GRID)
         expected = [
@@ -141,11 +141,12 @@ class TestGridSearch:
             for t2 in t_ops
             if are_compatible_kupershmidt(g, rho, t1, t2).ok
         ]
-        calls = _count_calls(monkeypatch, "_compatibility_report")
         assert grid_search(g, rho, "compatible_pair", GRID) == expected
-        assert (len(t_ops) ** 2, len(calls), len(expected)) == (441, 177, 177)
+        assert (len(t_ops) ** 2, len(expected)) == (441, 177)
 
-    def test_kn_search_confirms_each_distinct_hypothesis_once(self, aff1, monkeypatch):
+    def test_kn_search_decides_the_bracket_match_once_per_twist_survivor(
+        self, aff1, monkeypatch
+    ):
         g, ad = aff1.algebra, aff1.representations["adjoint"]
         t_ops = grid_search(g, ad, "kupershmidt", (0, 1))
         pairs = grid_search(g, ad, "nijenhuis_pair", (0, 1))
@@ -156,25 +157,24 @@ class TestGridSearch:
             for n_op, s_op in pairs
             if mat_mul(n_op, t_op) == mat_mul(t_op, s_op)
         ]
-        nijenhuis = _count_calls(monkeypatch, "is_nijenhuis")
-        pair_loops = _count_calls(monkeypatch, "_pair_witnesses")
         kn_conditions = _count_calls(monkeypatch, "_kn_conditions")
         grid_search(g, ad, "kn_structure", (0, 1))
-        n_seen = [n_op for _, n_op in nijenhuis]
-        pairs_seen = [(n_op, s_op) for _, n_op, s_op in pair_loops]
-        assert len(n_seen) == len(set(n_seen)) == len({n for n, _ in survivors}) == 16
-        assert len(pairs_seen) == len(set(pairs_seen)) == len(set(survivors)) == 64
         assert len(kn_conditions) == len(survivors) == 116
 
-    def test_pair_search_confirms_each_distinct_n_once(self, aff1, monkeypatch):
+    def test_pair_search_forms_the_commutators_once_per_s(self, aff1, monkeypatch):
+        # The terms C_k = [rho(e_k), S] depend on S alone: 3^4 of them.
         g, ad = aff1.algebra, aff1.representations["adjoint"]
-        grid = ("-1/2", "0", "1/3")
-        nijenhuis = _count_calls(monkeypatch, "is_nijenhuis")
-        pair_loops = _count_calls(monkeypatch, "_pair_witnesses")
-        found = grid_search(g, ad, "nijenhuis_pair", grid)
-        n_seen = [n_op for _, n_op in nijenhuis]
-        assert len(n_seen) == len(set(n_seen)) == len({n for n, _ in found}) == 81
-        assert len(pair_loops) == len(found) == 451
+        calls = []
+        real = kernel._commutators
+
+        def counting(rho, s):
+            calls.append(s)
+            return real(rho, s)
+
+        monkeypatch.setattr(kernel, "_commutators", counting)
+        found = grid_search(g, ad, "nijenhuis_pair", ("-1/2", "0", "1/3"))
+        assert len(found) == 451
+        assert len(calls) == len(set(map(str, calls))) == 81
 
     @pytest.mark.parametrize(
         "kind", ("kupershmidt", "nijenhuis_pair", "kn_structure", "compatible_pair")
@@ -333,14 +333,7 @@ class TestGridSearchContract:
         assert grid_search(g, rho, kind, grid) == expected
 
     def test_cap_counts_nominal_candidates_before_evaluating_any(self, aff1, monkeypatch):
-        for name in (
-            "VerdictKernel",
-            "is_kupershmidt",
-            "is_nijenhuis",
-            "_pair_witnesses",
-            "_kn_conditions",
-            "_compatibility_report",
-        ):
+        for name in ("VerdictKernel", "_kn_conditions"):
             monkeypatch.setattr(catalog, name, _forbidden)
         ad = aff1.representations["adjoint"]
         # 2 ** 12 triples, although staging would evaluate far fewer.

@@ -143,6 +143,9 @@ class TestJsonOutput:
         payload = json.loads(out)
         assert code == 1
         assert payload["precondition"] == "rota_baxter"
+        # The failing hypothesis report reaches the output, witnesses and all.
+        assert payload["witnesses"]
+        assert {w["condition"] for w in payload["witnesses"]} == {"rota_baxter"}
 
 
 class TestHierarchy:

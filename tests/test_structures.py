@@ -372,6 +372,41 @@ class TestHierarchy:
         assert len(ops) == 11
         assert len(calls) == 1 + 11 + 55 * 3
 
+    def test_kdn_hypothesis_is_checked_once(self, monkeypatch):
+        # KdN but not KN: the pair loop fails and the dual-pair loop passes.
+        # T is still checked once, as in the KN case: 1 + 11 + 55 * 3.
+        # Falling back from the KN check to the KdN one would check it twice.
+        e = get_entry("aff1")
+        g, rho = e.algebra, e.representations["adjoint"]
+        t_op, s_op, n_op = Matrix([[0, 0], [1, 0]]), Matrix.diagonal([0, 1]), Matrix.zeros(2, 2)
+        assert not is_kn_structure(g, rho, t_op, s_op, n_op).ok
+        assert is_kdn_structure(g, rho, t_op, s_op, n_op).ok
+        calls = []
+        check = structures.is_kupershmidt
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(structures, "is_kupershmidt", counted)
+        assert len(hierarchy(g, rho, t_op, s_op, n_op, 10)) == 11
+        assert len(calls) == 1 + 11 + 55 * 3
+
+    def test_failed_hypothesis_lists_each_witness_once(self, aff1):
+        # Neither KN nor KdN: the report lists what fails in either, once.
+        g, rho = aff1.algebra, aff1.representations["adjoint"]
+        triple = (Matrix.diagonal([1, 0]), Matrix.zeros(2, 2), Matrix.identity(2))
+        with pytest.raises(PreconditionFailure) as failure:
+            hierarchy(g, rho, *triple, 2)
+        assert failure.value.name == "kn_or_kdn"
+        seen = [(w.condition, w.indices) for w in failure.value.report.witnesses]
+        either = {
+            (w.condition, w.indices)
+            for check in (is_kn_structure, is_kdn_structure)
+            for w in check(g, rho, *triple).report.witnesses
+        }
+        assert seen and len(seen) == len(set(seen)) and set(seen) == either
+
     def test_deformed_brackets_are_built_once_per_power(self, monkeypatch):
         # S side: one in the KN test and one per S^p, p = 0..10, shared by
         # the bracket and morphism loops. N side: one deformed algebra per
