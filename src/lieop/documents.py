@@ -209,8 +209,9 @@ def parse_document(text: str) -> Document:
 
     if "deformation" in data:
         defo = _want(data, "deformation", "$", dict)
+        omega = _want(defo, "omega", "$.deformation", dict)
         doc.omega = _parse_bracket_table(
-            _want(defo, "omega", "$.deformation", dict).get("brackets", []),
+            _want(omega, "brackets", "$.deformation.omega", list),
             "$.deformation.omega.brackets",
             dim,
         )

@@ -154,7 +154,7 @@ def is_nijenhuis_pair(
     The defect is the commutator [rho(Nx) - S rho(x), S].
     """
     _check_pair_shapes(rho, n_op, s_op)
-    witnesses = is_nijenhuis(g, n_op).witnesses + _pair_witnesses(rho, n_op, s_op)
+    witnesses = is_nijenhuis(g, n_op).witnesses + _pair_witnesses(rho, "pair", s_op, n_op)
     return report_from_witnesses(witnesses, checked="nijenhuis_pair")
 
 
@@ -167,19 +167,9 @@ def is_dual_nijenhuis_pair(
     """
     _check_pair_shapes(rho, n_op, s_op)
     witnesses = is_nijenhuis(g, n_op).witnesses + _pair_witnesses(
-        rho, n_op, s_op, dual=True
+        rho, "dual_pair", s_op, n_op
     )
     return report_from_witnesses(witnesses, checked="dual_nijenhuis_pair")
-
-
-def _pair_witnesses(
-    rho: Representation, n_op: Matrix, s_op: Matrix, dual: bool = False
-) -> tuple[Witness, ...]:
-    """The (N, S) pair condition alone, without the Nijenhuis torsion of N:
-    [rho(Nx) - S rho(x), S] per basis x, or [rho(Nx) - rho(x) S, S] for the
-    dual pair.
-    """
-    return _pair_loop_witnesses(rho, "dual_pair" if dual else "pair", s_op, n_op)
 
 
 def is_perfect_pair(
@@ -190,19 +180,16 @@ def is_perfect_pair(
     The extra defect is the double commutator [S, [S, rho(x)]].
     """
     base = is_nijenhuis_pair(g, rho, n_op, s_op)
-    witnesses = base.witnesses + _perfect_witnesses(rho, s_op)
+    witnesses = base.witnesses + _pair_witnesses(rho, "perfect", s_op)
     return report_from_witnesses(witnesses, checked="perfect_pair")
 
 
-def _perfect_witnesses(rho: Representation, s_op: Matrix) -> tuple[Witness, ...]:
-    return _pair_loop_witnesses(rho, "perfect", s_op)
-
-
-def _pair_loop_witnesses(
+def _pair_witnesses(
     rho: Representation, identity: str, s_op: Matrix, n_op: Matrix | None = None
 ) -> tuple[Witness, ...]:
-    """The witnesses of lieop.kernel's pair loop for one identity, each
-    defect divided by a*b^2, where N and S share the scale b."""
+    """The witnesses of lieop.kernel's pair loop for one identity ("pair",
+    "dual_pair" or "perfect"; N's torsion is not part of it), each defect
+    divided by a*b^2, where N and S share the scale b."""
     ops = (s_op,) if n_op is None else (s_op, n_op)
     flat, b = integer_image([c for op in ops for row in op.rows for c in row])
     image = rho.integer_image
@@ -226,7 +213,7 @@ def nijenhuis_pair_semidirect_test(
     big = semidirect_product(g, rho)
     report = is_nijenhuis(big, block_diag(n_op, s_op))
     report = CheckReport(report.ok, report.witnesses, checked="pair_semidirect")
-    if report.ok and not _perfect_witnesses(rho, s_op):
+    if report.ok and not _pair_witnesses(rho, "perfect", s_op):
         dual_big = semidirect_product(g, dual_representation(rho))
         dual_rep = is_nijenhuis(dual_big, block_diag(n_op, s_op.transpose()))
         report = report.merge(dual_rep, checked="pair_semidirect")

@@ -15,16 +15,18 @@ is equivalent to that map intertwining the coadjoint and adjoint actions.
 Compatibility is the polarization K(T1 + T2) - K(T1) - K(T2) of the
 Kupershmidt report K, and the NT condition is N applied to it at (T, NT).
 
-Every composite check reruns its hypotheses and raises PreconditionFailure
-when one fails: its verdict is only defined under those hypotheses, and a
-failed hypothesis must never be conflated with a failed condition.
+Every composite check checks each of its hypotheses once and raises
+PreconditionFailure when one fails: its verdict is only defined under
+those hypotheses, and a failed hypothesis must never be conflated with a
+failed condition. Once every T_k is known to be Kupershmidt, the hierarchy
+decides the compatibility of T_a and T_b by the sum T_a + T_b being
+Kupershmidt, which is exact as the defect is the polarization above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable
+from itertools import accumulate, combinations
 
 from .errors import (
     PreconditionFailure,
@@ -38,7 +40,6 @@ from .linalg import (
     invert,
     is_invertible,
     mat_mul,
-    mat_pow,
     nullspace_vector,
 )
 from .operators import (
@@ -48,7 +49,6 @@ from .operators import (
     is_dual_nijenhuis_pair,
     is_kupershmidt,
     is_nijenhuis,
-    is_nijenhuis_pair,
     is_rota_baxter,
     sub_adjacent_bracket,
 )
@@ -157,13 +157,23 @@ def _k_pair_structure(
     t_op: Matrix,
     s_op: Matrix,
     n_op: Matrix,
-    pair_check: Callable[..., CheckReport],
     kind: str,
+    identities: tuple[str, ...],
 ) -> StructureVerdict:
-    """The KN and KdN checks, which differ only in the (N, S) pair check."""
+    """The KN and KdN checks, which differ only in the (N, S) pair identity:
+    the pair condition holds if one of the identities does. They run in
+    order up to the first that holds; each one's witnesses are kept if none does."""
     _require("kupershmidt", is_kupershmidt(g, rho, t_op))
-    pair = pair_check(g, rho, n_op, s_op)
-    return _kn_conditions(g, rho, t_op, s_op, n_op, kind, pair_witnesses=pair.witnesses)
+    _check_pair_shapes(rho, n_op, s_op)
+    torsion = is_nijenhuis(g, n_op).witnesses
+    pair: tuple[Witness, ...] = ()
+    for identity in identities:
+        witnesses = _pair_witnesses(rho, identity, s_op, n_op)
+        if not witnesses:
+            pair = ()
+            break
+        pair += witnesses
+    return _kn_conditions(g, rho, t_op, s_op, n_op, kind, pair_witnesses=torsion + pair)
 
 
 def is_kn_structure(
@@ -171,14 +181,14 @@ def is_kn_structure(
 ) -> StructureVerdict:
     """T Kupershmidt (hypothesis), (N,S) Nijenhuis pair, NT = TS, and the
     NT-induced bracket equals the S-deformation of the T-induced one."""
-    return _k_pair_structure(g, rho, t_op, s_op, n_op, is_nijenhuis_pair, "kn")
+    return _k_pair_structure(g, rho, t_op, s_op, n_op, "kn", ("pair",))
 
 
 def is_kdn_structure(
     g: BracketLike, rho: Representation, t_op: Matrix, s_op: Matrix, n_op: Matrix
 ) -> StructureVerdict:
     """Same two compatibility conditions with (N,S) a dual-Nijenhuis pair."""
-    return _k_pair_structure(g, rho, t_op, s_op, n_op, is_dual_nijenhuis_pair, "kdn")
+    return _k_pair_structure(g, rho, t_op, s_op, n_op, "kdn", ("dual_pair",))
 
 
 # ---------------------------------------------------------------------------
@@ -306,31 +316,24 @@ def hierarchy(
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    # KN and KdN differ only in the (N, S) pair loop, so each other
-    # hypothesis is checked once; the dual-pair loop runs only when the pair
-    # loop fails, and both sets of witnesses are kept only when both fail.
-    _require("kupershmidt", is_kupershmidt(g, rho, t_op))
-    _check_pair_shapes(rho, n_op, s_op)
-    torsion = is_nijenhuis(g, n_op).witnesses
-    pair = _pair_witnesses(rho, n_op, s_op)
-    if pair:
-        dual = _pair_witnesses(rho, n_op, s_op, dual=True)
-        pair = pair + dual if dual else ()
-    kn_or_kdn = _kn_conditions(
-        g, rho, t_op, s_op, n_op, "kn_or_kdn", pair_witnesses=torsion + pair
+    kn_or_kdn = _k_pair_structure(
+        g, rho, t_op, s_op, n_op, "kn_or_kdn", ("pair", "dual_pair")
     )
     _require("kn_or_kdn", kn_or_kdn.report)
 
-    n_pows = [mat_pow(n_op, k) for k in range(k_max + 1)]
-    s_pows = [mat_pow(s_op, k) for k in range(k_max + 1)]
-    ops = [mat_mul(n_pows[k], t_op) for k in range(k_max + 1)]
+    n_pows = list(accumulate([n_op] * k_max, mat_mul, initial=Matrix.identity(n_op.nrows)))
+    s_pows = list(accumulate([s_op] * k_max, mat_mul, initial=Matrix.identity(s_op.nrows)))
+    ops = [mat_mul(n_pow, t_op) for n_pow in n_pows]
+    # T_0 = T is the hypothesis's operator, so it is not checked again.
     for k, op in enumerate(ops):
         if op != mat_mul(t_op, s_pows[k]):
             raise StructureCheckError(f"N^{k} T != T S^{k}")
-        if not is_kupershmidt(g, rho, op, check_rho=False).ok:
+        if k and not is_kupershmidt(g, rho, op, check_rho=False).ok:
             raise StructureCheckError(f"T_{k} is not a Kupershmidt operator")
+    # Every T_k is Kupershmidt, so T_a and T_b are compatible iff their sum
+    # is: the compatibility defect is K(T_a + T_b) - K(T_a) - K(T_b).
     for a, b in combinations(range(k_max + 1), 2):
-        if not _compatibility_report(g, rho, ops[a], ops[b]).ok:
+        if not is_kupershmidt(g, rho, ops[a] + ops[b], check_rho=False).ok:
             raise StructureCheckError(f"T_{a} and T_{b} are not compatible")
 
     m = rho.module_dim
@@ -361,9 +364,13 @@ def kdn_from_compatible(
     t_inv = invert(t_op)
     s_op = mat_mul(t_inv, t1_op)
     n_op = mat_mul(t1_op, t_inv)
-    first = is_kdn_structure(g, rho, t_op, s_op, n_op)
-    second = is_kdn_structure(g, rho, t1_op, s_op, n_op)
-    return first, second
+    # Both operators and rho are checked above, and the two triples share
+    # (N, S), so the dual pair is checked once for both.
+    pair = is_dual_nijenhuis_pair(g, rho, n_op, s_op).witnesses
+    return tuple(
+        _kn_conditions(g, rho, t, s_op, n_op, "kdn", pair_witnesses=pair)
+        for t in (t_op, t1_op)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,37 @@ class TestIntegerFields:
         assert err.value.path == path
 
 
+class TestDeformationOmega:
+    """$.deformation.omega.brackets is required, as $.algebra.brackets is:
+    a misspelt key must not parse as the zero 2-cochain."""
+
+    def _deformation_doc(self, omega):
+        doc = json.loads(_doc())
+        zero = [["0", "0"], ["0", "0"]]
+        doc["deformation"] = {"omega": omega, "varpi": {"module_dim": 2, "matrices": [zero, zero]}}
+        return json.dumps(doc)
+
+    def test_brackets_parse(self):
+        bracket = [{"i": 0, "j": 1, "value": {"0": "2"}}]
+        doc = parse_document(self._deformation_doc({"brackets": bracket}))
+        assert doc.omega.basis_bracket(0, 1).coords == (2, 0)
+        assert parse_document(self._deformation_doc({"brackets": []})).omega.is_zero()
+
+    @pytest.mark.parametrize(
+        "omega, reason",
+        [
+            ({"bracket": [{"i": 0, "j": 1, "value": {"0": "2"}}]}, "missing"),
+            ({}, "missing"),
+            ({"brackets": {}}, "expected list, got dict"),
+        ],
+    )
+    def test_missing_or_misshapen_brackets_are_refused(self, omega, reason):
+        with pytest.raises(DocumentError) as err:
+            parse_document(self._deformation_doc(omega))
+        assert err.value.path == "$.deformation.omega.brackets"
+        assert reason in str(err.value)
+
+
 class TestBracketKeys:
     @pytest.mark.parametrize("key", ["01", " 1", "+1", "0_1", "-0", "x"])
     def test_non_canonical_index_key_is_refused(self, key):

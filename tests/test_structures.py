@@ -51,6 +51,26 @@ def kupershmidt_ops(entry, rep="adjoint"):
     )
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name for the test; returns the list of its calls' arguments."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def kn_diag():
+    """(g, rho, T, S, N) of aff1's kn_diag bundle, loaded before any
+    counting starts so that the catalog's own verification is not counted."""
+    e = get_entry("aff1")
+    op = next(o for o in e.operators if o.name == "kn_diag")
+    return (e.algebra, e.representations[op.rep], *(op.matrices[key] for key in "TSN"))
+
+
 class TestKnKdn:
     @given(small_fractions)
     def test_scalar_triples(self, lam):
@@ -340,6 +360,11 @@ class TestHierarchy:
             )
             assert len(ops) == 6
             assert ops[0] == op.matrices["T"]
+            # The hierarchy decides each pair by the sum alone; the
+            # cross-checked route must agree.
+            rho = e.representations[op.rep]
+            for a, b in itertools.combinations(range(6), 2):
+                assert are_compatible_kupershmidt(e.algebra, rho, ops[a], ops[b]).ok
 
     def test_rejects_non_structure(self, aff1):
         g, rho = aff1.algebra, aff1.representations["adjoint"]
@@ -348,49 +373,40 @@ class TestHierarchy:
             hierarchy(g, rho, t_op, Matrix.zeros(2, 2), Matrix.identity(2), 2)
 
     def test_kupershmidt_checks_are_not_rerun(self, monkeypatch):
-        # One check of T in the KN test, one per T_k, and the three
-        # scalar-combination samples per pair: 1 + 11 + 55 * 3. Rerunning
-        # both operators' checks for each of the 55 pairs would add 110.
-        e = get_entry("aff1")
-        op = next(o for o in e.operators if o.name == "kn_diag")
-        calls = []
-        check = structures.is_kupershmidt
+        # One check of T in the hypothesis, one per T_1..T_10 (T_0 = T is
+        # not checked again), and one of the sum per pair: 1 + 10 + 55.
+        # Deciding a pair by the cross-checked compatibility report would
+        # add three scalar-combination samples per pair.
+        args = kn_diag()
+        calls = count_calls(monkeypatch, structures, "is_kupershmidt")
+        assert len(hierarchy(*args, 10)) == 11
+        assert len(calls) == 1 + 10 + 55
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return check(*args, **kwargs)
-
-        monkeypatch.setattr(structures, "is_kupershmidt", counted)
-        ops = hierarchy(
-            e.algebra,
-            e.representations[op.rep],
-            op.matrices["T"],
-            op.matrices["S"],
-            op.matrices["N"],
-            10,
-        )
-        assert len(ops) == 11
-        assert len(calls) == 1 + 11 + 55 * 3
+    def test_each_power_and_report_is_computed_once(self, monkeypatch):
+        # 10 products each for N^1..N^10 and S^1..S^10, 11 for the T_k, 11
+        # for the T S^k they are compared with, and NT and TS in the
+        # hypothesis (rho's validation makes 2 more, in lieop.linalg); one
+        # Kupershmidt report per is_kupershmidt call and no
+        # scalar-combination samples.
+        args = kn_diag()
+        products = count_calls(monkeypatch, structures, "mat_mul")
+        reports = count_calls(monkeypatch, operators, "_kupershmidt_report")
+        combos = count_calls(monkeypatch, structures, "compatible_via_combos")
+        assert len(hierarchy(*args, 10)) == 11
+        assert (len(products), len(reports), len(combos)) == (44, 66, 0)
 
     def test_kdn_hypothesis_is_checked_once(self, monkeypatch):
         # KdN but not KN: the pair loop fails and the dual-pair loop passes.
-        # T is still checked once, as in the KN case: 1 + 11 + 55 * 3.
+        # T is still checked once, as in the KN case: 1 + 10 + 55.
         # Falling back from the KN check to the KdN one would check it twice.
         e = get_entry("aff1")
         g, rho = e.algebra, e.representations["adjoint"]
         t_op, s_op, n_op = Matrix([[0, 0], [1, 0]]), Matrix.diagonal([0, 1]), Matrix.zeros(2, 2)
         assert not is_kn_structure(g, rho, t_op, s_op, n_op).ok
         assert is_kdn_structure(g, rho, t_op, s_op, n_op).ok
-        calls = []
-        check = structures.is_kupershmidt
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return check(*args, **kwargs)
-
-        monkeypatch.setattr(structures, "is_kupershmidt", counted)
+        calls = count_calls(monkeypatch, structures, "is_kupershmidt")
         assert len(hierarchy(g, rho, t_op, s_op, n_op, 10)) == 11
-        assert len(calls) == 1 + 11 + 55 * 3
+        assert len(calls) == 1 + 10 + 55
 
     def test_failed_hypothesis_lists_each_witness_once(self, aff1):
         # Neither KN nor KdN: the report lists what fails in either, once.
@@ -412,32 +428,10 @@ class TestHierarchy:
         # the bracket and morphism loops. N side: one deformed algebra per
         # N^i, i = 0..10. Building either per (k, i) in the morphism loop
         # would add 66.
-        e = get_entry("aff1")
-        op = next(o for o in e.operators if o.name == "kn_diag")
-        calls, n_calls = [], []
-
-        def counter(log, build):
-            def counted(*args, **kwargs):
-                log.append(args)
-                return build(*args, **kwargs)
-
-            return counted
-
-        monkeypatch.setattr(
-            structures, "deform_bracket_by_s", counter(calls, structures.deform_bracket_by_s)
-        )
-        monkeypatch.setattr(
-            structures, "deformed_algebra", counter(n_calls, structures.deformed_algebra)
-        )
-        ops = hierarchy(
-            e.algebra,
-            e.representations[op.rep],
-            op.matrices["T"],
-            op.matrices["S"],
-            op.matrices["N"],
-            10,
-        )
-        assert len(ops) == 11
+        args = kn_diag()
+        calls = count_calls(monkeypatch, structures, "deform_bracket_by_s")
+        n_calls = count_calls(monkeypatch, structures, "deformed_algebra")
+        assert len(hierarchy(*args, 10)) == 11
         assert len(calls) == 1 + 11
         assert len(n_calls) == 11
 
@@ -462,8 +456,26 @@ class TestKdnFromCompatible:
                 continue
             first, second = kdn_from_compatible(g, coad, t_op, t1_op)
             assert first.ok and second.ok
+            s_op, n_op = mat_mul(invert(t_op), t1_op), mat_mul(t1_op, invert(t_op))
+            for t, verdict in ((t_op, first), (t1_op, second)):
+                assert verdict.to_json() == is_kdn_structure(g, coad, t, s_op, n_op).to_json()
             tested += 1
         assert tested > 0
+
+    def test_each_hypothesis_is_checked_once(self, aff1, monkeypatch):
+        # The compatibility check covers both operators (2 checks and 3
+        # scalar-combination samples) and rho (1 validation); the two
+        # triples share (N, S), whose dual pair and torsion run once.
+        g, coad = aff1.algebra, aff1.representations["coadjoint"]
+        t_op = Matrix([[0, 1], [-1, 0]])
+        kupershmidt = count_calls(monkeypatch, structures, "is_kupershmidt")
+        rho_checks = count_calls(monkeypatch, operators, "check_representation")
+        torsion = count_calls(monkeypatch, operators, "is_nijenhuis")
+        dual_pairs = count_calls(monkeypatch, structures, "is_dual_nijenhuis_pair")
+        first, second = kdn_from_compatible(g, coad, t_op, t_op.scale(2))
+        assert first.ok and second.ok
+        counts = tuple(map(len, (kupershmidt, rho_checks, torsion, dual_pairs)))
+        assert counts == (5, 1, 1, 1)
 
     def test_requires_invertible_t(self, aff1):
         g, rho = aff1.algebra, aff1.representations["adjoint"]
