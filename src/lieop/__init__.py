@@ -25,7 +25,6 @@ from .linalg import (
     invert,
     is_invertible,
     mat_mul,
-    mat_pow,
     parse_rational,
     rational,
     solve,
@@ -57,7 +56,6 @@ from .deformation import (
 )
 from .operators import (
     PreLieProduct,
-    bracket_from_rep,
     check_pre_lie,
     deform_bracket_by_s,
     is_dual_nijenhuis_pair,

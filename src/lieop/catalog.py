@@ -15,26 +15,24 @@ stages: T is filtered by the Kupershmidt identity and N by the Nijenhuis
 identity on their own, the (N, S) pair condition is decided once for all
 T, and only then are the filtered lists multiplied out, in the nesting
 order of the full product, where triples are filtered by the twist
-NT = TS and pairs of Kupershmidt operators by their sum being Kupershmidt.
-Rota-Baxter operators and r-matrices are searched as the Kupershmidt
-operators they are, for the adjoint and the coadjoint action: the search
-runs the same stages on that action family, over the skew candidates only
-for r-matrices.
+NT = TS and the KN bracket match, and pairs of Kupershmidt operators by
+their sum being Kupershmidt. Rota-Baxter operators and r-matrices are
+searched as the Kupershmidt operators they are, for the adjoint and the
+coadjoint action: the search runs the same stages on that action family,
+over the skew candidates only for r-matrices.
 
 Every verdict comes from the loop that the public predicate itself runs
-(lieop.kernel: the torsion, Kupershmidt and pair loops), read on the
-grid's integer image. That is exact: each identity is homogeneous, so a
-candidate's verdict does not depend on the scale b its entries are
-cleared by, and for two Kupershmidt operators the compatibility defect
-is the polarization K(T1 + T2) - K(T1) - K(T2) = K(T1 + T2). A result is
-therefore one the public predicate (is_kn_structure,
-are_compatible_kupershmidt, ...) accepts, and each identity is decided
-once: no survivor is rerun through the reporting path. The KN bracket
-match has no kernel loop; _kn_conditions decides it, on each twist
-survivor. A given representation is validated
-against g once, before any candidate; the adjoint and coadjoint families
-need no validation, since the Rota-Baxter and r-matrix identities are
-read on any bracket.
+(lieop.kernel: the torsion, Kupershmidt, pair and bracket-match loops),
+read on the grid's integer image. That is exact: each identity is
+homogeneous, so a candidate's verdict does not depend on the scale b its
+entries are cleared by, and for two Kupershmidt operators the
+compatibility defect is the polarization K(T1 + T2) - K(T1) - K(T2) =
+K(T1 + T2). A result is therefore one the public predicate
+(is_kn_structure, are_compatible_kupershmidt, ...) accepts, and each
+identity is decided once: the search makes no call to the reporting
+path. A given representation is validated against g once, before any
+candidate; the adjoint and coadjoint families need no validation, since
+the Rota-Baxter and r-matrix identities are read on any bracket.
 """
 
 from __future__ import annotations
@@ -55,12 +53,7 @@ from .reps import (
     check_representation,
     coadjoint_rep,
 )
-from .structures import (
-    BilinearForm,
-    Bivector,
-    _kn_conditions,
-    check_bilinear_form,
-)
+from .structures import BilinearForm, Bivector, check_bilinear_form
 
 GRID_CAP = 10_000_000
 
@@ -400,11 +393,10 @@ def _staged_search(
 
     The kernel decides each identity in integers on the flat candidates,
     with the loop its public predicate runs (exact, see the module
-    docstring and lieop.kernel); a Matrix is built only for what passes,
-    and _kn_conditions decides the KN bracket match. The loops themselves
-    are tested against the per-tuple definitions. The survivors are
-    visited in the nesting order of the full product, which keeps the
-    lexicographic order of the results.
+    docstring and lieop.kernel); a Matrix is built only for what passes.
+    The loops themselves are tested against the per-tuple definitions.
+    The survivors are visited in the nesting order of the full product,
+    which keeps the lexicographic order of the results.
     """
     kernel = VerdictKernel(g, rho)
     ints = clear_denominators(values)
@@ -460,14 +452,10 @@ def _staged_search(
         return [(n_matrix(i), s_matrix(j)) for i, j in kernel.nijenhuis_pairs(n_ops, s_ops)]
 
     # kn_structure: a candidate lists T, then S, then N, so S varies slower
-    # than N once T is fixed. The bracket match is decided by _kn_conditions
-    # alone, on the twist survivors.
+    # than N once T is fixed.
     pairs = sorted(kernel.nijenhuis_pairs(n_ops, s_ops), key=lambda p: (p[1], p[0]))
-    found = []
-    for t_flat, t_op in kupershmidt_ops():
-        for i, j in pairs:
-            if kernel.twist_holds(n_ops[i], t_flat, s_ops[j]):
-                s_op, n_op = s_matrix(j), n_matrix(i)
-                if _kn_conditions(g, rho, t_op, s_op, n_op, "kn").ok:
-                    found.append((t_op, s_op, n_op))
-    return found
+    return [
+        (t_op, s_matrix(j), n_matrix(i))
+        for t_flat, t_op in kupershmidt_ops()
+        for i, j in kernel.kn_pairs(t_flat, n_ops, s_ops, pairs)
+    ]

@@ -1,5 +1,6 @@
-"""Integer images, the one torsion loop, the one Kupershmidt loop and the
-one (N, S) pair loop, and the verdict-only kernel behind grid_search.
+"""Integer images, the one torsion loop, the one Kupershmidt loop, the
+one (N, S) pair loop and the one KN bracket-match loop, and the
+verdict-only kernel behind grid_search.
 
 Every Bracket and Representation keeps an integer image (BracketImage,
 ActionImage), built on first use: its structure constants or action
@@ -20,14 +21,20 @@ so that defect is the rational one times a*b^2:
   in T, and degree 1 in the bracket on one side and in rho on the other.
   The bracket's scale and the action's may differ (a deformed bracket,
   say), so each side is multiplied by the other's scale, and a is their
-  product; neither image is rebuilt.
+  product; neither image is rebuilt;
+- the KN bracket match [u,v]^{NT} - ([Su,v]^T + [u,Sv]^T - S[u,v]^T),
+  with [u,v]^T = rho(Tu)v - rho(Tv)u, has degree 1 in rho and 2 in the
+  operators, and g's bracket does not appear (bracket_match_defects, at
+  module basis pairs i < j; a is rho's scale).
 
 The reporting predicates (is_nijenhuis, the Kupershmidt report behind
-is_kupershmidt, is_rota_baxter and is_r_matrix, and the pair, dual-pair
-and perfect-pair reports) divide each defect by a*b^2 for the exact
-witness; VerdictKernel decides an identity as its loop yielding nothing.
-Its twist NT = TS is homogeneous too, of degree 2 in the operators. N, S
-and T share b, since the pair identities and the twist mix them.
+is_kupershmidt, is_rota_baxter and is_r_matrix, the pair, dual-pair and
+perfect-pair reports, and the KN conditions behind the KN, KdN, RBN and
+RMN checks) divide each defect by a*b^2 for the exact witness;
+VerdictKernel decides an identity as its loop yielding nothing. Its twist
+NT = TS is homogeneous too, of degree 2 in the operators. N, S and T
+share b, since the pair identities, the twist and the bracket match mix
+them.
 
 Three shortcuts keep the searches from testing the whole product, each
 exact:
@@ -233,6 +240,47 @@ def pair_defects(
             yield (x,), defect
 
 
+def sub_adjacent_ads(rho: ActionImage, t_op: Sequence[int]) -> list:
+    """T's sub-adjacent structure constants, a*b times the rational ones:
+    for each module basis e_i, the rows of the matrix of v -> [e_i, v]^T,
+    whose column k is [e_i, e_k]^T = rho(T e_i)e_k - rho(T e_k)e_i."""
+    m = rho.m
+    acts = [_combine(t_op[i::m], rho.mats) for i in range(m)]  # a rho(T e_i)
+    return [
+        [[act[p][k] - acts[k][p][i] for k in range(m)] for p in range(m)]
+        for i, act in enumerate(acts)
+    ]
+
+
+def bracket_match_defects(
+    rho: ActionImage, ads: list, s_op: Sequence[int], nt_op: Sequence[int]
+) -> Defects:
+    """[u,v]^{NT} - ([Su,v]^T + [u,Sv]^T - S[u,v]^T) at the module basis
+    pairs i < j where it is nonzero, a*b^2 times the rational defect, where
+    [u,v]^X = rho(Xu)v - rho(Xv)u and ads = sub_adjacent_ads(rho, T).
+
+    Each term has degree 1 in rho and 2 in the operators, and g's bracket
+    does not appear: with T, S and N sharing the scale b, ads is a*b times
+    T's constants, S is b times itself and nt_op, the product of N's and
+    T's images, is b^2 NT. With ad_i the matrix of v -> [e_i, v]^T, the
+    S-deformed bracket at (e_i, e_j) is ad_i S e_j - ad_j S e_i - S ad_i e_j.
+    """
+    m, q = rho.m, rho.q
+    s = _rows(s_op, m)
+    s_cols = [s_op[j::m] for j in range(m)]
+    nt_cols = [nt_op[j::m] for j in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            via_nt = _sub(_apply(q[j], nt_cols[i]), _apply(q[i], nt_cols[j]))
+            deformed = _sub(
+                _sub(_apply(ads[i], s_cols[j]), _apply(ads[j], s_cols[i])),
+                _apply(s, [row[j] for row in ads[i]]),
+            )
+            defect = _sub(via_nt, deformed)
+            if any(defect):
+                yield (i, j), defect
+
+
 class VerdictKernel:
     """The integer images of one algebra and, optionally, one representation.
 
@@ -332,10 +380,38 @@ class VerdictKernel:
         out.sort()
         return out
 
-    def twist_holds(
-        self, n_op: Sequence[int], t_op: Sequence[int], s_op: Sequence[int]
-    ) -> bool:
-        """NT = TS."""
+    def kn_pairs(
+        self,
+        t_op: Sequence[int],
+        n_ops: Sequence[Sequence[int]],
+        s_ops: Sequence[Sequence[int]],
+        pairs: Sequence[tuple[int, int]],
+    ) -> list[tuple[int, int]]:
+        """The index pairs (i, j) of pairs, in their order, for which
+        T, S = s_ops[j] and N = n_ops[i] meet the twist NT = TS and the
+        bracket match [u,v]^{NT} = ([u,v]^T)_S.
+
+        The rest of a KN structure, T Kupershmidt and (N, S) a Nijenhuis
+        pair, is is_kupershmidt and nijenhuis_pairs; callers filter with
+        them first. T's sub-adjacent constants are formed once, NT once per
+        distinct N and TS once per distinct S. Where NT = TS, the
+        NT-induced bracket is the TS-induced one, so the match is decided
+        once per distinct S, on TS.
+        """
         n, m = self.n, self.m
         t = _rows(t_op, m)
-        return _matmul(_rows(n_op, n), t) == _matmul(t, _rows(s_op, m))
+        nt = {i: _matmul(_rows(n_ops[i], n), t) for i in {i for i, _ in pairs}}
+        ts = {j: _matmul(t, _rows(s_ops[j], m)) for j in {j for _, j in pairs}}
+        ads = sub_adjacent_ads(self._rho, t_op)
+        matches: dict[int, bool] = {}
+        out = []
+        for i, j in pairs:
+            if nt[i] != ts[j]:
+                continue
+            if j not in matches:
+                ts_flat = list(chain.from_iterable(ts[j]))
+                defects = bracket_match_defects(self._rho, ads, s_ops[j], ts_flat)
+                matches[j] = next(defects, None) is None
+            if matches[j]:
+                out.append((i, j))
+        return out

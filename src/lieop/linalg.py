@@ -308,17 +308,6 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    if not a.is_square():
-        raise ShapeError("power of a non-square matrix")
-    if k < 0:
-        raise ValueError("negative power")
-    out = Matrix.identity(a.nrows)
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Fraction-free elimination
 # ---------------------------------------------------------------------------

@@ -317,8 +317,3 @@ def sub_adjacent_bracket(g: BracketLike, rho: Representation, t_op: Matrix) -> B
     return Bracket.from_function(
         rho.module_dim, lambda i, j: acts[i].column(j) - acts[j].column(i)
     )
-
-
-def bracket_from_rep(rep: Representation, t_op: Matrix) -> Bracket:
-    """{u,v} = rep(Tu)v - rep(Tv)u for any action family (candidates allowed)."""
-    return sub_adjacent_bracket(rep.algebra, rep, t_op)

@@ -26,6 +26,7 @@ Kupershmidt, which is exact as the defect is the polarization above.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import accumulate, combinations
 
 from .errors import (
@@ -33,6 +34,7 @@ from .errors import (
     ShapeError,
     StructureCheckError,
 )
+from .kernel import bracket_match_defects, integer_image, sub_adjacent_ads
 from .lie import BracketLike, ad_action, deformed_algebra
 from .linalg import (
     Matrix,
@@ -134,7 +136,9 @@ def _kn_conditions(
     pair_witnesses: tuple[Witness, ...] = (),
 ) -> StructureVerdict:
     """NT = TS and the NT-induced bracket equals the S-deformation of the
-    T-induced one, after the witnesses of the (N, S) pair condition."""
+    T-induced one, after the witnesses of the (N, S) pair condition. The
+    two brackets are built as certificates; the match is read off
+    lieop.kernel's bracket-match loop."""
     witnesses = list(pair_witnesses)
     nt = mat_mul(n_op, t_op)
     twist = nt - mat_mul(t_op, s_op)
@@ -142,13 +146,29 @@ def _kn_conditions(
         witnesses.append(Witness("twist", (), twist))
     via_nt = sub_adjacent_bracket(g, rho, nt)
     deformed = deform_bracket_by_s(sub_adjacent_bracket(g, rho, t_op), s_op)
-    for ij in combinations(range(rho.module_dim), 2):
-        defect = via_nt.basis_bracket(*ij) - deformed.basis_bracket(*ij)
-        if not defect.is_zero():
-            witnesses.append(Witness("bracket_match", ij, defect))
+    witnesses += _bracket_match_witnesses(rho, t_op, s_op, n_op, nt)
     report = report_from_witnesses(witnesses, checked=kind)
     via_name, deformed_name = certificate_names
     return StructureVerdict(kind, report, {via_name: via_nt, deformed_name: deformed})
+
+
+def _bracket_match_witnesses(
+    rho: Representation, t_op: Matrix, s_op: Matrix, n_op: Matrix, nt: Matrix
+) -> list[Witness]:
+    """The witnesses of the bracket-match loop, each defect divided by
+    a*b^2, where T, S and N share the scale b and nt = NT."""
+    flat, b = integer_image([c for op in (t_op, s_op, n_op) for row in op.rows for c in row])
+    nm, mm = t_op.nrows * t_op.ncols, s_op.nrows * s_op.ncols
+    t_flat, s_flat = flat[:nm], flat[nm : nm + mm]
+    image = rho.integer_image
+    scale = image.scale * b * b
+    # b clears N and T, so b^2 NT = (bN)(bT) is integral.
+    nt_flat = [int(c * b * b) for row in nt.rows for c in row]
+    defects = bracket_match_defects(image, sub_adjacent_ads(image, t_flat), s_flat, nt_flat)
+    return [
+        Witness("bracket_match", ij, Vector(Fraction(c, scale) for c in defect))
+        for ij, defect in defects
+    ]
 
 
 def _k_pair_structure(
@@ -399,6 +419,11 @@ def is_r_matrix_nijenhuis(
     KN conditions for (coad, T = p, S = N^T, N)."""
     _require("r_matrix", is_r_matrix(g, pi))
     _require("nijenhuis", is_nijenhuis(g, n_op))
+    return _rmn_conditions(g, pi, n_op)
+
+
+def _rmn_conditions(g: BracketLike, pi: Bivector, n_op: Matrix) -> StructureVerdict:
+    """is_r_matrix_nijenhuis once both of its hypotheses are known to hold."""
     return _kn_conditions(
         g, g.coad_family, pi.matrix, n_op.transpose(), n_op, "rmn",
         ("via_np", "deformed_by_nstar"),
@@ -413,6 +438,11 @@ def is_rbn_structure(
     for (ad, T = R, S = N, N)."""
     _require("rota_baxter", is_rota_baxter(g, r_op))
     _require("nijenhuis", is_nijenhuis(g, n_op))
+    return _rbn_conditions(g, r_op, n_op)
+
+
+def _rbn_conditions(g: BracketLike, r_op: Matrix, n_op: Matrix) -> StructureVerdict:
+    """is_rbn_structure once both of its hypotheses are known to hold."""
     return _kn_conditions(
         g, g.ad_family, r_op, n_op, n_op, "rbn", ("via_nr", "deformed_by_n")
     )
@@ -445,6 +475,11 @@ def is_skew_endomorphism(
     """R composed with the induced covector-to-vector map is antisymmetric;
     equivalently B(Rx, y) = -B(x, Ry)."""
     _require("bilinear_form", check_bilinear_form(g, form))
+    return _skew_report(r_op, form)
+
+
+def _skew_report(r_op: Matrix, form: BilinearForm) -> CheckReport:
+    """is_skew_endomorphism for a form already known to be valid."""
     composed = mat_mul(r_op, form.sharp())
     defect = composed + composed.transpose()
     witnesses = [] if defect.is_zero() else [Witness("skew", (), defect)]
@@ -462,19 +497,20 @@ def rbn_to_rmn(
 ) -> tuple[Bivector, Matrix]:
     """Transport a Rota-Baxter-Nijenhuis pair along an invariant form.
 
-    Hypotheses, each rerun and reported distinctly: the form is valid, R is
-    a skew endomorphism of it, the form is compatible with N, and (R, N) is
-    an RBN structure. The output bivector is R composed with the induced
-    map, and the resulting pair is reverified as an r-matrix-Nijenhuis
-    structure before returning.
+    Hypotheses, each checked once and reported distinctly: the form is
+    valid, R is a skew endomorphism of it, the form is compatible with N,
+    and (R, N) is an RBN structure. The output bivector is R composed with
+    the induced map, and the resulting pair is reverified as an
+    r-matrix-Nijenhuis structure before returning; N is known to be
+    Nijenhuis by then, so only the r-matrix hypothesis is new.
     """
     # is_skew_endomorphism validates the form first
     _require("skew_endomorphism", is_skew_endomorphism(g, r_op, form))
     _require_form_compatible(form, n_op)
     _require("rbn", is_rbn_structure(g, r_op, n_op).report)
     pi = Bivector(mat_mul(r_op, form.sharp()))
-    rmn = is_r_matrix_nijenhuis(g, pi, n_op)
-    if not rmn.report.ok:
+    _require("r_matrix", is_r_matrix(g, pi))
+    if not _rmn_conditions(g, pi, n_op).ok:
         raise StructureCheckError("converted pair failed the r-matrix-Nijenhuis check")
     return pi, n_op
 
@@ -483,15 +519,16 @@ def rmn_to_rbn(
     g: BracketLike, pi: Bivector, n_op: Matrix, form: BilinearForm
 ) -> tuple[Matrix, Matrix]:
     """Inverse transport: R is the bivector's induced map composed with the
-    Gram matrix. Exact inverse of rbn_to_rmn, so round trips are identities."""
+    Gram matrix. Exact inverse of rbn_to_rmn, so round trips are identities.
+    The form and N are checked once; the converted R is reverified as a
+    skew endomorphism and a Rota-Baxter operator."""
     _require("bilinear_form", check_bilinear_form(g, form))
     _require_form_compatible(form, n_op)
     _require("rmn", is_r_matrix_nijenhuis(g, pi, n_op).report)
     r_op = mat_mul(pi.matrix, form.matrix)
-    skew = is_skew_endomorphism(g, r_op, form)
-    if not skew.ok:
+    if not _skew_report(r_op, form).ok:
         raise StructureCheckError("converted operator is not a skew endomorphism")
-    rbn = is_rbn_structure(g, r_op, n_op)
-    if not rbn.report.ok:
+    _require("rota_baxter", is_rota_baxter(g, r_op))
+    if not _rbn_conditions(g, r_op, n_op).ok:
         raise StructureCheckError("converted pair failed the Rota-Baxter-Nijenhuis check")
     return r_op, n_op

@@ -20,7 +20,6 @@ from lieop import (
     Vector,
     ad_action,
     are_compatible_kupershmidt,
-    bracket_from_rep,
     check_bilinear_form,
     check_deformation_pair,
     check_jacobi,
@@ -180,9 +179,9 @@ class TestAcceptance:
             via_nt = sub_adjacent_bracket(g, rho, mat_mul(n_op, t_op))
             assert deformed == via_nt
             if kn.ok:
-                assert deformed == bracket_from_rep(rho_hat(rho, n_op, s_op), t_op)
+                assert deformed == sub_adjacent_bracket(g, rho_hat(rho, n_op, s_op), t_op)
             if kdn.ok:
-                assert deformed == bracket_from_rep(rho_tilde(rho, n_op, s_op), t_op)
+                assert deformed == sub_adjacent_bracket(g, rho_tilde(rho, n_op, s_op), t_op)
 
             assert is_nijenhuis(promote(base), s_op).ok
 

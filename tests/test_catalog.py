@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from lieop import (
     is_rota_baxter,
     mat_mul,
 )
-from lieop import catalog, kernel
+from lieop import catalog, kernel, operators, structures
 from lieop.catalog import SEARCH_KINDS, get_entry, grid_search, list_catalog
 from lieop.structures import Bivector
 
@@ -144,22 +145,29 @@ class TestGridSearch:
         assert grid_search(g, rho, "compatible_pair", GRID) == expected
         assert (len(t_ops) ** 2, len(expected)) == (441, 177)
 
-    def test_kn_search_decides_the_bracket_match_once_per_twist_survivor(
-        self, aff1, monkeypatch
-    ):
+    def test_kn_search_decides_the_bracket_match_once_per_t_and_s(self, aff1, monkeypatch):
         g, ad = aff1.algebra, aff1.representations["adjoint"]
         t_ops = grid_search(g, ad, "kupershmidt", (0, 1))
         pairs = grid_search(g, ad, "nijenhuis_pair", (0, 1))
-        # The twist survivors: T Kupershmidt, (N, S) a pair, NT = TS.
+        # The twist survivors: T Kupershmidt, (N, S) a pair, NT = TS. On
+        # them the NT-induced bracket is the TS-induced one, so the bracket
+        # match depends on (T, S) alone.
         survivors = [
-            (n_op, s_op)
+            (t_op, s_op)
             for t_op in t_ops
             for n_op, s_op in pairs
             if mat_mul(n_op, t_op) == mat_mul(t_op, s_op)
         ]
-        kn_conditions = _count_calls(monkeypatch, "_kn_conditions")
+        kn_conditions = _count_calls(monkeypatch, structures._kn_conditions)
+        sub_adjacent = _count_calls(monkeypatch, operators.sub_adjacent_bracket)
+        matches = _count_calls(monkeypatch, kernel.bracket_match_defects)
         grid_search(g, ad, "kn_structure", (0, 1))
-        assert len(kn_conditions) == len(survivors) == 116
+        assert (len(kn_conditions), len(sub_adjacent)) == (0, 0)
+        # T's constants are formed once per T, and the calls keep them alive,
+        # so the object tells the T apart.
+        decided = {(id(ads), tuple(s_op)) for _, ads, s_op, _ in matches}
+        assert len(survivors) == 116
+        assert len(matches) == len(decided) == len(set(survivors)) == 37
 
     def test_pair_search_forms_the_commutators_once_per_s(self, aff1, monkeypatch):
         # The terms C_k = [rho(e_k), S] depend on S alone: 3^4 of them.
@@ -200,16 +208,20 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("a candidate was evaluated")
 
 
-def _count_calls(monkeypatch, name):
-    """Wrap catalog's name for a call site; return the list of its calls."""
+def _count_calls(monkeypatch, real):
+    """Wrap a function wherever a lieop module binds it; return the list of
+    its calls."""
     calls = []
-    real = getattr(catalog, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(catalog, name, counting)
+    for key, module in list(sys.modules.items()):
+        if key == "lieop" or key.startswith("lieop."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
     return calls
 
 
@@ -333,8 +345,7 @@ class TestGridSearchContract:
         assert grid_search(g, rho, kind, grid) == expected
 
     def test_cap_counts_nominal_candidates_before_evaluating_any(self, aff1, monkeypatch):
-        for name in ("VerdictKernel", "_kn_conditions"):
-            monkeypatch.setattr(catalog, name, _forbidden)
+        monkeypatch.setattr(catalog, "VerdictKernel", _forbidden)
         ad = aff1.representations["adjoint"]
         # 2 ** 12 triples, although staging would evaluate far fewer.
         with pytest.raises(GridCapExceeded, match="4096 candidates"):

@@ -14,12 +14,14 @@ from lieop import (
     adjoint_rep,
     are_compatible_kupershmidt,
     coadjoint_rep,
+    deformed_algebra,
     invert,
     is_kupershmidt,
     is_nijenhuis,
     is_nijenhuis_pair,
     is_rota_baxter,
     mat_mul,
+    sub_adjacent_bracket,
 )
 from lieop.catalog import get_entry
 from lieop.kernel import VerdictKernel, clear_denominators
@@ -178,7 +180,12 @@ def test_random_rationals(name, rep, data):
     assert kernel.is_kupershmidt(t_int) == is_kupershmidt(g, rho, t_op, check_rho=False).ok
     pair = kernel.is_nijenhuis(n_int) and kernel.nijenhuis_pairs([n_int], [s_int]) == [(0, 0)]
     assert pair == is_nijenhuis_pair(g, rho, n_op, s_op).ok
-    assert kernel.twist_holds(n_int, t_int, s_int) == (mat_mul(n_op, t_op) == mat_mul(t_op, s_op))
+    # The twist and the bracket match, against the Matrix definitions.
+    nt = mat_mul(n_op, t_op)
+    kn = nt == mat_mul(t_op, s_op) and sub_adjacent_bracket(g, rho, nt) == deformed_algebra(
+        sub_adjacent_bracket(g, rho, t_op), s_op
+    )
+    assert (kernel.kn_pairs(t_int, [n_int], [s_int], [(0, 0)]) == [(0, 0)]) == kn
 
 
 SOLVE_ALGEBRAS = {"abelian_1": get_entry("abelian_1").algebra, **ALGEBRAS}

@@ -735,3 +735,15 @@ class TestConversions:
         with pytest.raises(PreconditionFailure) as exc:
             rbn_to_rmn(g, Matrix.zeros(3, 3), Matrix.diagonal([1, 2, 3]), form)
         assert exc.value.name == "form_nijenhuis_compatible"
+    def test_conversions_check_each_hypothesis_once(self, sl2, monkeypatch):
+        g, form = sl2.algebra, sl2.bilinear_form
+        bundle = next(o for o in sl2.operators if o.name == "rbn_identity")
+        r_op, n_op = bundle.matrices["R"], bundle.matrices["N"]
+        torsion = count_calls(monkeypatch, structures, "is_nijenhuis")
+        forms = count_calls(monkeypatch, structures, "check_bilinear_form")
+        pi, n1 = rbn_to_rmn(g, r_op, n_op, form)
+        assert (len(torsion), len(forms)) == (1, 1)
+        del torsion[:], forms[:]
+        r_back, n2 = rmn_to_rbn(g, pi, n1, form)
+        assert (len(torsion), len(forms)) == (1, 1)
+        assert (r_back, n2) == (r_op, n_op)

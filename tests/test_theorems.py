@@ -11,15 +11,19 @@ antisymmetric form in T_k u and T_k v, so on a 2-dimensional algebra it
 vanishes unless T_k has rank 2. On aff1's adjoint action no Kupershmidt T
 does (its inverse would be an invertible derivation, and every derivation
 of aff1 is inner), so those results cannot tell one power of N from
-another; some coadjoint results over {-1, 0, 1} can.
+another; some coadjoint results over {-1, 0, 1} can. So can 4 of the
+8,356 heis3 coadjoint results over {0, 1}, the first 3-dimensional case;
+the hierarchy is run on those.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from lieop import deformed_algebra, hierarchy, is_kn_structure
-from lieop.catalog import grid_search
+from lieop.catalog import get_entry, grid_search
 
 
 @pytest.mark.parametrize("rep, count", (("adjoint", 116), ("coadjoint", 104)))
@@ -46,3 +50,30 @@ def test_kn_structures_tell_the_powers_of_n_apart(aff1):
         u, v = t_op.column(0), t_op.column(1)
         telling += g(u, v) != deformed_algebra(g, n_op)(u, v)
     assert telling == 36
+
+
+def _telling(g, found):
+    """The results with [Tu,Tv] != [Tu,Tv]_N at some module basis pair:
+    those on which the morphism identity, read at the wrong power of N,
+    fails at k = i = 0."""
+    deformed = {}
+    for t_op, s_op, n_op in found:
+        if n_op.rows not in deformed:
+            deformed[n_op.rows] = deformed_algebra(g, n_op)
+        g_n = deformed[n_op.rows]
+        cols = [t_op.column(a) for a in range(t_op.ncols)]
+        if any(g(u, v) != g_n(u, v) for u, v in combinations(cols, 2)):
+            yield t_op, s_op, n_op
+
+
+def test_heis3_kn_structures_that_tell_the_powers_apart_generate_hierarchies():
+    # 2^27 nominal candidates, over the default cap.
+    entry = get_entry("heis3")
+    g, rho = entry.algebra, entry.representations["coadjoint"]
+    found = grid_search(g, rho, "kn_structure", (0, 1), cap=2**27)
+    assert len(found) == 8356
+    telling = list(_telling(g, found))
+    assert len(telling) == 4
+    for t_op, s_op, n_op in telling:
+        ops = hierarchy(g, rho, t_op, s_op, n_op, 4)
+        assert ops[0] == t_op and len(ops) == 5

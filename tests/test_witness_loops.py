@@ -14,6 +14,10 @@ reads each identity off the commutators C_k = [rho(e_k), S]. Their
 references below expand the four-term identities, as the predicates'
 docstrings state them, term by term; they are the check of C_k itself,
 since the search kernel reads the same C_k.
+
+The KN bracket match runs lieop.kernel's bracket-match loop, in the search
+and in the KN conditions alike. Its reference is the Matrix definition:
+the sub-adjacent bracket of NT against the S-deformation of T's.
 """
 
 from __future__ import annotations
@@ -52,9 +56,10 @@ from lieop import (
     sub_adjacent_bracket,
 )
 from lieop.catalog import get_entry
+from lieop.kernel import bracket_match_defects, integer_image, sub_adjacent_ads
 from lieop.report import Witness, report_from_witnesses
 from lieop.reps import adjoint_rep, coadjoint_rep
-from lieop.structures import _compatibility_report, compatible_via_combos
+from lieop.structures import _compatibility_report, _kn_conditions, compatible_via_combos
 
 from conftest import GRID, MIXED_AFF1, THIRD_SL2, matrices
 
@@ -317,6 +322,58 @@ def test_random_pairs_match_the_four_term_identities(data):
     apart = Fraction(1, data.draw(st.sampled_from((1, 5))))
     s_op = data.draw(matrices(rho.module_dim)).scale(apart)
     assert_pair_checks_agree(g, rho, n_op, s_op)
+
+
+def reference_bracket_match(g, rho, t_op, s_op, n_op):
+    """[e_i,e_j]^{NT} - ([e_i,e_j]^T)_S at every module basis pair i < j."""
+    via_nt = sub_adjacent_bracket(g, rho, mat_mul(n_op, t_op))
+    deformed = deformed_algebra(sub_adjacent_bracket(g, rho, t_op), s_op)
+    return {
+        (i, j): via_nt.basis_bracket(i, j) - deformed.basis_bracket(i, j)
+        for i, j, _, _ in _basis_pairs(rho.module_dim)
+    }
+
+
+def kernel_bracket_match(rho, t_op, s_op, n_op):
+    """The loop's defects at every module basis pair, divided by a*b^2."""
+    n, m = n_op.nrows, rho.module_dim
+    flat, b = integer_image([c for op in (t_op, s_op, n_op) for row in op.rows for c in row])
+    t_flat, s_flat, n_flat = flat[: n * m], flat[n * m : n * m + m * m], flat[n * m + m * m :]
+    nt_flat = [
+        sum(n_flat[r * n + k] * t_flat[k * m + c] for k in range(n))
+        for r in range(n)
+        for c in range(m)
+    ]
+    image = rho.integer_image
+    defects = list(bracket_match_defects(image, sub_adjacent_ads(image, t_flat), s_flat, nt_flat))
+    assert [ij for ij, _ in defects] == sorted(ij for ij, _ in defects)
+    scale = image.scale * b * b
+    found = {ij: Vector(Fraction(c, scale) for c in defect) for ij, defect in defects}
+    return {(i, j): found.get((i, j), Vector.zero(m)) for i, j, _, _ in _basis_pairs(m)}, set(found)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_random_triples_match_the_bracket_match_definition(data):
+    """Over the inputs of _bracket_and_action; half the time S is scaled by
+    1/5, a denominator T's and N's entries never have. The KN conditions
+    report the same defects as bracket_match witnesses."""
+    g, rho, _ = _bracket_and_action(data)
+    n, m = g.dim, rho.module_dim
+    t_op = data.draw(matrices(n, m))
+    n_op = data.draw(matrices(n))
+    apart = Fraction(1, data.draw(st.sampled_from((1, 5))))
+    s_op = data.draw(matrices(m)).scale(apart)
+    expected = reference_bracket_match(g, rho, t_op, s_op, n_op)
+    actual, yielded = kernel_bracket_match(rho, t_op, s_op, n_op)
+    assert actual == expected
+    assert yielded == {ij for ij, d in expected.items() if not d.is_zero()}
+    witnesses = _kn_conditions(g, rho, t_op, s_op, n_op, "kn").report.witnesses
+    assert [w.to_json() for w in witnesses if w.condition == "bracket_match"] == [
+        Witness("bracket_match", ij, d).to_json()
+        for ij, d in expected.items()
+        if not d.is_zero()
+    ]
 
 
 _aff1 = get_entry("aff1")
