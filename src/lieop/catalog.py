@@ -3,6 +3,8 @@
 Catalog data is compiled in, never read from disk, and every structure an
 entry asserts is re-verified when the entry is first loaded; a failing
 assertion aborts with the witness rather than serving stale ground truth.
+The representations check the axiom when they are built, and neither the
+load-time verification nor a search on them checks it again.
 
 grid_search is the exhaustive oracle: it returns every operator whose
 entries come from a finite scalar set and which satisfies the defining
@@ -30,9 +32,11 @@ compatibility defect is the polarization K(T1 + T2) - K(T1) - K(T2) =
 K(T1 + T2). A result is therefore one the public predicate
 (is_kn_structure, are_compatible_kupershmidt, ...) accepts, and each
 identity is decided once: the search makes no call to the reporting
-path. A given representation is validated against g once, before any
-candidate; the adjoint and coadjoint families need no validation, since
-the Rota-Baxter and r-matrix identities are read on any bracket.
+path. A given representation is validated against g before any
+candidate, by Representation.check_against, which runs no loop for one
+that has already passed against g (a catalog one, say); the adjoint and
+coadjoint families need no validation, since the Rota-Baxter and r-matrix
+identities are read on any bracket.
 """
 
 from __future__ import annotations
@@ -47,12 +51,7 @@ from .kernel import VerdictKernel, clear_denominators
 from .kinds import CATALOG_KINDS, OPERATOR_SHAPES, SEARCH_KINDS
 from .lie import LieAlgebra
 from .linalg import Matrix, Scalar, rational
-from .reps import (
-    Representation,
-    adjoint_rep,
-    check_representation,
-    coadjoint_rep,
-)
+from .reps import Representation, adjoint_rep, coadjoint_rep
 from .structures import BilinearForm, Bivector, check_bilinear_form
 
 GRID_CAP = 10_000_000
@@ -96,12 +95,7 @@ def _verify_operator(entry: CatalogEntry, op: CatalogOperator) -> None:
 
 
 def _verify_entry(entry: CatalogEntry) -> CatalogEntry:
-    for name, rho in entry.representations.items():
-        rep = check_representation(rho)
-        if not rep.ok:
-            raise StructureCheckError(
-                f"catalog representation {entry.name}/{name} is invalid"
-            )
+    # The representations checked themselves when they were built.
     if entry.bilinear_form is not None:
         form = check_bilinear_form(entry.algebra, entry.bilinear_form)
         if not form.ok:
@@ -372,7 +366,7 @@ def grid_search(
         if rho.algebra.dim != n:
             raise ShapeError(f"representation of a dim {rho.algebra.dim} algebra, expected {n}")
         # Against g, not rho.algebra: every predicate below reads g's bracket.
-        if not check_representation(rho, bracket=g).ok:
+        if not rho.check_against(g).ok:
             raise LieopError("search representation is invalid")
 
     count = len(values) ** row.slots(n, m)

@@ -227,15 +227,13 @@ def semidirect_product(g: BracketLike, rho: "Representation") -> LieAlgebra:
     of another dimension. Memoized: pair tests probe many operators against
     one and the same semidirect algebra.
     """
-    from .reps import check_representation  # cycle: reps builds on lie
-
     # Bracket equality ignores basis names, but the result carries g's.
     key = (g, getattr(g, "basis_names", None), rho)
     cached = _SEMIDIRECT_CACHE.get(key)
     if cached is not None:
         return cached
     g = g if isinstance(g, LieAlgebra) else promote(g)
-    rep_ok = check_representation(rho, bracket=g)
+    rep_ok = rho.check_against(g)
     if not rep_ok.ok:
         raise ValidationError("not a representation", rep_ok)
     n, m = g.dim, rho.module_dim

@@ -32,12 +32,7 @@ from .kernel import integer_image, kupershmidt_defects, pair_defects, torsion_de
 from .lie import Bracket, BracketLike, deformed_algebra, semidirect_product
 from .linalg import Matrix, Vector, block_diag
 from .report import CheckReport, Witness, report_from_witnesses
-from .reps import (
-    Representation,
-    _check_pair_shapes,
-    check_representation,
-    dual_representation,
-)
+from .reps import Representation, _check_pair_shapes, dual_representation
 
 # [u,v]_S = [Su,v] + [u,Sv] - S[u,v] is lie's deformed product, applied to a
 # bracket on the module; Jacobi is not implied in general.
@@ -95,22 +90,16 @@ def kupershmidt_defect(
     return g(tu, tv) - (t_op @ (rho.act(tu) @ v - (rho.act(tv) @ u)))
 
 
-def is_kupershmidt(
-    g: BracketLike,
-    rho: Representation,
-    t_op: Matrix,
-    check_rho: bool = True,
-) -> CheckReport:
+def is_kupershmidt(g: BracketLike, rho: Representation, t_op: Matrix) -> CheckReport:
     """Kupershmidt (O-operator) identity on module basis pairs.
 
     g may differ from rho.algebra's own product (a deformed bracket, say);
-    check_rho then validates rho against g, not against rho.algebra.
+    rho is validated against g, not against rho.algebra.
     """
     _require_module_map(rho, t_op)
-    if check_rho:
-        rep = check_representation(rho, bracket=g)
-        if not rep.ok:
-            return CheckReport(False, rep.witnesses, checked="kupershmidt")
+    rep = rho.check_against(g)
+    if not rep.ok:
+        return CheckReport(False, rep.witnesses, checked="kupershmidt")
     return _kupershmidt_report(g, rho, t_op, "kupershmidt", "kupershmidt")
 
 

@@ -2,7 +2,11 @@
 
 A Representation stores one action matrix per basis vector of the algebra;
 rho(x) is the linear combination of those matrices by the coordinates of x.
-Construction checks the representation axiom by default. The deformed
+Construction (by default), is_kupershmidt, grid_search and
+semidirect_product check the representation axiom through one gate,
+Representation.check_against(bracket). Matrices and bracket tables never
+change, so it runs the axiom loop once per equal bracket that a family
+passes against; a failing family is checked again on every call. The deformed
 actions built by rho_hat / rho_tilde are returned unchecked: they satisfy
 the axiom only relative to a deformed bracket and only under the matching
 pair condition, so the caller decides what to validate them against.
@@ -41,10 +45,21 @@ class Representation:
         self.algebra = algebra
         self.module_dim = m
         self.matrices = matrices
+        self._passed: set[BracketLike] = set()
         if check:
-            rep = check_representation(self)
+            rep = self.check_against(algebra)
             if not rep.ok:
                 raise ValidationError("representation axiom fails", rep)
+
+    def check_against(self, bracket: BracketLike) -> CheckReport:
+        """check_representation(self, bracket), skipped once the family has
+        passed against an equal bracket."""
+        if bracket in self._passed:
+            return report_from_witnesses((), checked="rep_axiom")
+        report = check_representation(self, bracket)
+        if report.ok:
+            self._passed.add(bracket)
+        return report
 
     def act(self, x: Vector) -> Matrix:
         """rho(x) = sum_i x_i rho(e_i)."""
@@ -110,7 +125,8 @@ def dual_representation(rho: Representation) -> Representation:
 
 
 def coadjoint_rep(g: BracketLike) -> Representation:
-    return dual_representation(adjoint_rep(g))
+    """The coadjoint action, the dual of the adjoint one."""
+    return Representation(g, g.coad_family.matrices)
 
 
 # Unchecked action families for identities that are defined on any bracket:

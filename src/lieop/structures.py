@@ -227,7 +227,7 @@ def compatible_via_combos(
     k1 k2 != 0 is equivalent to the bilinear compatibility identity.
     """
     return all(
-        is_kupershmidt(g, rho, t1.scale(k1) + t2.scale(k2), check_rho=False).ok
+        is_kupershmidt(g, rho, t1.scale(k1) + t2.scale(k2)).ok
         for k1, k2 in _COMBO_SAMPLES
     )
 
@@ -242,7 +242,7 @@ def are_compatible_kupershmidt(
     validated against g once, by the check of T1.
     """
     _require("kupershmidt_t1", is_kupershmidt(g, rho, t1))
-    _require("kupershmidt_t2", is_kupershmidt(g, rho, t2, check_rho=False))
+    _require("kupershmidt_t2", is_kupershmidt(g, rho, t2))
     return _compatibility_report(g, rho, t1, t2)
 
 
@@ -348,12 +348,12 @@ def hierarchy(
     for k, op in enumerate(ops):
         if op != mat_mul(t_op, s_pows[k]):
             raise StructureCheckError(f"N^{k} T != T S^{k}")
-        if k and not is_kupershmidt(g, rho, op, check_rho=False).ok:
+        if k and not is_kupershmidt(g, rho, op).ok:
             raise StructureCheckError(f"T_{k} is not a Kupershmidt operator")
     # Every T_k is Kupershmidt, so T_a and T_b are compatible iff their sum
     # is: the compatibility defect is K(T_a + T_b) - K(T_a) - K(T_b).
     for a, b in combinations(range(k_max + 1), 2):
-        if not is_kupershmidt(g, rho, ops[a] + ops[b], check_rho=False).ok:
+        if not is_kupershmidt(g, rho, ops[a] + ops[b]).ok:
             raise StructureCheckError(f"T_{a} and T_{b} are not compatible")
 
     m = rho.module_dim

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from lieop import LieAlgebra, Matrix, Vector
+from lieop import LieAlgebra, Matrix, Vector, reps
 from lieop.catalog import get_entry
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -23,6 +24,22 @@ def vectors(n: int, elements=small_fractions):
 
 
 GRID = (Fraction(-1), Fraction(0), Fraction(1))
+
+
+def count_rep_loops(monkeypatch):
+    """Wrap the representation axiom loop, reps.check_representation,
+    wherever a lieop module binds it; returns the list of its calls."""
+    calls, real = [], reps.check_representation
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lieop" and getattr(module, "check_representation", None) is real:
+            monkeypatch.setattr(module, "check_representation", counted)
+    return calls
+
 
 # [e1,e2] = 1/2 e1 + 1/3 e2: unequal denominators, in the adjoint and
 # coadjoint actions too, so clearing them needs their lcm, 6; no single

@@ -27,7 +27,7 @@ from lieop import catalog, kernel, operators, structures
 from lieop.catalog import SEARCH_KINDS, get_entry, grid_search, list_catalog
 from lieop.structures import Bivector
 
-from conftest import GRID, MIXED_AFF1
+from conftest import GRID, MIXED_AFF1, count_rep_loops
 
 
 class TestEntries:
@@ -61,6 +61,13 @@ class TestEntries:
     def test_abelian_dims(self):
         for n in (1, 2, 3):
             assert get_entry(f"abelian_{n}").algebra.dim == n
+
+    def test_each_representation_is_checked_once(self, monkeypatch):
+        # The adjoint and coadjoint constructors check the axiom; the
+        # load-time verification of the operator bundles reads their passes.
+        calls = count_rep_loops(monkeypatch)
+        catalog._verify_entry(catalog._BUILDERS["aff1"]())
+        assert len(calls) == 2
 
 
 class TestGridSearch:
@@ -184,6 +191,11 @@ class TestGridSearch:
         assert len(found) == 451
         assert len(calls) == len(set(map(str, calls))) == 81
 
+    def test_catalog_representation_is_not_checked_again(self, aff1, monkeypatch):
+        calls = count_rep_loops(monkeypatch)
+        assert grid_search(aff1.algebra, aff1.representations["adjoint"], "kn_structure", (0, 1))
+        assert calls == []
+
     @pytest.mark.parametrize(
         "kind", ("kupershmidt", "nijenhuis_pair", "kn_structure", "compatible_pair")
     )
@@ -255,7 +267,7 @@ def reference_grid_search(g, rho, kind, entry_set):
                 found.append(cand)
         elif kind == "kupershmidt":
             cand = _as_matrix(combo, n, m)
-            if is_kupershmidt(g, rho, cand, check_rho=False).ok:
+            if is_kupershmidt(g, rho, cand).ok:
                 found.append(cand)
         elif kind == "nijenhuis_pair":
             n_op = _as_matrix(combo[: n * n], n, n)
@@ -266,7 +278,7 @@ def reference_grid_search(g, rho, kind, entry_set):
             t_op = _as_matrix(combo[: n * m], n, m)
             s_op = _as_matrix(combo[n * m : n * m + m * m], m, m)
             n_op = _as_matrix(combo[n * m + m * m :], n, n)
-            if not is_kupershmidt(g, rho, t_op, check_rho=False).ok:
+            if not is_kupershmidt(g, rho, t_op).ok:
                 continue
             if is_kn_structure(g, rho, t_op, s_op, n_op).ok:
                 found.append((t_op, s_op, n_op))
@@ -284,9 +296,9 @@ def reference_grid_search(g, rho, kind, entry_set):
         else:  # compatible_pair
             t1 = _as_matrix(combo[: n * m], n, m)
             t2 = _as_matrix(combo[n * m :], n, m)
-            if not is_kupershmidt(g, rho, t1, check_rho=False).ok:
+            if not is_kupershmidt(g, rho, t1).ok:
                 continue
-            if not is_kupershmidt(g, rho, t2, check_rho=False).ok:
+            if not is_kupershmidt(g, rho, t2).ok:
                 continue
             if are_compatible_kupershmidt(g, rho, t1, t2).ok:
                 found.append((t1, t2))

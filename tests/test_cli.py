@@ -10,6 +10,7 @@ import lieop
 from lieop.cli import main
 from lieop.documents import parse_document
 
+from conftest import count_rep_loops
 from fixtures import write_fixtures
 
 
@@ -64,6 +65,13 @@ class TestCheck:
 
     def test_kn_triple_passes(self, fixtures):
         assert run("check", "kn", str(fixtures["aff1_kn"])) == 0
+
+    def test_kn_checks_the_representation_once(self, fixtures, monkeypatch):
+        # When the document's representation is built; the Kupershmidt
+        # hypothesis then reads the constructor's pass.
+        calls = count_rep_loops(monkeypatch)
+        assert run("check", "kn", str(fixtures["aff1_kn"])) == 0
+        assert len(calls) == 1
 
     def test_rbn_identity_fails_on_nonabelian(self, fixtures, capsys):
         # R = Id is not Rota-Baxter, reported as a hypothesis failure

@@ -82,7 +82,7 @@ def assert_module_kernel_agrees(g, rho, grid, four_term=False):
     kernel = VerdictKernel(g, rho)
     n, m = g.dim, rho.module_dim
     for combo, t_op in grid_operators(grid, n, m):
-        assert kernel.is_kupershmidt(combo) == is_kupershmidt(g, rho, t_op, check_rho=False).ok
+        assert kernel.is_kupershmidt(combo) == is_kupershmidt(g, rho, t_op).ok
 
     n_ops = list(grid_operators(grid, n, n))
     s_ops = list(grid_operators(grid, m, m))
@@ -177,7 +177,7 @@ def test_random_rationals(name, rep, data):
 
     assert kernel.is_nijenhuis(n_int) == is_nijenhuis(g, n_op).ok
     assert VerdictKernel(g, adjoint_rep(g)).is_kupershmidt(n_int) == is_rota_baxter(g, n_op).ok
-    assert kernel.is_kupershmidt(t_int) == is_kupershmidt(g, rho, t_op, check_rho=False).ok
+    assert kernel.is_kupershmidt(t_int) == is_kupershmidt(g, rho, t_op).ok
     pair = kernel.is_nijenhuis(n_int) and kernel.nijenhuis_pairs([n_int], [s_int]) == [(0, 0)]
     assert pair == is_nijenhuis_pair(g, rho, n_op, s_op).ok
     # The twist and the bracket match, against the Matrix definitions.

@@ -8,14 +8,16 @@ from lieop import (
     check_representation,
     deformed_algebra,
     dual_representation,
+    hierarchy,
     is_dual_nijenhuis_pair,
+    is_kupershmidt,
     is_nijenhuis_pair,
     rho_hat,
     rho_tilde,
 )
 from lieop.catalog import get_entry, list_catalog
 
-from conftest import matrices
+from conftest import count_rep_loops, matrices
 
 
 class TestCheckRepresentation:
@@ -43,6 +45,25 @@ class TestCheckRepresentation:
     def test_constructor_validates_eagerly(self, aff1):
         with pytest.raises(ValidationError):
             Representation(aff1.algebra, (Matrix.identity(1), Matrix.identity(1)))
+
+
+class TestCheckAgainst:
+    def test_failing_family_is_checked_on_every_call(self, aff1, monkeypatch):
+        bad = Representation(aff1.algebra, (Matrix.identity(1), Matrix.identity(1)), check=False)
+        t_op = Matrix([[1], [0]])
+        calls = count_rep_loops(monkeypatch)
+        first, second = (is_kupershmidt(aff1.algebra, bad, t_op) for _ in range(2))
+        assert len(calls) == 2
+        assert not first.ok
+        assert first.to_json() == second.to_json()
+        assert first.witnesses == check_representation(bad).witnesses
+
+    def test_unchecked_family_is_checked_once_through_a_hierarchy(self, aff1, monkeypatch):
+        op = next(o for o in aff1.operators if o.name == "kn_diag")
+        rho = Representation(aff1.algebra, aff1.representations[op.rep].matrices, check=False)
+        calls = count_rep_loops(monkeypatch)
+        assert len(hierarchy(aff1.algebra, rho, *(op.matrices[key] for key in "TSN"), 10)) == 11
+        assert len(calls) == 1
 
 
 class TestDualRepresentation:

@@ -38,7 +38,7 @@ from lieop import (
     rbn_to_rmn,
     rmn_to_rbn,
 )
-from lieop import operators, structures
+from lieop import operators, reps, structures
 from lieop.catalog import get_entry, grid_search
 from lieop.structures import compatible_via_combos
 
@@ -255,17 +255,15 @@ class TestCompatibilityHypothesisParity:
             assert _outcome(are_compatible_kupershmidt, *args) == expected, name
 
     def test_rho_is_validated_once(self, aff1, monkeypatch):
-        calls = []
-        real = operators.check_representation
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(operators, "check_representation", counting)
+        # The catalog's adjoint action passed against g when it was built;
+        # an unchecked copy is checked by the check of T1 alone.
         g, ad = aff1.algebra, aff1.representations["adjoint"]
-        assert are_compatible_kupershmidt(g, ad, Matrix.diagonal([1, 0]), Matrix.zeros(2, 2)).ok
-        assert len(calls) == 1
+        unchecked = Representation(g, ad.matrices, check=False)
+        t1, t2 = Matrix.diagonal([1, 0]), Matrix.zeros(2, 2)
+        for rho, loops in ((ad, 0), (unchecked, 1)):
+            calls = count_calls(monkeypatch, reps, "check_representation")
+            assert are_compatible_kupershmidt(g, rho, t1, t2).ok
+            assert len(calls) == loops
 
 
 class TestNijenhuisFromPairs:
@@ -464,18 +462,19 @@ class TestKdnFromCompatible:
 
     def test_each_hypothesis_is_checked_once(self, aff1, monkeypatch):
         # The compatibility check covers both operators (2 checks and 3
-        # scalar-combination samples) and rho (1 validation); the two
-        # triples share (N, S), whose dual pair and torsion run once.
+        # scalar-combination samples); rho, a catalog action, was validated
+        # when it was built; the two triples share (N, S), whose dual pair
+        # and torsion run once.
         g, coad = aff1.algebra, aff1.representations["coadjoint"]
         t_op = Matrix([[0, 1], [-1, 0]])
         kupershmidt = count_calls(monkeypatch, structures, "is_kupershmidt")
-        rho_checks = count_calls(monkeypatch, operators, "check_representation")
+        rho_checks = count_calls(monkeypatch, reps, "check_representation")
         torsion = count_calls(monkeypatch, operators, "is_nijenhuis")
         dual_pairs = count_calls(monkeypatch, structures, "is_dual_nijenhuis_pair")
         first, second = kdn_from_compatible(g, coad, t_op, t_op.scale(2))
         assert first.ok and second.ok
         counts = tuple(map(len, (kupershmidt, rho_checks, torsion, dual_pairs)))
-        assert counts == (5, 1, 1, 1)
+        assert counts == (5, 0, 1, 1)
 
     def test_requires_invertible_t(self, aff1):
         g, rho = aff1.algebra, aff1.representations["adjoint"]

@@ -57,9 +57,15 @@ from lieop import (
 )
 from lieop.catalog import get_entry
 from lieop.kernel import bracket_match_defects, integer_image, sub_adjacent_ads
+from lieop.operators import _kupershmidt_report
 from lieop.report import Witness, report_from_witnesses
 from lieop.reps import adjoint_rep, coadjoint_rep
-from lieop.structures import _compatibility_report, _kn_conditions, compatible_via_combos
+from lieop.structures import (
+    _compatibility_report,
+    _kn_conditions,
+    _polarization,
+    compatible_via_combos,
+)
 
 from conftest import GRID, MIXED_AFF1, THIRD_SL2, matrices
 
@@ -284,30 +290,42 @@ class TestMixedAff1:
 def _bracket_and_action(data):
     """A catalog entry's algebra and representation; MIXED_AFF1's, whose
     scale is 6; or a deformed catalog bracket with the entry's own action,
-    whose scale differs from the bracket's. The last is no representation
-    of its bracket, so it is reported with check_rho=False."""
+    whose scale differs from the bracket's. The last is in general no
+    representation of its bracket, which is then not rho.algebra."""
     name = data.draw(st.sampled_from(("aff1", "heis3", "sl2", "mixed_aff1", "deformed")))
     rep = data.draw(st.sampled_from(REPS))
     if name == "mixed_aff1":
-        return MIXED_AFF1, (adjoint_rep if rep == "adjoint" else coadjoint_rep)(MIXED_AFF1), True
+        return MIXED_AFF1, (adjoint_rep if rep == "adjoint" else coadjoint_rep)(MIXED_AFF1)
     if name != "deformed":
         entry = get_entry(name)
-        return entry.algebra, entry.representations[rep], True
+        return entry.algebra, entry.representations[rep]
     entry = get_entry(data.draw(st.sampled_from(("aff1", "heis3", "sl2"))))
     g = deformed_algebra(entry.algebra, data.draw(matrices(entry.algebra.dim)))
-    return g, entry.representations[rep], False
+    return g, entry.representations[rep]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_random_operators_match_the_per_tuple_loops(data):
-    g, rho, check_rho = _bracket_and_action(data)
+    """On a deformed bracket, of which rho is in general no representation,
+    the loops behind the public predicates are compared instead: the
+    Kupershmidt report and the polarization."""
+    g, rho = _bracket_and_action(data)
     t1 = data.draw(matrices(g.dim, rho.module_dim))
     t2 = data.draw(matrices(g.dim, rho.module_dim))
     expected = reference_kupershmidt(g, rho, t1)
-    assert is_kupershmidt(g, rho, t1, check_rho=check_rho).to_json() == expected.to_json()
     assert sub_adjacent_bracket(g, rho, t1) == reference_sub_adjacent(rho, t1)
-    assert_compatibility_agrees(g, rho, t1, t2)
+    if g is rho.algebra:
+        assert is_kupershmidt(g, rho, t1).to_json() == expected.to_json()
+        assert_compatibility_agrees(g, rho, t1, t2)
+        return
+    report = _kupershmidt_report(g, rho, t1, "kupershmidt", "kupershmidt")
+    assert report.to_json() == expected.to_json()
+    polarization = report_from_witnesses(
+        (Witness("compatibility", ij, c) for ij, c in _polarization(g, rho, t1, t2) if not c.is_zero()),
+        checked="compatible_kupershmidt",
+    )
+    assert polarization.to_json() == reference_compatibility(g, rho, t1, t2).to_json()
 
 
 @settings(max_examples=100, deadline=None)
@@ -317,7 +335,7 @@ def test_random_pairs_match_the_four_term_identities(data):
     action alone, so none is refused); half the time S is scaled by 1/5,
     a denominator N's entries never have, so that the scale b N and S
     share is neither one's own."""
-    g, rho, _ = _bracket_and_action(data)
+    g, rho = _bracket_and_action(data)
     n_op = data.draw(matrices(g.dim))
     apart = Fraction(1, data.draw(st.sampled_from((1, 5))))
     s_op = data.draw(matrices(rho.module_dim)).scale(apart)
@@ -358,7 +376,7 @@ def test_random_triples_match_the_bracket_match_definition(data):
     """Over the inputs of _bracket_and_action; half the time S is scaled by
     1/5, a denominator T's and N's entries never have. The KN conditions
     report the same defects as bracket_match witnesses."""
-    g, rho, _ = _bracket_and_action(data)
+    g, rho = _bracket_and_action(data)
     n, m = g.dim, rho.module_dim
     t_op = data.draw(matrices(n, m))
     n_op = data.draw(matrices(n))
@@ -434,15 +452,14 @@ def test_random_operators_match_the_torsion_loop(name, data):
 
 class TestShapeErrorParity:
     """A bracket whose dimension differs from the representation's algebra:
-    the witness loop raises at the first basis pair, so with m = 1 there is
-    none and the unchecked report passes vacuously."""
+    every entry point below raises the same ShapeError, the predicates from
+    their representation check."""
 
     MESSAGE = re.escape("bracket dim 3 != algebra dim 2")
 
     def test_module_dim_one(self, aff1, heis3):
         trivial = Representation(aff1.algebra, [Matrix([[0]])] * 2)
         t_op = Matrix([[1], [0]])
-        assert is_kupershmidt(heis3.algebra, trivial, t_op, check_rho=False).ok
         with pytest.raises(ShapeError, match=self.MESSAGE):
             is_kupershmidt(heis3.algebra, trivial, t_op)
         with pytest.raises(ShapeError, match=self.MESSAGE):
@@ -455,7 +472,6 @@ class TestShapeErrorParity:
         rho = aff1.representations["adjoint"]
         t_op = Matrix.identity(2)
         for check in (
-            lambda: is_kupershmidt(heis3.algebra, rho, t_op, check_rho=False),
             lambda: is_kupershmidt(heis3.algebra, rho, t_op),
             lambda: compatible_via_combos(heis3.algebra, rho, t_op, t_op),
             lambda: sub_adjacent_bracket(heis3.algebra, rho, t_op),
