@@ -9,11 +9,16 @@ Exit codes, never conflated:
 Subcommands: validate, check <kind>, hierarchy, convert <direction>,
 search <kind>, catalog list|export. --json emits machine-readable reports
 with stable field names; --quiet suppresses the human-readable text.
+
+The argument parser is built once per process (build_parser is cached), and
+main dispatches a subcommand by name, to the module's cmd_<command> as it is
+bound at call time, so a wrapper installed over cmd_* later still runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -333,7 +338,10 @@ def _global_flags(p: argparse.ArgumentParser) -> None:
                    help="suppress human-readable text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged, so every main call reuses it."""
     parser = argparse.ArgumentParser(
         prog="lieop",
         description="Exact verification of operator structures on Lie algebras.",
@@ -345,26 +353,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="parse a document and validate its axioms")
     p.add_argument("file")
     _global_flags(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("check", help="run one predicate against a document")
     p.add_argument("kind", choices=tuple(KINDS))
     p.add_argument("file")
     _global_flags(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("hierarchy", help="build and verify the operator hierarchy")
     p.add_argument("file")
     p.add_argument("--kmax", type=int, default=5)
     _global_flags(p)
-    p.set_defaults(func=cmd_hierarchy)
 
     p = sub.add_parser("convert", help="transport a structure along a bilinear form")
     p.add_argument("direction", choices=("rbn-to-rmn", "rmn-to-rbn"))
     p.add_argument("file")
     p.add_argument("--output", help="write the converted document here")
     _global_flags(p)
-    p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("search", help="exhaustive operator search over a scalar grid")
     p.add_argument("kind", choices=SEARCH_KINDS)
@@ -373,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", default="adjoint", help="representation name for module kinds")
     p.add_argument("--cap", type=int, default=GRID_CAP)
     _global_flags(p)
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("catalog", help="list or export built-in algebras")
     p.add_argument("action", choices=("list", "export"))
@@ -381,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", help="operator bundle to include in the export")
     p.add_argument("--output")
     _global_flags(p)
-    p.set_defaults(func=cmd_catalog)
     return parser
 
 
@@ -395,15 +397,15 @@ def main(argv=None) -> int:
         if tok == "--grid" and i + 1 < len(argv):
             argv[i : i + 2] = ["--grid=" + argv[i + 1]]
             break
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, which matches our contract
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     out = _Output(args.json, args.quiet)
     try:
-        return args.func(args, out)
+        # Looked up at call time, so a rebinding of cmd_* takes effect.
+        return globals()[f"cmd_{args.command}"](args, out)
     except (DocumentError, GridCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,6 +1,6 @@
 """Integer images, the one torsion loop, the one Kupershmidt loop, the
-one (N, S) pair loop and the one KN bracket-match loop, and the
-verdict-only kernel behind grid_search.
+one (N, S) pair loop, the one KN bracket-match loop and the hierarchy's
+morphism loop, and the verdict-only kernel behind grid_search.
 
 Every Bracket and Representation keeps an integer image (BracketImage,
 ActionImage), built on first use: its structure constants or action
@@ -25,7 +25,16 @@ so that defect is the rational one times a*b^2:
 - the KN bracket match [u,v]^{NT} - ([Su,v]^T + [u,Sv]^T - S[u,v]^T),
   with [u,v]^T = rho(Tu)v - rho(Tv)u, has degree 1 in rho and 2 in the
   operators, and g's bracket does not appear (bracket_match_defects, at
-  module basis pairs i < j; a is rho's scale).
+  module basis pairs i < j; a is rho's scale);
+- the hierarchy's morphism identity T_k[u,v]_{S^(k+i)} - [T_k u, T_k v]_{N^i},
+  the left side the S^(k+i)-deformation of T's sub-adjacent bracket and
+  the right side the N^i-deformation of g's, has degree 3 in the
+  operators (so b^3 in place of b^2), and degree 1 in rho on the left and
+  in g's bracket on the right; as in the Kupershmidt loop, each side is
+  multiplied by the other's scale (morphism_defects, at module basis
+  pairs i < j). hierarchy() decides it on the images of the T_k = N^k T
+  and of the powers of S and N, all under one scale b, and builds no
+  deformed bracket.
 
 The reporting predicates (is_nijenhuis, the Kupershmidt report behind
 is_kupershmidt, is_rota_baxter and is_r_matrix, the pair, dual-pair and
@@ -73,7 +82,7 @@ exact:
 
 from __future__ import annotations
 
-from itertools import chain, product
+from itertools import chain, combinations, islice, product
 from math import lcm
 from operator import add, mul
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
@@ -90,6 +99,14 @@ def integer_image(values: Sequence[Rational]) -> tuple[list[int], int]:
     """The values times the lcm of their denominators, and that lcm."""
     scale = lcm(*{v.denominator for v in values})
     return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def shared_images(mats) -> tuple[list[list[int]], int]:
+    """Each matrix's flat row-major image under one scale b, the lcm of the
+    denominators of all their entries, and b."""
+    flat, scale = integer_image([c for op in mats for row in op.rows for c in row])
+    entries = iter(flat)
+    return [list(islice(entries, op.nrows * op.ncols)) for op in mats], scale
 
 
 def clear_denominators(values: Sequence[Rational]) -> list[int]:
@@ -252,6 +269,21 @@ def sub_adjacent_ads(rho: ActionImage, t_op: Sequence[int]) -> list:
     ]
 
 
+def deformed_sub_adjacent(ads: list, s_op: Sequence[int]) -> Iterator[list]:
+    """The S-deformation ad_i S e_j - ad_j S e_i - S ad_i e_j of T's
+    sub-adjacent bracket at each module basis pair i < j, in order, with
+    ad_i the matrix of v -> [e_i, v]^T (ads = sub_adjacent_ads(rho, T)):
+    a*b^2 times the rational vectors, S being b times itself."""
+    m = len(ads)
+    s = _rows(s_op, m)
+    s_cols = [s_op[j::m] for j in range(m)]
+    for i, j in combinations(range(m), 2):
+        yield _sub(
+            _sub(_apply(ads[i], s_cols[j]), _apply(ads[j], s_cols[i])),
+            _apply(s, [row[j] for row in ads[i]]),
+        )
+
+
 def bracket_match_defects(
     rho: ActionImage, ads: list, s_op: Sequence[int], nt_op: Sequence[int]
 ) -> Defects:
@@ -262,23 +294,50 @@ def bracket_match_defects(
     Each term has degree 1 in rho and 2 in the operators, and g's bracket
     does not appear: with T, S and N sharing the scale b, ads is a*b times
     T's constants, S is b times itself and nt_op, the product of N's and
-    T's images, is b^2 NT. With ad_i the matrix of v -> [e_i, v]^T, the
-    S-deformed bracket at (e_i, e_j) is ad_i S e_j - ad_j S e_i - S ad_i e_j.
+    T's images, is b^2 NT. The S-deformed bracket is deformed_sub_adjacent.
     """
     m, q = rho.m, rho.q
-    s = _rows(s_op, m)
-    s_cols = [s_op[j::m] for j in range(m)]
     nt_cols = [nt_op[j::m] for j in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            via_nt = _sub(_apply(q[j], nt_cols[i]), _apply(q[i], nt_cols[j]))
-            deformed = _sub(
-                _sub(_apply(ads[i], s_cols[j]), _apply(ads[j], s_cols[i])),
-                _apply(s, [row[j] for row in ads[i]]),
-            )
-            defect = _sub(via_nt, deformed)
-            if any(defect):
-                yield (i, j), defect
+    pairs = combinations(range(m), 2)
+    for (i, j), deformed in zip(pairs, deformed_sub_adjacent(ads, s_op)):
+        via_nt = _sub(_apply(q[j], nt_cols[i]), _apply(q[i], nt_cols[j]))
+        defect = _sub(via_nt, deformed)
+        if any(defect):
+            yield (i, j), defect
+
+
+def morphism_defects(
+    g: BracketImage,
+    rho: ActionImage,
+    deformed: list,
+    tk_op: Sequence[int],
+    n_op: Sequence[int],
+) -> Defects:
+    """T_k [u,v]_S - [T_k u, T_k v]_N at the module basis pairs i < j where
+    it is nonzero, a*b^3 times the rational defect for a = g.scale *
+    rho.scale, where deformed = list(deformed_sub_adjacent(ads, S)) is the
+    S-deformation of T's sub-adjacent bracket and [x,y]_N = [Nx,y] +
+    [x,Ny] - N[x,y] the N-deformation of g's bracket.
+
+    The hierarchy's morphism identity, at S = S^(k+i) and N = N^i. It has
+    degree 3 in the operators, which share the scale b, and degree 1 in
+    rho on the left and in g's bracket on the right; each side is
+    multiplied by the other's scale, as in kupershmidt_defects.
+    """
+    m = rho.m
+    kg, kr = rho.scale, g.scale
+    tk, nrows = _rows(tk_op, m), _rows(n_op, g.n)
+    cols = [tk_op[j::m] for j in range(m)]
+    n_cols = [_apply(nrows, x) for x in cols]
+    pairs = combinations(range(m), 2)
+    for (i, j), bracket in zip(pairs, deformed):
+        x, y = cols[i], cols[j]
+        right = _sub(
+            list(map(add, g(n_cols[i], y), g(x, n_cols[j]))), _apply(nrows, g(x, y))
+        )
+        defect = [kr * p - kg * r for p, r in zip(_apply(tk, bracket), right)]
+        if any(defect):
+            yield (i, j), defect
 
 
 class VerdictKernel:

@@ -32,7 +32,7 @@ from .kernel import integer_image, kupershmidt_defects, pair_defects, torsion_de
 from .lie import Bracket, BracketLike, deformed_algebra, semidirect_product
 from .linalg import Matrix, Vector, block_diag
 from .report import CheckReport, Witness, report_from_witnesses
-from .reps import Representation, _check_pair_shapes, dual_representation
+from .reps import Representation, _check_pair_shapes
 
 # [u,v]_S = [Su,v] + [u,Sv] - S[u,v] is lie's deformed product, applied to a
 # bracket on the module; Jacobi is not implied in general.
@@ -203,7 +203,7 @@ def nijenhuis_pair_semidirect_test(
     report = is_nijenhuis(big, block_diag(n_op, s_op))
     report = CheckReport(report.ok, report.witnesses, checked="pair_semidirect")
     if report.ok and not _pair_witnesses(rho, "perfect", s_op):
-        dual_big = semidirect_product(g, dual_representation(rho))
+        dual_big = semidirect_product(g, rho.dual)
         dual_rep = is_nijenhuis(dual_big, block_diag(n_op, s_op.transpose()))
         report = report.merge(dual_rep, checked="pair_semidirect")
     return report

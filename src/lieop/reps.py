@@ -76,6 +76,11 @@ class Representation:
         """The action matrices in integers (see lieop.kernel)."""
         return ActionImage(self)
 
+    @cached_property
+    def dual(self) -> "Representation":
+        """dual_representation(self), built (and its axiom checked) once."""
+        return dual_representation(self)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Representation)

@@ -28,14 +28,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
+from typing import Iterator
 
 from .errors import (
     PreconditionFailure,
     ShapeError,
     StructureCheckError,
 )
-from .kernel import bracket_match_defects, integer_image, sub_adjacent_ads
-from .lie import BracketLike, ad_action, deformed_algebra
+from .kernel import (
+    VerdictKernel,
+    bracket_match_defects,
+    deformed_sub_adjacent,
+    morphism_defects,
+    shared_images,
+    sub_adjacent_ads,
+)
+from .lie import BracketLike, ad_action
 from .linalg import (
     Matrix,
     Vector,
@@ -157,9 +165,7 @@ def _bracket_match_witnesses(
 ) -> list[Witness]:
     """The witnesses of the bracket-match loop, each defect divided by
     a*b^2, where T, S and N share the scale b and nt = NT."""
-    flat, b = integer_image([c for op in (t_op, s_op, n_op) for row in op.rows for c in row])
-    nm, mm = t_op.nrows * t_op.ncols, s_op.nrows * s_op.ncols
-    t_flat, s_flat = flat[:nm], flat[nm : nm + mm]
+    (t_flat, s_flat, _), b = shared_images((t_op, s_op, n_op))
     image = rho.integer_image
     scale = image.scale * b * b
     # b clears N and T, so b^2 NT = (bN)(bT) is integral.
@@ -333,6 +339,11 @@ def hierarchy(
     T_k agreeing with the S^k-deformation of the T bracket, and the twisted
     morphism identity T_k [u,v]_{S^(k+i)} = [T_k u, T_k v]_{N^i} for
     k + i <= k_max.
+
+    Past the hypothesis, each claim is decided by lieop.kernel's integer
+    loops on the images of the T_k and the powers of S and N, and no
+    bracket is built: the Kupershmidt loop for each T_k and each pairwise
+    sum, the bracket-match loop for (T, S^k, N^k) and the morphism loop.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -344,33 +355,55 @@ def hierarchy(
     n_pows = list(accumulate([n_op] * k_max, mat_mul, initial=Matrix.identity(n_op.nrows)))
     s_pows = list(accumulate([s_op] * k_max, mat_mul, initial=Matrix.identity(s_op.nrows)))
     ops = [mat_mul(n_pow, t_op) for n_pow in n_pows]
-    # T_0 = T is the hypothesis's operator, so it is not checked again.
+    failure = next(_hierarchy_failures(g, rho, ops, s_pows, n_pows), None)
+    if failure is not None:
+        raise StructureCheckError(failure)
+    return ops
+
+
+def _hierarchy_failures(
+    g: BracketLike,
+    rho: Representation,
+    ops: list[Matrix],
+    s_pows: list[Matrix],
+    n_pows: list[Matrix],
+) -> Iterator[str]:
+    """The claims of hierarchy() about T_k = ops[k] = N^k T that fail, each
+    as its error message, in the order hierarchy() checks them; rho must
+    already be validated against g, and s_pows[p] and n_pows[p] are S^p
+    and N^p for p = 0..k_max.
+
+    Each claim is decided by a kernel loop on the images of the T_k and the
+    powers, all under one scale b, as every identity is homogeneous in the
+    operators. T_0 = T is the hypothesis's operator, so it is not checked
+    again. Once every T_k is Kupershmidt, T_a and T_b are compatible iff
+    their sum is: the compatibility defect is K(T_a + T_b) - K(T_a) - K(T_b).
+    """
+    count, t_op = len(ops), ops[0]
+    flats, b = shared_images(ops + s_pows + n_pows)
+    t_flats, s_flats, n_flats = (flats[p : p + count] for p in (0, count, 2 * count))
+    kernel = VerdictKernel(g, rho)
     for k, op in enumerate(ops):
         if op != mat_mul(t_op, s_pows[k]):
-            raise StructureCheckError(f"N^{k} T != T S^{k}")
-        if k and not is_kupershmidt(g, rho, op).ok:
-            raise StructureCheckError(f"T_{k} is not a Kupershmidt operator")
-    # Every T_k is Kupershmidt, so T_a and T_b are compatible iff their sum
-    # is: the compatibility defect is K(T_a + T_b) - K(T_a) - K(T_b).
-    for a, b in combinations(range(k_max + 1), 2):
-        if not is_kupershmidt(g, rho, ops[a] + ops[b]).ok:
-            raise StructureCheckError(f"T_{a} and T_{b} are not compatible")
+            yield f"N^{k} T != T S^{k}"
+        if k and not kernel.is_kupershmidt(t_flats[k]):
+            yield f"T_{k} is not a Kupershmidt operator"
+    for a, c in combinations(range(count), 2):
+        if not kernel.compatible(t_flats[a], t_flats[c]):
+            yield f"T_{a} and T_{c} are not compatible"
 
-    m = rho.module_dim
-    base_bracket = sub_adjacent_bracket(g, rho, t_op)
-    deformed = [deform_bracket_by_s(base_bracket, s_pow) for s_pow in s_pows]
-    n_deformed = [deformed_algebra(g, n_pow) for n_pow in n_pows]
-    for k, op in enumerate(ops):
-        if sub_adjacent_bracket(g, rho, op) != deformed[k]:
-            raise StructureCheckError(f"bracket of T_{k} differs from the S^{k}-deformed bracket")
-        cols = [op.column(a) for a in range(m)]
-        for i in range(k_max + 1 - k):
-            for a, b in combinations(range(m), 2):
-                if op @ deformed[k + i].basis_bracket(a, b) != n_deformed[i](cols[a], cols[b]):
-                    raise StructureCheckError(
-                        f"morphism identity fails at k={k}, i={i}, pair ({a},{b})"
-                    )
-    return ops
+    g_image, image = g.integer_image, rho.integer_image
+    ads = sub_adjacent_ads(image, t_flats[0])
+    # T's sub-adjacent bracket deformed by each S^p, p = 0..k_max.
+    deformed = [list(deformed_sub_adjacent(ads, s_flat)) for s_flat in s_flats]
+    for k, t_flat in enumerate(t_flats):
+        # The KN bracket match for (T, S^k, N^k); b^2 N^k T is b times T_k's image.
+        nt_flat = [c * b for c in t_flat]
+        if next(bracket_match_defects(image, ads, s_flats[k], nt_flat), None) is not None:
+            yield f"bracket of T_{k} differs from the S^{k}-deformed bracket"
+        for i in range(count - k):
+            for (u, v), _ in morphism_defects(g_image, image, deformed[k + i], t_flat, n_flats[i]):
+                yield f"morphism identity fails at k={k}, i={i}, pair ({u},{v})"
 
 
 def kdn_from_compatible(

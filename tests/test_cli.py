@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import lieop
+from lieop import cli
 from lieop.cli import main
 from lieop.documents import parse_document
 
@@ -221,6 +222,50 @@ class TestSearchAndCatalog:
 
     def test_export_unknown_bundle(self, tmp_path):
         assert run("catalog", "export", "sl2", "--bundle", "nope", "--output", str(tmp_path / "x.json")) == 2
+
+
+class TestCachedParser:
+    """main parses with one parser per process; a call after others, a usage
+    error among them, behaves as on a freshly built parser."""
+
+    def calls(self, fixtures):
+        kn, bad_pair = str(fixtures["aff1_kn"]), str(fixtures["aff1_bad_pair"])
+        return [
+            (["check", "frobenius", kn], 2),
+            (["--json", "check", "kn", kn], 0),
+            (["check", "kn", kn, "--json"], 0),
+            (["--quiet", "check", "kn", kn], 0),
+            (["hierarchy", kn, "--kmax", "2", "--quiet"], 0),
+            (["check", "nijenhuis_pair", bad_pair], 1),
+            (["check", "kn", kn], 0),
+        ]
+
+    def run_all(self, capsys, calls):
+        outcomes = []
+        for argv, status in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == status
+            outcomes.append((code, captured.out, captured.err))
+        return outcomes
+
+    def test_same_outcomes_as_a_fresh_parser(self, fixtures, capsys, monkeypatch):
+        calls = self.calls(fixtures)
+        cached = self.run_all(capsys, calls)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert cli.build_parser() is not cli.build_parser()
+        assert cached == self.run_all(capsys, calls)
+        assert "invalid choice: 'frobenius'" in cached[0][2]
+        assert json.loads(cached[1][1]) == json.loads(cached[2][1])
+        assert cached[3][1] == ""
+
+    def test_a_rebound_command_takes_effect(self, fixtures, monkeypatch):
+        doc = str(fixtures["aff1_kn"])
+        assert run("validate", doc) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_validate", lambda args, out: seen.append(args.file) or 1)
+        assert run("validate", doc) == 1
+        assert seen == [doc]
 
 
 class TestClosedStdout:

@@ -35,7 +35,7 @@ from lieop import (
 from lieop.catalog import get_entry
 from lieop.reps import dual_representation
 
-from conftest import GRID, matrices, small_fractions
+from conftest import GRID, count_rep_loops, matrices, small_fractions
 
 
 def grid_matrices(n, m=None):
@@ -200,6 +200,21 @@ class TestPairs:
             nijenhuis_pair_semidirect_test(g, rho, n_op, s_op).ok
             == is_nijenhuis_pair(g, rho, n_op, s_op).ok
         )
+
+    def test_semidirect_route_builds_the_dual_once(self, aff1, monkeypatch):
+        # S = lambda Id commutes with every action matrix, so each pair is
+        # perfect and is tested on the dual semidirect product too. The dual
+        # family is built, and its axiom loop run, on the first of them only.
+        g = aff1.algebra
+        rho = Representation(g, aff1.representations["adjoint"].matrices)
+        calls = count_rep_loops(monkeypatch)
+        for lam in (1, 2, Fraction(1, 3)):
+            for n_op in (Matrix.identity(2), Matrix([[1, 2], [0, 1]])):
+                s_op = Matrix.identity(2).scale(lam)
+                assert is_perfect_pair(g, rho, n_op, s_op).ok
+                assert nijenhuis_pair_semidirect_test(g, rho, n_op, s_op).ok
+        assert len(calls) == 1
+        assert rho.dual is rho.dual == dual_representation(rho)
 
     def test_semidirect_mixed_witness(self, aff1):
         # a failing pair must be witnessed at a mixed algebra/module index

@@ -18,6 +18,11 @@ since the search kernel reads the same C_k.
 The KN bracket match runs lieop.kernel's bracket-match loop, in the search
 and in the KN conditions alike. Its reference is the Matrix definition:
 the sub-adjacent bracket of NT against the S-deformation of T's.
+
+hierarchy() decides its claims with kernel loops alone, the morphism
+identity with lieop.kernel's morphism loop. Its reference is the Matrix
+route: per-tuple Kupershmidt checks, sub-adjacent brackets, the
+S^p-deformed brackets and the N^i-deformed algebras.
 """
 
 from __future__ import annotations
@@ -55,19 +60,26 @@ from lieop import (
     semidirect_product,
     sub_adjacent_bracket,
 )
+from lieop import structures
 from lieop.catalog import get_entry
-from lieop.kernel import bracket_match_defects, integer_image, sub_adjacent_ads
+from lieop.kernel import (
+    bracket_match_defects,
+    integer_image,
+    shared_images,
+    sub_adjacent_ads,
+)
 from lieop.operators import _kupershmidt_report
 from lieop.report import Witness, report_from_witnesses
 from lieop.reps import adjoint_rep, coadjoint_rep
 from lieop.structures import (
     _compatibility_report,
+    _hierarchy_failures,
     _kn_conditions,
     _polarization,
     compatible_via_combos,
 )
 
-from conftest import GRID, MIXED_AFF1, THIRD_SL2, matrices
+from conftest import GRID, MIXED_AFF1, THIRD_SL2, matrices, small_fractions
 
 REPS = ("adjoint", "coadjoint")
 SL2 = get_entry("sl2").algebra
@@ -392,6 +404,121 @@ def test_random_triples_match_the_bracket_match_definition(data):
         for ij, d in expected.items()
         if not d.is_zero()
     ]
+
+
+def powers(op, k_max):
+    """op^0 .. op^k_max."""
+    return list(itertools.accumulate([op] * k_max, mat_mul, initial=Matrix.identity(op.nrows)))
+
+
+def reference_hierarchy_failures(g, rho, ops, s_pows, n_pows):
+    """The claims of hierarchy() that fail, as its error messages and in its
+    order, decided on Matrix objects: the per-tuple Kupershmidt reference
+    for each T_k and each pairwise sum, the sub-adjacent bracket of T_k
+    against the S^k-deformation of T's, and the morphism identity
+    T_k[u,v]_{S^(k+i)} = [T_k u, T_k v]_{N^i} at each module basis pair,
+    read off the S^p-deformed sub-adjacent brackets and the N^i-deformed
+    algebras."""
+    t_op, count, m = ops[0], len(ops), rho.module_dim
+    for k, op in enumerate(ops):
+        if op != mat_mul(t_op, s_pows[k]):
+            yield f"N^{k} T != T S^{k}"
+        if k and not reference_kupershmidt(g, rho, op).ok:
+            yield f"T_{k} is not a Kupershmidt operator"
+    for a, b in itertools.combinations(range(count), 2):
+        if not reference_kupershmidt(g, rho, ops[a] + ops[b]).ok:
+            yield f"T_{a} and T_{b} are not compatible"
+    base = reference_sub_adjacent(rho, t_op)
+    deformed = [deformed_algebra(base, s_pow) for s_pow in s_pows]
+    n_deformed = [deformed_algebra(g, n_pow) for n_pow in n_pows]
+    for k, op in enumerate(ops):
+        if reference_sub_adjacent(rho, op) != deformed[k]:
+            yield f"bracket of T_{k} differs from the S^{k}-deformed bracket"
+        cols = [op.column(a) for a in range(m)]
+        for i in range(count - k):
+            for a, b, _, _ in _basis_pairs(m):
+                if op @ deformed[k + i].basis_bracket(a, b) != n_deformed[i](cols[a], cols[b]):
+                    yield f"morphism identity fails at k={k}, i={i}, pair ({a},{b})"
+
+
+def reference_morphism(g, rho, t_op, tk, s_pow, n_pow):
+    """T_k[e_a,e_b]_{S^p} - [T_k e_a, T_k e_b]_{N^i} at every module basis pair."""
+    deformed = deformed_algebra(reference_sub_adjacent(rho, t_op), s_pow)
+    n_deformed = deformed_algebra(g, n_pow)
+    return {
+        (a, b): tk @ deformed.basis_bracket(a, b) - n_deformed(tk.column(a), tk.column(b))
+        for a, b, _, _ in _basis_pairs(rho.module_dim)
+    }
+
+
+def spy(monkeypatch, name):
+    """Record the defects that each call of structures.<name> yields."""
+    calls, real = [], getattr(structures, name)
+
+    def recorded(*args):
+        defects = list(real(*args))
+        assert [ij for ij, _ in defects] == sorted(ij for ij, _ in defects)
+        calls.append(defects)
+        return iter(defects)
+
+    monkeypatch.setattr(structures, name, recorded)
+    return calls
+
+
+def divided(defects, scale, dim, m):
+    """A loop's integer defects divided by its scale, at every module basis pair."""
+    found = {ij: Vector(Fraction(c, scale) for c in defect) for ij, defect in defects}
+    return {(i, j): found.get((i, j), Vector.zero(dim)) for i, j, _, _ in _basis_pairs(m)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_random_triples_match_the_hierarchy_references(data):
+    """Over the inputs of _bracket_and_action and random (T, S, N), whose
+    entries are fractional half the time, at k_max <= 3 (so k, i <= 3):
+    the claims that the hierarchy's kernel loops find failing are, in
+    order, those the Matrix references find failing; and each bracket-match
+    and morphism loop that it runs yields the reference's defects for its
+    (k, i), divided by a*b^2 and a*b^3. Random triples mostly fail; the
+    catalog's pass (test below)."""
+    g, rho = _bracket_and_action(data)
+    n, m = g.dim, rho.module_dim
+    elements = small_fractions if data.draw(st.booleans()) else st.integers(-2, 2)
+    t_op, s_op, n_op = (data.draw(matrices(r, c, elements)) for r, c in ((n, m), (m, m), (n, n)))
+    k_max = data.draw(st.integers(0, 3))
+    s_pows, n_pows = powers(s_op, k_max), powers(n_op, k_max)
+    ops = [mat_mul(n_pow, t_op) for n_pow in n_pows]
+    expected = list(reference_hierarchy_failures(g, rho, ops, s_pows, n_pows))
+    with pytest.MonkeyPatch.context() as patch:
+        matches = spy(patch, "bracket_match_defects")
+        morphisms = spy(patch, "morphism_defects")
+        assert list(_hierarchy_failures(g, rho, ops, s_pows, n_pows)) == expected
+    _, b = shared_images(ops + s_pows + n_pows)
+    a_rho, a_g = rho.integer_image.scale, g.integer_image.scale
+    assert len(matches) == k_max + 1
+    for k, defects in enumerate(matches):
+        expected_match = reference_bracket_match(g, rho, t_op, s_pows[k], n_pows[k])
+        assert divided(defects, a_rho * b**2, m, m) == expected_match
+    ki = [(k, i) for k in range(k_max + 1) for i in range(k_max + 1 - k)]
+    assert len(morphisms) == len(ki)
+    for (k, i), defects in zip(ki, morphisms):
+        expected_morphism = reference_morphism(g, rho, t_op, ops[k], s_pows[k + i], n_pows[i])
+        assert divided(defects, a_g * a_rho * b**3, n, m) == expected_morphism
+
+
+@pytest.mark.parametrize(
+    "name, bundle",
+    (("aff1", "kn_diag"), ("heis3", "kn_diag"), ("abelian_2", "kn_invertible"), ("aff1", "kdn_coadjoint")),
+)
+def test_catalog_triples_pass_the_hierarchy_references(name, bundle):
+    entry = get_entry(name)
+    op = next(o for o in entry.operators if o.name == bundle)
+    g, rho = entry.algebra, entry.representations[op.rep]
+    t_op, s_op, n_op = (op.matrices[key] for key in "TSN")
+    s_pows, n_pows = powers(s_op, 3), powers(n_op, 3)
+    ops = [mat_mul(n_pow, t_op) for n_pow in n_pows]
+    assert list(reference_hierarchy_failures(g, rho, ops, s_pows, n_pows)) == []
+    assert list(_hierarchy_failures(g, rho, ops, s_pows, n_pows)) == []
 
 
 _aff1 = get_entry("aff1")
