@@ -74,7 +74,6 @@ from .operators import (
 from .structures import (
     BilinearForm,
     Bivector,
-    StructureVerdict,
     are_compatible_kupershmidt,
     check_bilinear_form,
     check_nt_kupershmidt_condition,
@@ -87,8 +86,11 @@ from .structures import (
     is_rbn_structure,
     is_skew_endomorphism,
     kdn_from_compatible,
+    kn_certificates,
     nijenhuis_from_kupershmidt_pair,
+    rbn_certificates,
     rbn_to_rmn,
+    rmn_certificates,
     rmn_to_rbn,
 )
 from .report import CheckReport, Witness

@@ -47,7 +47,7 @@ from functools import cache, lru_cache
 from typing import Optional, Sequence
 
 from .errors import GridCapExceeded, LieopError, ShapeError, StructureCheckError
-from .kernel import VerdictKernel, clear_denominators
+from .kernel import VerdictKernel, integer_image
 from .kinds import CATALOG_KINDS, OPERATOR_SHAPES, SEARCH_KINDS
 from .lie import LieAlgebra
 from .linalg import Matrix, Scalar, rational
@@ -86,7 +86,7 @@ def _verify_operator(entry: CatalogEntry, op: CatalogOperator) -> None:
     stanzas = {"rho": entry.representations.get(op.rep)}
     for key, mat in op.matrices.items():
         stanzas[key] = Bivector(mat) if OPERATOR_SHAPES[key].antisymmetric else mat
-    report, _ = kind.run(entry.algebra, *(stanzas[s] for s in kind.stanzas))
+    report = kind.check(entry.algebra, *(stanzas[s] for s in kind.stanzas))
     if not report.ok:
         raise StructureCheckError(
             f"catalog assertion {entry.name}/{op.name} ({op.kind}) failed: "
@@ -393,7 +393,7 @@ def _staged_search(
     which keeps the lexicographic order of the results.
     """
     kernel = VerdictKernel(g, rho)
-    ints = clear_denominators(values)
+    ints, _ = integer_image(values)
     value_of = dict(zip(ints, values))
     n = g.dim
     m = rho.module_dim if rho is not None else n

@@ -5,8 +5,8 @@ morphism loop, and the verdict-only kernel behind grid_search.
 Every Bracket and Representation keeps an integer image (BracketImage,
 ActionImage), built on first use: its structure constants or action
 matrices times a, the lcm of their denominators. An operator is a flat
-row-major tuple of its entries times b, the lcm of theirs (integer_image;
-clear_denominators for a search grid, whose values share one b).
+row-major tuple of its entries times b, the lcm of theirs (integer_image,
+which also scales a search grid, whose values share one b).
 
 torsion_defects and kupershmidt_defects are the package's only loops over
 the Nijenhuis torsion and the Kupershmidt identity. Each yields every
@@ -60,7 +60,7 @@ exact:
   rules the prefix out otherwise. Every pruned candidate would fail that
   very pair, and every emitted one is still decided by the full identity.
   Sorting the flats restores the order of the product, because
-  clear_denominators keeps the grid increasing.
+  integer_image keeps the grid increasing.
 - Compatibility of two Kupershmidt operators is decided by their sum.
   The compatibility defect is the polarization of the Kupershmidt one:
   K(T1 + T2) = K(T1) + K(T2) + C(T1, T2) at every basis pair, since K is
@@ -107,11 +107,6 @@ def shared_images(mats) -> tuple[list[list[int]], int]:
     flat, scale = integer_image([c for op in mats for row in op.rows for c in row])
     entries = iter(flat)
     return [list(islice(entries, op.nrows * op.ncols)) for op in mats], scale
-
-
-def clear_denominators(values: Sequence[Rational]) -> list[int]:
-    """The values times the lcm of their denominators, in the same order."""
-    return integer_image(values)[0]
 
 
 def _rows(flat: Sequence[int], ncols: int) -> list:

@@ -2,13 +2,16 @@
 
 A row gives the kind's `lieop check` name and its catalog and search name,
 the stanzas its predicate reads, in the order it reads them, and the
-predicate itself. `lieop check`, catalog verification and `grid_search`
-read their kinds from these rows. Stanzas: `rho` (the representation,
-validated), `rho_unchecked` (as given, for the axiom check itself), the
-operator keys of OPERATOR_SHAPES, `bilinear_form` and `deformation`.
+predicate itself, which returns a CheckReport; the kn, kdn, rbn and rmn
+rows also build the two brackets their check compares, for `lieop check
+--json`. `lieop check`, catalog verification and `grid_search` read their
+kinds from these rows. Stanzas: `rho` (the representation, validated),
+`rho_unchecked` (as given, for the axiom check itself), the operator keys
+of OPERATOR_SHAPES, `bilinear_form` and `deformation`.
 
-Each predicate is called through this module's global name, inside a
-lambda, so that rebinding that name (as a tracer does) reaches the call.
+Each predicate and certificates function is called through this module's
+global name, inside a lambda, so that rebinding that name (as a tracer
+does) reaches the call.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .operators import (
 )
 from .reps import check_representation
 from .structures import (
-    StructureVerdict,
     are_compatible_kupershmidt,
     check_bilinear_form,
     check_nt_kupershmidt_condition,
@@ -41,6 +43,9 @@ from .structures import (
     is_r_matrix_nijenhuis,
     is_rbn_structure,
     is_skew_endomorphism,
+    kn_certificates,
+    rbn_certificates,
+    rmn_certificates,
 )
 
 
@@ -75,7 +80,8 @@ OPERATOR_SHAPES = {
 
 @dataclass(frozen=True)
 class Kind:
-    """check(g, *stanza values) returns a CheckReport or StructureVerdict."""
+    """check(g, *stanza values) returns a CheckReport; certificates(g, *stanza
+    values), where given, returns the named brackets the check compares."""
 
     name: str
     stanzas: tuple[str, ...]
@@ -83,6 +89,7 @@ class Kind:
     catalog_name: Optional[str] = None  # where it differs from name
     # False for the Jacobi check, which reads the bracket as parsed.
     promote: bool = True
+    certificates: Optional[Callable[..., dict]] = None
 
     def __post_init__(self):
         if self.catalog_name is None:
@@ -100,13 +107,6 @@ class Kind:
         """The free entries of the kind's operators: its grid's exponent."""
         return sum(OPERATOR_SHAPES[key].free_entries(n, m) for key in self.operator_keys)
 
-    def run(self, g, *values) -> tuple:
-        """The report and the certificates of check(g, *values)."""
-        result = self.check(g, *values)
-        if isinstance(result, StructureVerdict):
-            return result.report, result.certificates
-        return result, {}
-
 
 _PAIR = ("rho", "N", "S")
 _TRIPLE = ("rho", "T", "S", "N")
@@ -123,8 +123,14 @@ _ROWS = (
     Kind("perfect_pair", _PAIR, lambda *a: is_perfect_pair(*a)),
     Kind("pair_semidirect", _PAIR, lambda *a: nijenhuis_pair_semidirect_test(*a)),
     Kind("pre_lie", ("rho", "T"), lambda *a: check_pre_lie(pre_lie_product(*a))),
-    Kind("kn", _TRIPLE, lambda *a: is_kn_structure(*a), "kn_structure"),
-    Kind("kdn", _TRIPLE, lambda *a: is_kdn_structure(*a), "kdn_structure"),
+    Kind(
+        "kn", _TRIPLE, lambda *a: is_kn_structure(*a), "kn_structure",
+        certificates=lambda *a: kn_certificates(*a),
+    ),
+    Kind(
+        "kdn", _TRIPLE, lambda *a: is_kdn_structure(*a), "kdn_structure",
+        certificates=lambda *a: kn_certificates(*a),
+    ),
     Kind(
         "compatible", ("rho", "T", "T2"), lambda *a: are_compatible_kupershmidt(*a),
         "compatible_pair",
@@ -133,9 +139,12 @@ _ROWS = (
     Kind("r_matrix", ("pi_sharp",), lambda *a: is_r_matrix(*a)),
     Kind(
         "rmn", ("N", "pi_sharp"), lambda g, n, pi: is_r_matrix_nijenhuis(g, pi, n),
-        "rmn_structure",
+        "rmn_structure", certificates=lambda g, n, pi: rmn_certificates(g, pi, n),
     ),
-    Kind("rbn", ("R", "N"), lambda *a: is_rbn_structure(*a), "rbn_structure"),
+    Kind(
+        "rbn", ("R", "N"), lambda *a: is_rbn_structure(*a), "rbn_structure",
+        certificates=lambda *a: rbn_certificates(*a),
+    ),
     Kind("bilinear_form", ("bilinear_form",), lambda *a: check_bilinear_form(*a)),
     Kind("skew", ("R", "bilinear_form"), lambda *a: is_skew_endomorphism(*a)),
     Kind("deformation_pair", ("rho", "deformation"), lambda *a: check_deformation_pair(*a)),

@@ -30,7 +30,7 @@ from .errors import NoSolution, NotInvertible, ShapeError
 Rational = Union[int, Fraction]
 Scalar = Union[Fraction, int, str]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def rational(value: Scalar) -> Rational:
@@ -50,7 +50,7 @@ def rational(value: Scalar) -> Rational:
 
 def parse_rational(text: str) -> Rational:
     """Parse the wire format "p/q" (or "p"), minus sign on p only, q > 0."""
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"malformed rational {text!r}")
     return rational(Fraction(text))
 

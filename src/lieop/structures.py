@@ -12,6 +12,13 @@ M[i][j] = B(e_i, e_j). The induced map from covectors to vectors is then
 the inverse matrix, and ad-invariance of the form, ad(x)^T M + M ad(x) = 0,
 is equivalent to that map intertwining the coadjoint and adjoint actions.
 
+Every predicate returns a CheckReport. KN, KdN, RBN and RMN compare two
+brackets on the module, the NT-induced one and the S-deformation of the
+T-induced one: RBN is KN for (ad, T = R, S = N, N) and RMN for
+(coad, T = p, S = N^T, N). lieop.kernel's bracket-match loop decides the
+comparison without building either bracket; kn_certificates,
+rbn_certificates and rmn_certificates build them, for output only.
+
 Compatibility is the polarization K(T1 + T2) - K(T1) - K(T2) of the
 Kupershmidt report K, and the NT condition is N applied to it at (T, NT).
 
@@ -25,7 +32,7 @@ Kupershmidt, which is exact as the defect is the polarization above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import Iterator
@@ -43,7 +50,7 @@ from .kernel import (
     shared_images,
     sub_adjacent_ads,
 )
-from .lie import BracketLike, ad_action
+from .lie import Bracket, BracketLike, ad_action, deformed_algebra
 from .linalg import (
     Matrix,
     Vector,
@@ -55,7 +62,6 @@ from .linalg import (
 from .operators import (
     _kupershmidt_report,
     _pair_witnesses,
-    deform_bracket_by_s,
     is_dual_nijenhuis_pair,
     is_kupershmidt,
     is_nijenhuis,
@@ -64,29 +70,6 @@ from .operators import (
 )
 from .report import CheckReport, Witness, report_from_witnesses
 from .reps import Representation, _check_pair_shapes
-
-
-@dataclass(frozen=True)
-class StructureVerdict:
-    """Outcome of a composite structure check plus the derived objects
-    (certificates) that were compared to reach it."""
-
-    kind: str
-    report: CheckReport
-    certificates: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.report.ok
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            **self.report.to_json(),
-            "certificates": {
-                name: obj.to_json() for name, obj in self.certificates.items()
-            },
-        }
 
 
 @dataclass(frozen=True)
@@ -140,24 +123,32 @@ def _kn_conditions(
     s_op: Matrix,
     n_op: Matrix,
     kind: str,
-    certificate_names: tuple[str, str] = ("via_nt", "deformed_by_s"),
     pair_witnesses: tuple[Witness, ...] = (),
-) -> StructureVerdict:
+) -> CheckReport:
     """NT = TS and the NT-induced bracket equals the S-deformation of the
     T-induced one, after the witnesses of the (N, S) pair condition. The
-    two brackets are built as certificates; the match is read off
-    lieop.kernel's bracket-match loop."""
+    match is read off lieop.kernel's bracket-match loop, which builds
+    neither bracket (kn_certificates does)."""
     witnesses = list(pair_witnesses)
     nt = mat_mul(n_op, t_op)
     twist = nt - mat_mul(t_op, s_op)
     if not twist.is_zero():
         witnesses.append(Witness("twist", (), twist))
-    via_nt = sub_adjacent_bracket(g, rho, nt)
-    deformed = deform_bracket_by_s(sub_adjacent_bracket(g, rho, t_op), s_op)
     witnesses += _bracket_match_witnesses(rho, t_op, s_op, n_op, nt)
-    report = report_from_witnesses(witnesses, checked=kind)
-    via_name, deformed_name = certificate_names
-    return StructureVerdict(kind, report, {via_name: via_nt, deformed_name: deformed})
+    return report_from_witnesses(witnesses, checked=kind)
+
+
+def kn_certificates(
+    g: BracketLike, rho: Representation, t_op: Matrix, s_op: Matrix, n_op: Matrix,
+    names: tuple[str, str] = ("via_nt", "deformed_by_s"),
+) -> dict[str, Bracket]:
+    """The two brackets the KN conditions compare, by name: the NT-induced
+    one and the S-deformation of the T-induced one."""
+    via_nt, deformed = names
+    return {
+        via_nt: sub_adjacent_bracket(g, rho, mat_mul(n_op, t_op)),
+        deformed: deformed_algebra(sub_adjacent_bracket(g, rho, t_op), s_op),
+    }
 
 
 def _bracket_match_witnesses(
@@ -185,7 +176,7 @@ def _k_pair_structure(
     n_op: Matrix,
     kind: str,
     identities: tuple[str, ...],
-) -> StructureVerdict:
+) -> CheckReport:
     """The KN and KdN checks, which differ only in the (N, S) pair identity:
     the pair condition holds if one of the identities does. They run in
     order up to the first that holds; each one's witnesses are kept if none does."""
@@ -204,7 +195,7 @@ def _k_pair_structure(
 
 def is_kn_structure(
     g: BracketLike, rho: Representation, t_op: Matrix, s_op: Matrix, n_op: Matrix
-) -> StructureVerdict:
+) -> CheckReport:
     """T Kupershmidt (hypothesis), (N,S) Nijenhuis pair, NT = TS, and the
     NT-induced bracket equals the S-deformation of the T-induced one."""
     return _k_pair_structure(g, rho, t_op, s_op, n_op, "kn", ("pair",))
@@ -212,7 +203,7 @@ def is_kn_structure(
 
 def is_kdn_structure(
     g: BracketLike, rho: Representation, t_op: Matrix, s_op: Matrix, n_op: Matrix
-) -> StructureVerdict:
+) -> CheckReport:
     """Same two compatibility conditions with (N,S) a dual-Nijenhuis pair."""
     return _k_pair_structure(g, rho, t_op, s_op, n_op, "kdn", ("dual_pair",))
 
@@ -340,17 +331,16 @@ def hierarchy(
     morphism identity T_k [u,v]_{S^(k+i)} = [T_k u, T_k v]_{N^i} for
     k + i <= k_max.
 
-    Past the hypothesis, each claim is decided by lieop.kernel's integer
-    loops on the images of the T_k and the powers of S and N, and no
-    bracket is built: the Kupershmidt loop for each T_k and each pairwise
-    sum, the bracket-match loop for (T, S^k, N^k) and the morphism loop.
+    The hypothesis and each claim are decided by lieop.kernel's integer
+    loops, and no bracket is built: past the hypothesis, on the images of
+    the T_k and the powers of S and N, the Kupershmidt loop for each T_k
+    and each pairwise sum, the bracket-match loop for (T, S^k, N^k) and
+    the morphism loop.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    kn_or_kdn = _k_pair_structure(
-        g, rho, t_op, s_op, n_op, "kn_or_kdn", ("pair", "dual_pair")
-    )
-    _require("kn_or_kdn", kn_or_kdn.report)
+    either = ("pair", "dual_pair")
+    _require("kn_or_kdn", _k_pair_structure(g, rho, t_op, s_op, n_op, "kn_or_kdn", either))
 
     n_pows = list(accumulate([n_op] * k_max, mat_mul, initial=Matrix.identity(n_op.nrows)))
     s_pows = list(accumulate([s_op] * k_max, mat_mul, initial=Matrix.identity(s_op.nrows)))
@@ -408,7 +398,7 @@ def _hierarchy_failures(
 
 def kdn_from_compatible(
     g: BracketLike, rho: Representation, t_op: Matrix, t1_op: Matrix
-) -> tuple[StructureVerdict, StructureVerdict]:
+) -> tuple[CheckReport, CheckReport]:
     """From compatible Kupershmidt T (invertible) and T1, the triples
     (T, T^{-1}T1, T1 T^{-1}) and (T1, T^{-1}T1, T1 T^{-1}) are both KdN."""
     if not (t_op.is_square() and is_invertible(t_op)):
@@ -444,41 +434,38 @@ def is_r_matrix(g: BracketLike, pi: Bivector) -> CheckReport:
     return _kupershmidt_report(g, g.coad_family, p, "yang_baxter", "r_matrix")
 
 
-def is_r_matrix_nijenhuis(
-    g: BracketLike, pi: Bivector, n_op: Matrix
-) -> StructureVerdict:
+def is_r_matrix_nijenhuis(g: BracketLike, pi: Bivector, n_op: Matrix) -> CheckReport:
     """r-matrix pi and Nijenhuis N with N p = p N^T and the N p-induced
     bracket on covectors equal to the N^T-deformed p-induced bracket: the
     KN conditions for (coad, T = p, S = N^T, N)."""
     _require("r_matrix", is_r_matrix(g, pi))
     _require("nijenhuis", is_nijenhuis(g, n_op))
-    return _rmn_conditions(g, pi, n_op)
+    return _kn_conditions(g, *_rmn_as_kn(g, pi, n_op), "rmn")
 
 
-def _rmn_conditions(g: BracketLike, pi: Bivector, n_op: Matrix) -> StructureVerdict:
-    """is_r_matrix_nijenhuis once both of its hypotheses are known to hold."""
-    return _kn_conditions(
-        g, g.coad_family, pi.matrix, n_op.transpose(), n_op, "rmn",
-        ("via_np", "deformed_by_nstar"),
-    )
+def _rmn_as_kn(g: BracketLike, pi: Bivector, n_op: Matrix) -> tuple:
+    return g.coad_family, pi.matrix, n_op.transpose(), n_op
 
 
-def is_rbn_structure(
-    g: BracketLike, r_op: Matrix, n_op: Matrix
-) -> StructureVerdict:
+def rmn_certificates(g: BracketLike, pi: Bivector, n_op: Matrix) -> dict[str, Bracket]:
+    return kn_certificates(g, *_rmn_as_kn(g, pi, n_op), ("via_np", "deformed_by_nstar"))
+
+
+def is_rbn_structure(g: BracketLike, r_op: Matrix, n_op: Matrix) -> CheckReport:
     """Rota-Baxter R and Nijenhuis N with NR = RN and the NR-induced
     bracket equal to the N-deformed R-induced bracket: the KN conditions
     for (ad, T = R, S = N, N)."""
     _require("rota_baxter", is_rota_baxter(g, r_op))
     _require("nijenhuis", is_nijenhuis(g, n_op))
-    return _rbn_conditions(g, r_op, n_op)
+    return _kn_conditions(g, *_rbn_as_kn(g, r_op, n_op), "rbn")
 
 
-def _rbn_conditions(g: BracketLike, r_op: Matrix, n_op: Matrix) -> StructureVerdict:
-    """is_rbn_structure once both of its hypotheses are known to hold."""
-    return _kn_conditions(
-        g, g.ad_family, r_op, n_op, n_op, "rbn", ("via_nr", "deformed_by_n")
-    )
+def _rbn_as_kn(g: BracketLike, r_op: Matrix, n_op: Matrix) -> tuple:
+    return g.ad_family, r_op, n_op, n_op
+
+
+def rbn_certificates(g: BracketLike, r_op: Matrix, n_op: Matrix) -> dict[str, Bracket]:
+    return kn_certificates(g, *_rbn_as_kn(g, r_op, n_op), ("via_nr", "deformed_by_n"))
 
 
 def check_bilinear_form(g: BracketLike, form: BilinearForm) -> CheckReport:
@@ -540,10 +527,10 @@ def rbn_to_rmn(
     # is_skew_endomorphism validates the form first
     _require("skew_endomorphism", is_skew_endomorphism(g, r_op, form))
     _require_form_compatible(form, n_op)
-    _require("rbn", is_rbn_structure(g, r_op, n_op).report)
+    _require("rbn", is_rbn_structure(g, r_op, n_op))
     pi = Bivector(mat_mul(r_op, form.sharp()))
     _require("r_matrix", is_r_matrix(g, pi))
-    if not _rmn_conditions(g, pi, n_op).ok:
+    if not _kn_conditions(g, *_rmn_as_kn(g, pi, n_op), "rmn").ok:
         raise StructureCheckError("converted pair failed the r-matrix-Nijenhuis check")
     return pi, n_op
 
@@ -557,11 +544,11 @@ def rmn_to_rbn(
     skew endomorphism and a Rota-Baxter operator."""
     _require("bilinear_form", check_bilinear_form(g, form))
     _require_form_compatible(form, n_op)
-    _require("rmn", is_r_matrix_nijenhuis(g, pi, n_op).report)
+    _require("rmn", is_r_matrix_nijenhuis(g, pi, n_op))
     r_op = mat_mul(pi.matrix, form.matrix)
     if not _skew_report(r_op, form).ok:
         raise StructureCheckError("converted operator is not a skew endomorphism")
     _require("rota_baxter", is_rota_baxter(g, r_op))
-    if not _rbn_conditions(g, r_op, n_op).ok:
+    if not _kn_conditions(g, *_rbn_as_kn(g, r_op, n_op), "rbn").ok:
         raise StructureCheckError("converted pair failed the Rota-Baxter-Nijenhuis check")
     return r_op, n_op

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from lieop import LieAlgebra, Matrix, Vector, reps
+from lieop import LieAlgebra, Matrix, Vector, lie, operators, reps
 from lieop.catalog import get_entry
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -39,6 +39,34 @@ def count_rep_loops(monkeypatch):
         if name.split(".")[0] == "lieop" and getattr(module, "check_representation", None) is real:
             monkeypatch.setattr(module, "check_representation", counted)
     return calls
+
+
+def count_bound_calls(monkeypatch, functions):
+    """Wrap each function under every name that a lieop module binds it to
+    (lie.deformed_algebra is also operators.deform_bracket_by_s); returns
+    the list of the functions' own names, one per call."""
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "lieop":
+            continue
+        for name, value in list(vars(module).items()):
+            if any(value is f for f in functions):
+                monkeypatch.setattr(module, name, counted(value))
+    return calls
+
+
+def count_bracket_builds(monkeypatch):
+    """count_bound_calls over the two bracket builders, the deformed and
+    the sub-adjacent bracket."""
+    return count_bound_calls(monkeypatch, (lie.deformed_algebra, operators.sub_adjacent_bracket))
 
 
 # [e1,e2] = 1/2 e1 + 1/3 e2: unequal denominators, in the adjoint and

@@ -27,7 +27,7 @@ from lieop import catalog, kernel, operators, structures
 from lieop.catalog import SEARCH_KINDS, get_entry, grid_search, list_catalog
 from lieop.structures import Bivector
 
-from conftest import GRID, MIXED_AFF1, count_rep_loops
+from conftest import GRID, MIXED_AFF1, count_bracket_builds, count_rep_loops
 
 
 class TestEntries:
@@ -68,6 +68,15 @@ class TestEntries:
         calls = count_rep_loops(monkeypatch)
         catalog._verify_entry(catalog._BUILDERS["aff1"]())
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("name", ("aff1", "heis3", "sl2"))
+    def test_verification_builds_no_bracket(self, name, monkeypatch):
+        # Every bundle is verified by its kind's check alone; the KN-type
+        # checks decide the bracket match in the kernel.
+        entry = catalog._BUILDERS[name]()
+        calls = count_bracket_builds(monkeypatch)
+        catalog._verify_entry(entry)
+        assert calls == []
 
 
 class TestGridSearch:

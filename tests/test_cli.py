@@ -11,7 +11,7 @@ from lieop import cli
 from lieop.cli import main
 from lieop.documents import parse_document
 
-from conftest import count_rep_loops
+from conftest import count_bracket_builds, count_rep_loops
 from fixtures import write_fixtures
 
 
@@ -73,6 +73,18 @@ class TestCheck:
         calls = count_rep_loops(monkeypatch)
         assert run("check", "kn", str(fixtures["aff1_kn"])) == 0
         assert len(calls) == 1
+
+    def test_only_json_builds_the_certificates(self, fixtures, monkeypatch, capsys):
+        # Text output prints no certificates, so it builds no bracket; --json
+        # builds the two it prints: the NT-induced bracket and the
+        # S-deformation of the T-induced one, itself a sub-adjacent bracket.
+        calls = count_bracket_builds(monkeypatch)
+        code, out = run_capture(capsys, "check", "kn", str(fixtures["aff1_kn"]))
+        assert (code, out, calls) == (0, "kn: PASS\n", [])
+        code, out = run_capture(capsys, "check", "kn", str(fixtures["aff1_kn"]), "--json")
+        assert code == 0
+        assert sorted(calls) == ["deformed_algebra", "sub_adjacent_bracket", "sub_adjacent_bracket"]
+        assert set(json.loads(out)["certificates"]) == {"via_nt", "deformed_by_s"}
 
     def test_rbn_identity_fails_on_nonabelian(self, fixtures, capsys):
         # R = Id is not Rota-Baxter, reported as a hypothesis failure

@@ -24,7 +24,7 @@ from lieop import (
     sub_adjacent_bracket,
 )
 from lieop.catalog import get_entry
-from lieop.kernel import VerdictKernel, clear_denominators
+from lieop.kernel import VerdictKernel, integer_image
 from lieop.reps import _ad_family
 
 from conftest import MIXED_AFF1, THIRD_SL2
@@ -36,13 +36,13 @@ FRACTIONAL_GRID = (Fraction(-1, 2), Fraction(0), Fraction(1, 3))
 
 def flat(*ops: Matrix) -> list[tuple[int, ...]]:
     """Row-major integer images of the operators under one shared scale."""
-    ints = iter(clear_denominators([c for op in ops for row in op.rows for c in row]))
+    ints = iter(integer_image([c for op in ops for row in op.rows for c in row])[0])
     return [tuple(next(ints) for _ in range(op.nrows * op.ncols)) for op in ops]
 
 
 def grid_operators(grid, nrows: int, ncols: int):
     """Every nrows x ncols operator over the grid: (integer image, Matrix)."""
-    ints = clear_denominators(list(grid))
+    ints, _ = integer_image(list(grid))
     value_of = dict(zip(ints, grid))
     for combo in itertools.product(ints, repeat=nrows * ncols):
         rows = [[value_of[c] for c in combo[r * ncols : (r + 1) * ncols]] for r in range(nrows)]
@@ -216,7 +216,7 @@ class TestSolvedEnumeration:
     def test_equals_the_filtered_product(self, name, form, grid):
         g = SOLVE_ALGEBRAS[name]
         values = SOLVE_GRIDS[grid]
-        ints = clear_denominators(list(values))
+        ints, _ = integer_image(list(values))
         if form == "rota_baxter":
             # What a rota_baxter search runs: the kernel over the unchecked
             # adjoint family, here against the public predicate.
@@ -254,7 +254,7 @@ def test_sum_filter_agrees_with_the_compatibility_report(aff1):
     assert (len(verdicts), sum(verdicts)) == (441, 177)
 
 
-def test_clear_denominators_keeps_order_and_scale():
-    assert clear_denominators([Fraction(-1, 2), Fraction(0), Fraction(1, 3)]) == [-3, 0, 2]
-    assert clear_denominators([Fraction(-1), Fraction(2)]) == [-1, 2]
-    assert clear_denominators([]) == []
+def test_integer_image_keeps_order_and_scale():
+    assert integer_image([Fraction(-1, 2), Fraction(0), Fraction(1, 3)]) == ([-3, 0, 2], 6)
+    assert integer_image([Fraction(-1), Fraction(2)]) == ([-1, 2], 1)
+    assert integer_image([]) == ([], 1)

@@ -44,7 +44,12 @@ class TestRationalWire:
             assert format_rational(parse_rational(text)) == text
 
     @pytest.mark.parametrize(
-        "bad", ["1/0", "1/-2", "- 1", "1.5", "+3", "", "3/", "/2", "0x1", "1 /2"]
+        "bad",
+        [
+            "1/0", "1/-2", "- 1", "1.5", "+3", "", "3/", "/2", "0x1", "1 /2",
+            # ASCII digits only, and nothing after the last one.
+            "1\n", "1/2\n", "\u0663", "\uff11", "1/1\u0660",
+        ],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):

@@ -1,5 +1,4 @@
 import itertools
-import sys
 from fractions import Fraction
 
 import pytest
@@ -39,11 +38,11 @@ from lieop import (
     rbn_to_rmn,
     rmn_to_rbn,
 )
-from lieop import lie, operators, reps, structures
+from lieop import operators, reps, structures
 from lieop.catalog import get_entry, grid_search
 from lieop.structures import compatible_via_combos
 
-from conftest import GRID, small_fractions
+from conftest import GRID, count_bracket_builds, small_fractions
 
 
 def kupershmidt_ops(entry, rep="adjoint"):
@@ -61,28 +60,6 @@ def count_calls(monkeypatch, module, name):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def count_bound_calls(monkeypatch, functions):
-    """Wrap each function under every name that a lieop module binds it to
-    (lie.deformed_algebra is also operators.deform_bracket_by_s); returns
-    the list of the functions' own names, one per call."""
-    calls = []
-
-    def counted(real):
-        def wrapper(*args, **kwargs):
-            calls.append(real.__name__)
-            return real(*args, **kwargs)
-
-        return wrapper
-
-    for module_name, module in list(sys.modules.items()):
-        if module_name.split(".")[0] != "lieop":
-            continue
-        for name, value in list(vars(module).items()):
-            if any(value is f for f in functions):
-                monkeypatch.setattr(module, name, counted(value))
     return calls
 
 
@@ -119,9 +96,9 @@ class TestKnKdn:
         # T Kupershmidt but N T != T S: twist condition fails in the report
         g, rho = aff1.algebra, aff1.representations["adjoint"]
         t_op = Matrix.diagonal([1, 0])
-        verdict = is_kn_structure(g, rho, t_op, Matrix.zeros(2, 2), Matrix.identity(2))
-        assert not verdict.ok
-        assert "twist" in {w.condition for w in verdict.report.witnesses}
+        report = is_kn_structure(g, rho, t_op, Matrix.zeros(2, 2), Matrix.identity(2))
+        assert not report.ok
+        assert "twist" in {w.condition for w in report.witnesses}
 
     def test_catalog_triples_verify(self):
         for name, op_name in [("aff1", "kn_diag"), ("heis3", "kn_diag")]:
@@ -439,25 +416,18 @@ class TestHierarchy:
         either = {
             (w.condition, w.indices)
             for check in (is_kn_structure, is_kdn_structure)
-            for w in check(g, rho, *triple).report.witnesses
+            for w in check(g, rho, *triple).witnesses
         }
         assert seen and len(seen) == len(set(seen)) and set(seen) == either
 
-    def test_no_bracket_is_built_past_the_hypothesis(self, monkeypatch):
-        # The hypothesis's KN conditions build two sub-adjacent brackets and
-        # one S-deformed bracket (deform_bracket_by_s) as certificates. The
-        # bracket match and the morphism identity then run as kernel loops,
-        # which build none: the Matrix route built 11 more S-deformed
-        # brackets, one per S^p, 11 N^i-deformed algebras and 11 more
-        # sub-adjacent brackets, one per T_k.
+    def test_hierarchy_builds_no_bracket(self, monkeypatch):
+        # The hypothesis's KN conditions, the bracket match and the morphism
+        # identity all run as kernel loops, which build no bracket; only
+        # kn_certificates builds the two brackets the KN conditions compare.
         args = kn_diag()
-        calls = count_bound_calls(
-            monkeypatch, (lie.deformed_algebra, operators.sub_adjacent_bracket)
-        )
+        calls = count_bracket_builds(monkeypatch)
         assert len(hierarchy(*args, 10)) == 11
-        assert sorted(calls) == [
-            "deformed_algebra", "sub_adjacent_bracket", "sub_adjacent_bracket"
-        ]
+        assert calls == []
 
 
 class TestKdnFromCompatible:
@@ -766,9 +736,10 @@ class TestConversions:
         r_op, n_op = bundle.matrices["R"], bundle.matrices["N"]
         torsion = count_calls(monkeypatch, structures, "is_nijenhuis")
         forms = count_calls(monkeypatch, structures, "check_bilinear_form")
+        brackets = count_bracket_builds(monkeypatch)
         pi, n1 = rbn_to_rmn(g, r_op, n_op, form)
-        assert (len(torsion), len(forms)) == (1, 1)
+        assert (len(torsion), len(forms), len(brackets)) == (1, 1, 0)
         del torsion[:], forms[:]
         r_back, n2 = rmn_to_rbn(g, pi, n1, form)
-        assert (len(torsion), len(forms)) == (1, 1)
+        assert (len(torsion), len(forms), len(brackets)) == (1, 1, 0)
         assert (r_back, n2) == (r_op, n_op)

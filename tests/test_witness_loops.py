@@ -398,7 +398,7 @@ def test_random_triples_match_the_bracket_match_definition(data):
     actual, yielded = kernel_bracket_match(rho, t_op, s_op, n_op)
     assert actual == expected
     assert yielded == {ij for ij, d in expected.items() if not d.is_zero()}
-    witnesses = _kn_conditions(g, rho, t_op, s_op, n_op, "kn").report.witnesses
+    witnesses = _kn_conditions(g, rho, t_op, s_op, n_op, "kn").witnesses
     assert [w.to_json() for w in witnesses if w.condition == "bracket_match"] == [
         Witness("bracket_match", ij, d).to_json()
         for ij, d in expected.items()
