@@ -36,6 +36,24 @@ so that defect is the rational one times a*b^2:
   and of the powers of S and N, all under one scale b, and builds no
   deformed bracket.
 
+The morphism defect is minus the polarization of the Kupershmidt one
+wherever T_k and T_(k+i) are Kupershmidt and the bracket match holds at
+k + i, that is [u,v]^{T_(k+i)} equals the S^(k+i)-deformation of
+[u,v]^T. Then N^i T_k = T_(k+i) turns N^i [T_k u, T_k v] =
+N^i T_k [u,v]^{T_k} into T_(k+i) [u,v]^{T_k}, and the left side
+T_k [u,v]_{S^(k+i)} into T_k [u,v]^{T_(k+i)}, so the morphism defect is
+
+    T_k[u,v]^{T_(k+i)} + T_(k+i)[u,v]^{T_k} - [T_(k+i)u, T_k v] - [T_k u, T_(k+i)v]
+      = -(K(T_k + T_(k+i)) - K(T_k) - K(T_(k+i))),
+
+minus the compatibility defect of (T_k, T_(k+i)), which vanishes at i = 0
+(it is then 2 K(T_k)). On the images the degrees agree: the morphism
+loop's a*b^3 is b times the Kupershmidt loop's a*b^2, with the same
+a = g.scale * rho.scale, so its integer defect is exactly -b times the
+integer polarization, and the two fail at the same module basis pairs.
+hierarchy() therefore reads those pairs off its compatibility loop and
+runs morphism_defects only for an (k, i) whose premises fail.
+
 The reporting predicates (is_nijenhuis, the Kupershmidt report behind
 is_kupershmidt, is_rota_baxter and is_r_matrix, the pair, dual-pair and
 perfect-pair reports, and the KN conditions behind the KN, KdN, RBN and
@@ -85,7 +103,7 @@ from __future__ import annotations
 from itertools import chain, combinations, islice, product
 from math import lcm
 from operator import add, mul
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
     from .lie import BracketLike
@@ -280,23 +298,24 @@ def deformed_sub_adjacent(ads: list, s_op: Sequence[int]) -> Iterator[list]:
 
 
 def bracket_match_defects(
-    rho: ActionImage, ads: list, s_op: Sequence[int], nt_op: Sequence[int]
+    rho: ActionImage, deformed: Iterable[list], nt_op: Sequence[int]
 ) -> Defects:
     """[u,v]^{NT} - ([Su,v]^T + [u,Sv]^T - S[u,v]^T) at the module basis
     pairs i < j where it is nonzero, a*b^2 times the rational defect, where
-    [u,v]^X = rho(Xu)v - rho(Xv)u and ads = sub_adjacent_ads(rho, T).
+    [u,v]^X = rho(Xu)v - rho(Xv)u and deformed, the S-deformation of
+    [u,v]^T at those pairs in order, is deformed_sub_adjacent(ads, S).
 
     Each term has degree 1 in rho and 2 in the operators, and g's bracket
-    does not appear: with T, S and N sharing the scale b, ads is a*b times
-    T's constants, S is b times itself and nt_op, the product of N's and
-    T's images, is b^2 NT. The S-deformed bracket is deformed_sub_adjacent.
+    does not appear: with T, S and N sharing the scale b, deformed is
+    a*b^2 times the rational vectors and nt_op, the product of N's and T's
+    images, is b^2 NT.
     """
     m, q = rho.m, rho.q
     nt_cols = [nt_op[j::m] for j in range(m)]
     pairs = combinations(range(m), 2)
-    for (i, j), deformed in zip(pairs, deformed_sub_adjacent(ads, s_op)):
+    for (i, j), bracket in zip(pairs, deformed):
         via_nt = _sub(_apply(q[j], nt_cols[i]), _apply(q[i], nt_cols[j]))
-        defect = _sub(via_nt, deformed)
+        defect = _sub(via_nt, bracket)
         if any(defect):
             yield (i, j), defect
 
@@ -464,7 +483,8 @@ class VerdictKernel:
                 continue
             if j not in matches:
                 ts_flat = list(chain.from_iterable(ts[j]))
-                defects = bracket_match_defects(self._rho, ads, s_ops[j], ts_flat)
+                deformed = deformed_sub_adjacent(ads, s_ops[j])
+                defects = bracket_match_defects(self._rho, deformed, ts_flat)
                 matches[j] = next(defects, None) is None
             if matches[j]:
                 out.append((i, j))

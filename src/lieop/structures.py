@@ -27,14 +27,18 @@ PreconditionFailure when one fails: its verdict is only defined under
 those hypotheses, and a failed hypothesis must never be conflated with a
 failed condition. Once every T_k is known to be Kupershmidt, the hierarchy
 decides the compatibility of T_a and T_b by the sum T_a + T_b being
-Kupershmidt, which is exact as the defect is the polarization above.
+Kupershmidt, which is exact as the defect is the polarization above; the
+morphism identity at (k, i) is minus that polarization at (T_k, T_(k+i))
+wherever the bracket match holds at k + i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, combinations
+from operator import add
 from typing import Iterator
 
 from .errors import (
@@ -43,9 +47,9 @@ from .errors import (
     StructureCheckError,
 )
 from .kernel import (
-    VerdictKernel,
     bracket_match_defects,
     deformed_sub_adjacent,
+    kupershmidt_defects,
     morphism_defects,
     shared_images,
     sub_adjacent_ads,
@@ -161,7 +165,8 @@ def _bracket_match_witnesses(
     scale = image.scale * b * b
     # b clears N and T, so b^2 NT = (bN)(bT) is integral.
     nt_flat = [int(c * b * b) for row in nt.rows for c in row]
-    defects = bracket_match_defects(image, sub_adjacent_ads(image, t_flat), s_flat, nt_flat)
+    deformed = deformed_sub_adjacent(sub_adjacent_ads(image, t_flat), s_flat)
+    defects = bracket_match_defects(image, deformed, nt_flat)
     return [
         Witness("bracket_match", ij, Vector(Fraction(c, scale) for c in defect))
         for ij, defect in defects
@@ -334,8 +339,12 @@ def hierarchy(
     The hypothesis and each claim are decided by lieop.kernel's integer
     loops, and no bracket is built: past the hypothesis, on the images of
     the T_k and the powers of S and N, the Kupershmidt loop for each T_k
-    and each pairwise sum, the bracket-match loop for (T, S^k, N^k) and
-    the morphism loop.
+    and each pairwise sum, and the bracket-match loop comparing the
+    bracket induced by T_k with the S^k-deformation of T's. The morphism
+    identity at (k, i) is minus the compatibility defect of T_k and
+    T_(k+i) once both are Kupershmidt and the bracket match holds at
+    k + i, so it is read off the pairwise sums; the morphism loop runs
+    only where those premises fail.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -365,34 +374,61 @@ def _hierarchy_failures(
 
     Each claim is decided by a kernel loop on the images of the T_k and the
     powers, all under one scale b, as every identity is homogeneous in the
-    operators. T_0 = T is the hypothesis's operator, so it is not checked
-    again. Once every T_k is Kupershmidt, T_a and T_b are compatible iff
+    operators. T_0 = T is the hypothesis's operator, so no message reports
+    it, but its Kupershmidt loop still runs: the morphism shortcut below
+    reads it. Once every T_k is Kupershmidt, T_a and T_b are compatible iff
     their sum is: the compatibility defect is K(T_a + T_b) - K(T_a) - K(T_b).
+
+    The bracket match at k compares [u,v]^{T_k} with deformed[k], the
+    S^k-deformation of T's sub-adjacent bracket. Where T_k and T_(k+i) are
+    Kupershmidt and the match holds at k + i, the morphism identity at
+    (k, i) fails exactly where the Kupershmidt loop of T_k + T_(k+i) does,
+    and nowhere at i = 0 (lieop.kernel's docstring derives this); only the
+    other (k, i) run the morphism loop.
     """
     count, t_op = len(ops), ops[0]
     flats, b = shared_images(ops + s_pows + n_pows)
     t_flats, s_flats, n_flats = (flats[p : p + count] for p in (0, count, 2 * count))
-    kernel = VerdictKernel(g, rho)
+    g_image, image = g.integer_image, rho.integer_image
+
+    @cache
+    def failing(t_flat: tuple) -> tuple:
+        """The pairs where the Kupershmidt loop fails, run once per distinct
+        operator: the T_k and their sums repeat wherever N fixes T's image."""
+        return tuple(ij for ij, _ in kupershmidt_defects(g_image, image, t_flat))
+
+    own = [failing(tuple(t_flat)) for t_flat in t_flats]
     for k, op in enumerate(ops):
         if op != mat_mul(t_op, s_pows[k]):
             yield f"N^{k} T != T S^{k}"
-        if k and not kernel.is_kupershmidt(t_flats[k]):
+        if k and own[k]:
             yield f"T_{k} is not a Kupershmidt operator"
+    sums = {}
     for a, c in combinations(range(count), 2):
-        if not kernel.compatible(t_flats[a], t_flats[c]):
+        sums[a, c] = failing(tuple(map(add, t_flats[a], t_flats[c])))
+        if sums[a, c]:
             yield f"T_{a} and T_{c} are not compatible"
 
-    g_image, image = g.integer_image, rho.integer_image
     ads = sub_adjacent_ads(image, t_flats[0])
     # T's sub-adjacent bracket deformed by each S^p, p = 0..k_max.
     deformed = [list(deformed_sub_adjacent(ads, s_flat)) for s_flat in s_flats]
+    # The KN bracket match for (T, S^k, N^k); b^2 N^k T is b times T_k's image.
+    matched = [
+        next(bracket_match_defects(image, deformed[k], [x * b for x in t_flat]), None) is None
+        for k, t_flat in enumerate(t_flats)
+    ]
     for k, t_flat in enumerate(t_flats):
-        # The KN bracket match for (T, S^k, N^k); b^2 N^k T is b times T_k's image.
-        nt_flat = [c * b for c in t_flat]
-        if next(bracket_match_defects(image, ads, s_flats[k], nt_flat), None) is not None:
+        if not matched[k]:
             yield f"bracket of T_{k} differs from the S^{k}-deformed bracket"
         for i in range(count - k):
-            for (u, v), _ in morphism_defects(g_image, image, deformed[k + i], t_flat, n_flats[i]):
+            c = k + i
+            if matched[c] and not own[k] and not own[c]:
+                # No entry at i = 0, where the polarization is 2 K(T_k) = 0.
+                pairs = sums.get((k, c), ())
+            else:
+                defects = morphism_defects(g_image, image, deformed[c], t_flat, n_flats[i])
+                pairs = [ij for ij, _ in defects]
+            for u, v in pairs:
                 yield f"morphism identity fails at k={k}, i={i}, pair ({u},{v})"
 
 

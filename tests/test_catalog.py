@@ -177,11 +177,14 @@ class TestGridSearch:
         kn_conditions = _count_calls(monkeypatch, structures._kn_conditions)
         sub_adjacent = _count_calls(monkeypatch, operators.sub_adjacent_bracket)
         matches = _count_calls(monkeypatch, kernel.bracket_match_defects)
+        deformations = _count_calls(monkeypatch, kernel.deformed_sub_adjacent)
         grid_search(g, ad, "kn_structure", (0, 1))
         assert (len(kn_conditions), len(sub_adjacent)) == (0, 0)
-        # T's constants are formed once per T, and the calls keep them alive,
-        # so the object tells the T apart.
-        decided = {(id(ads), tuple(s_op)) for _, ads, s_op, _ in matches}
+        # Each match reads one S-deformation of T's constants. Those are
+        # formed once per T, and the calls keep them alive, so the object
+        # tells the T apart.
+        assert len(deformations) == len(matches)
+        decided = {(id(ads), tuple(s_op)) for ads, s_op in deformations}
         assert len(survivors) == 116
         assert len(matches) == len(decided) == len(set(survivors)) == 37
 

@@ -38,7 +38,7 @@ from lieop import (
     rbn_to_rmn,
     rmn_to_rbn,
 )
-from lieop import operators, reps, structures
+from lieop import kernel, operators, reps, structures
 from lieop.catalog import get_entry, grid_search
 from lieop.structures import compatible_via_combos
 
@@ -391,6 +391,19 @@ class TestHierarchy:
         combos = count_calls(monkeypatch, structures, "compatible_via_combos")
         assert len(hierarchy(*args, 10)) == 11
         assert (len(products), len(reports), len(combos)) == (44, 1, 0)
+
+    def test_morphism_identity_is_read_off_the_compatibility_loop(self, monkeypatch):
+        # Every T_k is Kupershmidt and every bracket match holds, so each
+        # morphism identity is minus a compatibility defect and no morphism
+        # loop runs. T's bracket is deformed once per S^0..S^10, plus once
+        # in the hypothesis's bracket match; the bracket matches read those
+        # deformations and deform nothing themselves.
+        args = kn_diag()
+        morphisms = count_calls(monkeypatch, structures, "morphism_defects")
+        deformations = count_calls(monkeypatch, structures, "deformed_sub_adjacent")
+        inner = count_calls(monkeypatch, kernel, "deformed_sub_adjacent")
+        assert len(hierarchy(*args, 10)) == 11
+        assert (len(morphisms), len(deformations), len(inner)) == (0, 12, 0)
 
     def test_kdn_hypothesis_is_checked_once(self, monkeypatch):
         # KdN but not KN: the pair loop fails and the dual-pair loop passes.

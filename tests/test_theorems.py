@@ -13,7 +13,7 @@ does (its inverse would be an invertible derivation, and every derivation
 of aff1 is inner), so those results cannot tell one power of N from
 another; some coadjoint results over {-1, 0, 1} can. So can 4 of the
 8,356 heis3 coadjoint results over {0, 1}, the first 3-dimensional case;
-the hierarchy is run on those.
+the hierarchy is run on those, and on every 16th result.
 """
 
 from __future__ import annotations
@@ -75,5 +75,17 @@ def test_heis3_kn_structures_that_tell_the_powers_apart_generate_hierarchies():
     telling = list(_telling(g, found))
     assert len(telling) == 4
     for t_op, s_op, n_op in telling:
+        ops = hierarchy(g, rho, t_op, s_op, n_op, 4)
+        assert ops[0] == t_op and len(ops) == 5
+
+
+def test_heis3_kn_structures_generate_hierarchies_on_a_fixed_slice():
+    # Every 16th of the 8,356 results, in the search's order.
+    entry = get_entry("heis3")
+    g, rho = entry.algebra, entry.representations["coadjoint"]
+    found = grid_search(g, rho, "kn_structure", (0, 1), cap=2**27)
+    sliced = found[::16]
+    assert len(sliced) == 523
+    for t_op, s_op, n_op in sliced:
         ops = hierarchy(g, rho, t_op, s_op, n_op, 4)
         assert ops[0] == t_op and len(ops) == 5

@@ -19,14 +19,18 @@ The KN bracket match runs lieop.kernel's bracket-match loop, in the search
 and in the KN conditions alike. Its reference is the Matrix definition:
 the sub-adjacent bracket of NT against the S-deformation of T's.
 
-hierarchy() decides its claims with kernel loops alone, the morphism
-identity with lieop.kernel's morphism loop. Its reference is the Matrix
+hierarchy() decides its claims with kernel loops alone: the morphism
+identity off the compatibility loop where its premises hold, and with
+lieop.kernel's morphism loop elsewhere. Its reference is the Matrix
 route: per-tuple Kupershmidt checks, sub-adjacent brackets, the
-S^p-deformed brackets and the N^i-deformed algebras.
+S^p-deformed brackets and the N^i-deformed algebras. The tests call the
+bracket-match and morphism loops directly too, so that every (k, i) is
+compared with the reference whichever way hierarchy() decides it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
@@ -60,11 +64,13 @@ from lieop import (
     semidirect_product,
     sub_adjacent_bracket,
 )
-from lieop import structures
-from lieop.catalog import get_entry
+from lieop.catalog import get_entry, grid_search
 from lieop.kernel import (
     bracket_match_defects,
+    deformed_sub_adjacent,
     integer_image,
+    kupershmidt_defects,
+    morphism_defects,
     shared_images,
     sub_adjacent_ads,
 )
@@ -375,7 +381,8 @@ def kernel_bracket_match(rho, t_op, s_op, n_op):
         for c in range(m)
     ]
     image = rho.integer_image
-    defects = list(bracket_match_defects(image, sub_adjacent_ads(image, t_flat), s_flat, nt_flat))
+    deformed = deformed_sub_adjacent(sub_adjacent_ads(image, t_flat), s_flat)
+    defects = list(bracket_match_defects(image, deformed, nt_flat))
     assert [ij for ij, _ in defects] == sorted(ij for ij, _ in defects)
     scale = image.scale * b * b
     found = {ij: Vector(Fraction(c, scale) for c in defect) for ij, defect in defects}
@@ -451,18 +458,22 @@ def reference_morphism(g, rho, t_op, tk, s_pow, n_pow):
     }
 
 
-def spy(monkeypatch, name):
-    """Record the defects that each call of structures.<name> yields."""
-    calls, real = [], getattr(structures, name)
+def hierarchy_images(g, rho, ops, s_pows, n_pows):
+    """What _hierarchy_failures hands its loops: the images of the T_k and
+    of N^i under their shared scale b, the S^p-deformed sub-adjacent
+    brackets of T, and b."""
+    count, image = len(ops), rho.integer_image
+    flats, b = shared_images(ops + s_pows + n_pows)
+    t_flats, n_flats = flats[:count], flats[2 * count :]
+    ads = sub_adjacent_ads(image, t_flats[0])
+    deformed = [list(deformed_sub_adjacent(ads, s_flat)) for s_flat in flats[count : 2 * count]]
+    return t_flats, n_flats, deformed, b
 
-    def recorded(*args):
-        defects = list(real(*args))
-        assert [ij for ij, _ in defects] == sorted(ij for ij, _ in defects)
-        calls.append(defects)
-        return iter(defects)
 
-    monkeypatch.setattr(structures, name, recorded)
-    return calls
+def in_order(defects):
+    defects = list(defects)
+    assert [ij for ij, _ in defects] == sorted(ij for ij, _ in defects)
+    return defects
 
 
 def divided(defects, scale, dim, m):
@@ -477,10 +488,10 @@ def test_random_triples_match_the_hierarchy_references(data):
     """Over the inputs of _bracket_and_action and random (T, S, N), whose
     entries are fractional half the time, at k_max <= 3 (so k, i <= 3):
     the claims that the hierarchy's kernel loops find failing are, in
-    order, those the Matrix references find failing; and each bracket-match
-    and morphism loop that it runs yields the reference's defects for its
-    (k, i), divided by a*b^2 and a*b^3. Random triples mostly fail; the
-    catalog's pass (test below)."""
+    order, those the Matrix references find failing; and the bracket-match
+    loop at every k and the morphism loop at every (k, i), run on the
+    hierarchy's images, yield the reference's defects divided by a*b^2 and
+    a*b^3. Random triples mostly fail; the catalog's pass (test below)."""
     g, rho = _bracket_and_action(data)
     n, m = g.dim, rho.module_dim
     elements = small_fractions if data.draw(st.booleans()) else st.integers(-2, 2)
@@ -489,21 +500,148 @@ def test_random_triples_match_the_hierarchy_references(data):
     s_pows, n_pows = powers(s_op, k_max), powers(n_op, k_max)
     ops = [mat_mul(n_pow, t_op) for n_pow in n_pows]
     expected = list(reference_hierarchy_failures(g, rho, ops, s_pows, n_pows))
-    with pytest.MonkeyPatch.context() as patch:
-        matches = spy(patch, "bracket_match_defects")
-        morphisms = spy(patch, "morphism_defects")
-        assert list(_hierarchy_failures(g, rho, ops, s_pows, n_pows)) == expected
-    _, b = shared_images(ops + s_pows + n_pows)
-    a_rho, a_g = rho.integer_image.scale, g.integer_image.scale
-    assert len(matches) == k_max + 1
-    for k, defects in enumerate(matches):
+    assert list(_hierarchy_failures(g, rho, ops, s_pows, n_pows)) == expected
+    t_flats, n_flats, deformed, b = hierarchy_images(g, rho, ops, s_pows, n_pows)
+    g_image, image = g.integer_image, rho.integer_image
+    a_rho, a_g = image.scale, g_image.scale
+    for k, t_flat in enumerate(t_flats):
+        defects = in_order(bracket_match_defects(image, deformed[k], [x * b for x in t_flat]))
         expected_match = reference_bracket_match(g, rho, t_op, s_pows[k], n_pows[k])
         assert divided(defects, a_rho * b**2, m, m) == expected_match
-    ki = [(k, i) for k in range(k_max + 1) for i in range(k_max + 1 - k)]
-    assert len(morphisms) == len(ki)
-    for (k, i), defects in zip(ki, morphisms):
-        expected_morphism = reference_morphism(g, rho, t_op, ops[k], s_pows[k + i], n_pows[i])
-        assert divided(defects, a_g * a_rho * b**3, n, m) == expected_morphism
+        for i in range(k_max + 1 - k):
+            defects = in_order(morphism_defects(g_image, image, deformed[k + i], t_flat, n_flats[i]))
+            expected_morphism = reference_morphism(g, rho, t_op, ops[k], s_pows[k + i], n_pows[i])
+            assert divided(defects, a_g * a_rho * b**3, n, m) == expected_morphism
+
+
+@functools.cache
+def searched_kupershmidt(name, rep):
+    entry = get_entry(name)
+    g, rho = entry.algebra, entry.representations[rep]
+    return g, rho, grid_search(g, rho, "kupershmidt", (-1, 0, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_searched_operators_match_the_hierarchy_references(data):
+    """T drawn from a Kupershmidt search, N at random over {-1, 0, 1} and S
+    too, or zero (as in the grid test below), 1 <= k_max <= 3. Random T
+    almost never pass the Kupershmidt loop, so the test above hardly
+    reaches the (k, i) whose morphism identity _hierarchy_failures reads
+    off the compatibility loop; here T_0 always passes and some T_k do
+    too. At every (k, i) whose premises hold, the morphism loop's defect
+    is -b times the Kupershmidt loop's on T_k + T_(k+i), the identity
+    lieop.kernel derives, and zero at i = 0. Few draws make that defect
+    nonzero; the grid test below pins 36 triples that do."""
+    name, rep = data.draw(st.sampled_from((("aff1", "adjoint"), ("aff1", "coadjoint"), ("sl2", "adjoint"))))
+    g, rho, found = searched_kupershmidt(name, rep)
+    n, m = g.dim, rho.module_dim
+    t_op = data.draw(st.sampled_from(found))
+    elements = st.integers(-1, 1)
+    s_op = data.draw(st.one_of(st.just(Matrix.zeros(m, m)), matrices(m, m, elements)))
+    n_op = data.draw(matrices(n, n, elements))
+    k_max = data.draw(st.integers(1, 3))
+    s_pows, n_pows = powers(s_op, k_max), powers(n_op, k_max)
+    ops = [mat_mul(n_pow, t_op) for n_pow in n_pows]
+    expected = list(reference_hierarchy_failures(g, rho, ops, s_pows, n_pows))
+    assert list(_hierarchy_failures(g, rho, ops, s_pows, n_pows)) == expected
+    t_flats, n_flats, deformed, b = hierarchy_images(g, rho, ops, s_pows, n_pows)
+    g_image, image = g.integer_image, rho.integer_image
+
+    def kupershmidt(t_flat):
+        return dict(kupershmidt_defects(g_image, image, t_flat))
+
+    for k, c in itertools.combinations_with_replacement(range(k_max + 1), 2):
+        match = next(bracket_match_defects(image, deformed[c], [x * b for x in t_flats[c]]), None)
+        if match is not None or kupershmidt(t_flats[k]) or kupershmidt(t_flats[c]):
+            continue
+        morphism = dict(morphism_defects(g_image, image, deformed[c], t_flats[k], n_flats[c - k]))
+        polarization = kupershmidt([x + y for x, y in zip(t_flats[k], t_flats[c])])
+        if k == c:
+            assert morphism == polarization == {}
+        assert morphism == {ij: [-b * x for x in d] for ij, d in polarization.items()}
+
+
+NEAR_MISSES = (
+    # S = 0, so N^k T != T S^k for k > 0; T_0, T_1 and T_2 = T_1 are
+    # Kupershmidt, and the bracket match holds at every k (T_1 induces the
+    # zero bracket, which is the 0-deformation of any). But T_0 is
+    # compatible with neither T_1 nor T_2, so the morphism identity at
+    # (0, 1) and (0, 2), read off the compatibility loop, fails at the one
+    # module basis pair.
+    pytest.param(
+        [[0, 0], [0, 0]], [[1, 0], [1, 0]], 2,
+        [
+            "N^1 T != T S^1",
+            "N^2 T != T S^2",
+            "T_0 and T_1 are not compatible",
+            "T_0 and T_2 are not compatible",
+            "morphism identity fails at k=0, i=1, pair (0,1)",
+            "morphism identity fails at k=0, i=2, pair (0,1)",
+        ],
+        id="compatibility",
+    ),
+    # The bracket match holds at k = 1 and T_0 + T_1 is Kupershmidt, but T_1
+    # is not, so the morphism identity at (0, 1) is not the compatibility
+    # defect: the morphism loop runs, and fails.
+    pytest.param(
+        [[-1, 0], [-1, 0]], [[-1, -1], [0, 0]], 1,
+        [
+            "N^1 T != T S^1",
+            "T_1 is not a Kupershmidt operator",
+            "morphism identity fails at k=0, i=1, pair (0,1)",
+            "morphism identity fails at k=1, i=0, pair (0,1)",
+        ],
+        id="t1-not-kupershmidt",
+    ),
+)
+
+
+@pytest.mark.parametrize("s_rows, n_rows, k_max, expected", NEAR_MISSES)
+def test_near_misses_match_the_hierarchy_references(s_rows, n_rows, k_max, expected):
+    """aff1 coadjoint, T = [[0, -1], [1, -1]] Kupershmidt."""
+    entry = get_entry("aff1")
+    g, rho = entry.algebra, entry.representations["coadjoint"]
+    t_op = Matrix([[0, -1], [1, -1]])
+    s_pows, n_pows = powers(Matrix(s_rows), k_max), powers(Matrix(n_rows), k_max)
+    ops = [mat_mul(n_pow, t_op) for n_pow in n_pows]
+    assert list(reference_hierarchy_failures(g, rho, ops, s_pows, n_pows)) == expected
+    assert list(_hierarchy_failures(g, rho, ops, s_pows, n_pows)) == expected
+
+
+def _shortcut_failures(messages):
+    """The morphism failures among hierarchy() messages at an (k, i) whose
+    premises hold: T_k and T_(k+i) Kupershmidt, the bracket match at k + i."""
+    for message in messages:
+        found = re.match(r"morphism identity fails at k=(\d+), i=(\d+)", message)
+        if found:
+            k, i = map(int, found.groups())
+            premises = (
+                f"T_{k} is not a Kupershmidt operator",
+                f"T_{k + i} is not a Kupershmidt operator",
+                f"bracket of T_{k + i} differs from the S^{k + i}-deformed bracket",
+            )
+            if not set(premises) & set(messages):
+                yield message
+
+
+def test_zero_s_grid_matches_the_hierarchy_references():
+    """aff1 coadjoint, S = 0, k_max 2: every Kupershmidt T over {-1, 0, 1}
+    against every N over it. With S = 0 the bracket match at k > 0 asks
+    that T_k induce the zero bracket, which some T_k do; 36 of the 1,701
+    triples then fail the morphism identity at an (k, i) whose premises
+    hold, which _hierarchy_failures reads off the compatibility loop."""
+    g, rho, found = searched_kupershmidt("aff1", "coadjoint")
+    s_pows = powers(Matrix.zeros(2, 2), 2)
+    telling = 0
+    for t_op in found:
+        for n_op in grid_matrices(2, 2):
+            n_pows = powers(n_op, 2)
+            ops = [mat_mul(n_pow, t_op) for n_pow in n_pows]
+            expected = list(reference_hierarchy_failures(g, rho, ops, s_pows, n_pows))
+            assert list(_hierarchy_failures(g, rho, ops, s_pows, n_pows)) == expected
+            telling += any(_shortcut_failures(expected))
+    assert (len(found), telling) == (21, 36)
 
 
 @pytest.mark.parametrize(
