@@ -24,7 +24,7 @@ import os
 import sys
 
 from .catalog import GRID_CAP, SEARCH_KINDS, get_entry, grid_search, list_catalog
-from .documents import document_dict, load_document, serialize
+from .documents import MAX_KMAX, document_dict, load_document, serialize
 from .errors import (
     DocumentError,
     GridCapExceeded,
@@ -176,8 +176,8 @@ def cmd_check(args, out: _Output) -> int:
 
 
 def cmd_hierarchy(args, out: _Output) -> int:
-    if args.kmax < 0:
-        raise DocumentError("kmax", f"must be >= 0, got {args.kmax}")
+    if not 0 <= args.kmax <= MAX_KMAX:
+        raise DocumentError("kmax", f"must be between 0 and {MAX_KMAX}, got {args.kmax}")
     doc = load_document(args.file)
     g = doc.algebra()
     rho = doc.representation(g)

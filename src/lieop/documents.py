@@ -29,6 +29,11 @@ from .structures import BilinearForm, Bivector
 # dimension at most 3.
 MAX_DIM = 64
 
+# Upper bound on `lieop hierarchy --kmax`. The hierarchy checks every pair
+# of the k_max + 1 operators, whose entries grow with k, so its work grows
+# faster than k_max^2; this keeps one flag value from running away.
+MAX_KMAX = 64
+
 
 @dataclass
 class Document:

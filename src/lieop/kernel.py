@@ -1,6 +1,6 @@
 """Integer images, the one torsion loop, the one Kupershmidt loop, the
-one (N, S) pair loop, the one KN bracket-match loop and the hierarchy's
-morphism loop, and the verdict-only kernel behind grid_search.
+one (N, S) pair loop and the one KN bracket-match loop, and the
+verdict-only kernel behind grid_search.
 
 Every Bracket and Representation keeps an integer image (BracketImage,
 ActionImage), built on first use: its structure constants or action
@@ -25,34 +25,29 @@ so that defect is the rational one times a*b^2:
 - the KN bracket match [u,v]^{NT} - ([Su,v]^T + [u,Sv]^T - S[u,v]^T),
   with [u,v]^T = rho(Tu)v - rho(Tv)u, has degree 1 in rho and 2 in the
   operators, and g's bracket does not appear (bracket_match_defects, at
-  module basis pairs i < j; a is rho's scale);
-- the hierarchy's morphism identity T_k[u,v]_{S^(k+i)} - [T_k u, T_k v]_{N^i},
-  the left side the S^(k+i)-deformation of T's sub-adjacent bracket and
-  the right side the N^i-deformation of g's, has degree 3 in the
-  operators (so b^3 in place of b^2), and degree 1 in rho on the left and
-  in g's bracket on the right; as in the Kupershmidt loop, each side is
-  multiplied by the other's scale (morphism_defects, at module basis
-  pairs i < j). hierarchy() decides it on the images of the T_k = N^k T
-  and of the powers of S and N, all under one scale b, and builds no
-  deformed bracket.
+  module basis pairs i < j; a is rho's scale).
 
-The morphism defect is minus the polarization of the Kupershmidt one
-wherever T_k and T_(k+i) are Kupershmidt and the bracket match holds at
-k + i, that is [u,v]^{T_(k+i)} equals the S^(k+i)-deformation of
-[u,v]^T. Then N^i T_k = T_(k+i) turns N^i [T_k u, T_k v] =
-N^i T_k [u,v]^{T_k} into T_(k+i) [u,v]^{T_k}, and the left side
-T_k [u,v]_{S^(k+i)} into T_k [u,v]^{T_(k+i)}, so the morphism defect is
+The hierarchy's morphism identity T_k[u,v]_{S^(k+i)} = [T_k u, T_k v]_{N^i},
+the left side the S^(k+i)-deformation of T's sub-adjacent bracket and the
+right side the N^i-deformation of g's, needs no loop of its own. Wherever
+T_k and T_(k+i) are Kupershmidt and the bracket match holds at k + i, that
+is [u,v]^{T_(k+i)} equals the S^(k+i)-deformation of [u,v]^T, its defect
+is minus the polarization of the Kupershmidt one. N^i T_k = T_(k+i) turns
+N^i [T_k u, T_k v] = N^i T_k [u,v]^{T_k} into T_(k+i) [u,v]^{T_k}, and the
+left side T_k [u,v]_{S^(k+i)} into T_k [u,v]^{T_(k+i)}, so the morphism
+defect is
 
     T_k[u,v]^{T_(k+i)} + T_(k+i)[u,v]^{T_k} - [T_(k+i)u, T_k v] - [T_k u, T_(k+i)v]
       = -(K(T_k + T_(k+i)) - K(T_k) - K(T_(k+i))),
 
 minus the compatibility defect of (T_k, T_(k+i)), which vanishes at i = 0
-(it is then 2 K(T_k)). On the images the degrees agree: the morphism
-loop's a*b^3 is b times the Kupershmidt loop's a*b^2, with the same
-a = g.scale * rho.scale, so its integer defect is exactly -b times the
-integer polarization, and the two fail at the same module basis pairs.
-hierarchy() therefore reads those pairs off its compatibility loop and
-runs morphism_defects only for an (k, i) whose premises fail.
+(it is then 2 K(T_k)). With K(T_k) = K(T_(k+i)) = 0 it is
+-K(T_k + T_(k+i)), so the identity fails at exactly the module basis
+pairs where the Kupershmidt loop of the sum does. hierarchy() therefore
+reads those pairs off its compatibility loop, on the images of the T_k
+under one scale b, and builds no deformed bracket; where one of the
+premises fails, it reports that premise and leaves the identity
+undecided, as the theorem's hypothesis rules that case out.
 
 The reporting predicates (is_nijenhuis, the Kupershmidt report behind
 is_kupershmidt, is_rota_baxter and is_r_matrix, the pair, dual-pair and
@@ -316,40 +311,6 @@ def bracket_match_defects(
     for (i, j), bracket in zip(pairs, deformed):
         via_nt = _sub(_apply(q[j], nt_cols[i]), _apply(q[i], nt_cols[j]))
         defect = _sub(via_nt, bracket)
-        if any(defect):
-            yield (i, j), defect
-
-
-def morphism_defects(
-    g: BracketImage,
-    rho: ActionImage,
-    deformed: list,
-    tk_op: Sequence[int],
-    n_op: Sequence[int],
-) -> Defects:
-    """T_k [u,v]_S - [T_k u, T_k v]_N at the module basis pairs i < j where
-    it is nonzero, a*b^3 times the rational defect for a = g.scale *
-    rho.scale, where deformed = list(deformed_sub_adjacent(ads, S)) is the
-    S-deformation of T's sub-adjacent bracket and [x,y]_N = [Nx,y] +
-    [x,Ny] - N[x,y] the N-deformation of g's bracket.
-
-    The hierarchy's morphism identity, at S = S^(k+i) and N = N^i. It has
-    degree 3 in the operators, which share the scale b, and degree 1 in
-    rho on the left and in g's bracket on the right; each side is
-    multiplied by the other's scale, as in kupershmidt_defects.
-    """
-    m = rho.m
-    kg, kr = rho.scale, g.scale
-    tk, nrows = _rows(tk_op, m), _rows(n_op, g.n)
-    cols = [tk_op[j::m] for j in range(m)]
-    n_cols = [_apply(nrows, x) for x in cols]
-    pairs = combinations(range(m), 2)
-    for (i, j), bracket in zip(pairs, deformed):
-        x, y = cols[i], cols[j]
-        right = _sub(
-            list(map(add, g(n_cols[i], y), g(x, n_cols[j]))), _apply(nrows, g(x, y))
-        )
-        defect = [kr * p - kg * r for p, r in zip(_apply(tk, bracket), right)]
         if any(defect):
             yield (i, j), defect
 

@@ -27,9 +27,11 @@ PreconditionFailure when one fails: its verdict is only defined under
 those hypotheses, and a failed hypothesis must never be conflated with a
 failed condition. Once every T_k is known to be Kupershmidt, the hierarchy
 decides the compatibility of T_a and T_b by the sum T_a + T_b being
-Kupershmidt, which is exact as the defect is the polarization above; the
+Kupershmidt, which is exact as the defect is the polarization above. The
 morphism identity at (k, i) is minus that polarization at (T_k, T_(k+i))
-wherever the bracket match holds at k + i.
+wherever T_k and T_(k+i) are Kupershmidt and the bracket match holds at
+k + i, so the hierarchy reads it off those sums; where one of those
+premises fails, the premise is the failure it reports.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
 from operator import add
 from typing import Iterator
 
@@ -50,7 +52,6 @@ from .kernel import (
     bracket_match_defects,
     deformed_sub_adjacent,
     kupershmidt_defects,
-    morphism_defects,
     shared_images,
     sub_adjacent_ads,
 )
@@ -338,23 +339,22 @@ def hierarchy(
 
     The hypothesis and each claim are decided by lieop.kernel's integer
     loops, and no bracket is built: past the hypothesis, on the images of
-    the T_k and the powers of S and N, the Kupershmidt loop for each T_k
-    and each pairwise sum, and the bracket-match loop comparing the
-    bracket induced by T_k with the S^k-deformation of T's. The morphism
-    identity at (k, i) is minus the compatibility defect of T_k and
-    T_(k+i) once both are Kupershmidt and the bracket match holds at
-    k + i, so it is read off the pairwise sums; the morphism loop runs
-    only where those premises fail.
+    the T_k and the powers of S, the Kupershmidt loop for each T_k and
+    each pairwise sum, and the bracket-match loop comparing the bracket
+    induced by T_k with the S^k-deformation of T's. The morphism identity
+    at (k, i) is minus the compatibility defect of T_k and T_(k+i) once
+    both are Kupershmidt and the bracket match holds at k + i, so it is
+    read off the pairwise sums; the theorem makes those premises hold, and
+    where one fails it is reported instead.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     either = ("pair", "dual_pair")
     _require("kn_or_kdn", _k_pair_structure(g, rho, t_op, s_op, n_op, "kn_or_kdn", either))
 
-    n_pows = list(accumulate([n_op] * k_max, mat_mul, initial=Matrix.identity(n_op.nrows)))
     s_pows = list(accumulate([s_op] * k_max, mat_mul, initial=Matrix.identity(s_op.nrows)))
-    ops = [mat_mul(n_pow, t_op) for n_pow in n_pows]
-    failure = next(_hierarchy_failures(g, rho, ops, s_pows, n_pows), None)
+    ops = list(accumulate(repeat(n_op, k_max), lambda t, n: mat_mul(n, t), initial=t_op))
+    failure = next(_hierarchy_failures(g, rho, ops, s_pows), None)
     if failure is not None:
         raise StructureCheckError(failure)
     return ops
@@ -365,30 +365,27 @@ def _hierarchy_failures(
     rho: Representation,
     ops: list[Matrix],
     s_pows: list[Matrix],
-    n_pows: list[Matrix],
 ) -> Iterator[str]:
     """The claims of hierarchy() about T_k = ops[k] = N^k T that fail, each
     as its error message, in the order hierarchy() checks them; rho must
-    already be validated against g, and s_pows[p] and n_pows[p] are S^p
-    and N^p for p = 0..k_max.
+    already be validated against g, and s_pows[p] is S^p for p = 0..k_max.
 
     Each claim is decided by a kernel loop on the images of the T_k and the
-    powers, all under one scale b, as every identity is homogeneous in the
-    operators. T_0 = T is the hypothesis's operator, so no message reports
-    it, but its Kupershmidt loop still runs: the morphism shortcut below
-    reads it. Once every T_k is Kupershmidt, T_a and T_b are compatible iff
-    their sum is: the compatibility defect is K(T_a + T_b) - K(T_a) - K(T_b).
+    powers of S, all under one scale b, as every identity is homogeneous in
+    the operators. Once every T_k is Kupershmidt, T_a and T_b are
+    compatible iff their sum is: the compatibility defect is
+    K(T_a + T_b) - K(T_a) - K(T_b).
 
-    The bracket match at k compares [u,v]^{T_k} with deformed[k], the
-    S^k-deformation of T's sub-adjacent bracket. Where T_k and T_(k+i) are
-    Kupershmidt and the match holds at k + i, the morphism identity at
-    (k, i) fails exactly where the Kupershmidt loop of T_k + T_(k+i) does,
-    and nowhere at i = 0 (lieop.kernel's docstring derives this); only the
-    other (k, i) run the morphism loop.
+    The bracket match at k compares [u,v]^{T_k} with the S^k-deformation of
+    T's sub-adjacent bracket. Where T_k and T_(k+i) are Kupershmidt and the
+    match holds at k + i, the morphism identity at (k, i) fails exactly
+    where the Kupershmidt loop of T_k + T_(k+i) does, and nowhere at i = 0
+    (lieop.kernel's docstring derives this). Where one of those premises
+    fails, its own message reports it and the identity is not decided.
     """
     count, t_op = len(ops), ops[0]
-    flats, b = shared_images(ops + s_pows + n_pows)
-    t_flats, s_flats, n_flats = (flats[p : p + count] for p in (0, count, 2 * count))
+    flats, b = shared_images(ops + s_pows)
+    t_flats, s_flats = flats[:count], flats[count:]
     g_image, image = g.integer_image, rho.integer_image
 
     @cache
@@ -401,7 +398,7 @@ def _hierarchy_failures(
     for k, op in enumerate(ops):
         if op != mat_mul(t_op, s_pows[k]):
             yield f"N^{k} T != T S^{k}"
-        if k and own[k]:
+        if own[k]:
             yield f"T_{k} is not a Kupershmidt operator"
     sums = {}
     for a, c in combinations(range(count), 2):
@@ -410,26 +407,23 @@ def _hierarchy_failures(
             yield f"T_{a} and T_{c} are not compatible"
 
     ads = sub_adjacent_ads(image, t_flats[0])
-    # T's sub-adjacent bracket deformed by each S^p, p = 0..k_max.
-    deformed = [list(deformed_sub_adjacent(ads, s_flat)) for s_flat in s_flats]
-    # The KN bracket match for (T, S^k, N^k); b^2 N^k T is b times T_k's image.
-    matched = [
-        next(bracket_match_defects(image, deformed[k], [x * b for x in t_flat]), None) is None
-        for k, t_flat in enumerate(t_flats)
-    ]
-    for k, t_flat in enumerate(t_flats):
+    # The KN bracket match for (T, S^k, N^k) against T's sub-adjacent
+    # bracket deformed by S^k; b^2 N^k T is b times T_k's image.
+    matched = []
+    for t_flat, s_flat in zip(t_flats, s_flats):
+        deformed = deformed_sub_adjacent(ads, s_flat)
+        defects = bracket_match_defects(image, deformed, [x * b for x in t_flat])
+        matched.append(next(defects, None) is None)
+    for k in range(count):
         if not matched[k]:
             yield f"bracket of T_{k} differs from the S^{k}-deformed bracket"
-        for i in range(count - k):
-            c = k + i
-            if matched[c] and not own[k] and not own[c]:
-                # No entry at i = 0, where the polarization is 2 K(T_k) = 0.
-                pairs = sums.get((k, c), ())
-            else:
-                defects = morphism_defects(g_image, image, deformed[c], t_flat, n_flats[i])
-                pairs = [ij for ij, _ in defects]
-            for u, v in pairs:
-                yield f"morphism identity fails at k={k}, i={i}, pair ({u},{v})"
+        if own[k]:
+            continue
+        # From c = k + 1, as the polarization at i = 0 is 2 K(T_k) = 0.
+        for c in range(k + 1, count):
+            if matched[c] and not own[c]:
+                for u, v in sums[k, c]:
+                    yield f"morphism identity fails at k={k}, i={c - k}, pair ({u},{v})"
 
 
 def kdn_from_compatible(
@@ -531,19 +525,19 @@ def is_skew_endomorphism(
     """R composed with the induced covector-to-vector map is antisymmetric;
     equivalently B(Rx, y) = -B(x, Ry)."""
     _require("bilinear_form", check_bilinear_form(g, form))
-    return _skew_report(r_op, form)
+    return _skew_report(r_op, form.sharp())
 
 
-def _skew_report(r_op: Matrix, form: BilinearForm) -> CheckReport:
-    """is_skew_endomorphism for a form already known to be valid."""
-    composed = mat_mul(r_op, form.sharp())
+def _skew_report(r_op: Matrix, sharp: Matrix) -> CheckReport:
+    """is_skew_endomorphism for a valid form, given its induced map."""
+    composed = mat_mul(r_op, sharp)
     defect = composed + composed.transpose()
     witnesses = [] if defect.is_zero() else [Witness("skew", (), defect)]
     return report_from_witnesses(witnesses, checked="skew_endomorphism")
 
 
-def _require_form_compatible(form: BilinearForm, n_op: Matrix) -> None:
-    sharp = form.sharp()
+def _require_form_compatible(sharp: Matrix, n_op: Matrix) -> None:
+    """The form's induced map intertwines N^T and N."""
     if mat_mul(sharp, n_op.transpose()) != mat_mul(n_op, sharp):
         raise PreconditionFailure("form_nijenhuis_compatible")
 
@@ -558,13 +552,15 @@ def rbn_to_rmn(
     and (R, N) is an RBN structure. The output bivector is R composed with
     the induced map, and the resulting pair is reverified as an
     r-matrix-Nijenhuis structure before returning; N is known to be
-    Nijenhuis by then, so only the r-matrix hypothesis is new.
+    Nijenhuis by then, so only the r-matrix hypothesis is new. The form's
+    induced map is formed once, for all three of its uses.
     """
-    # is_skew_endomorphism validates the form first
-    _require("skew_endomorphism", is_skew_endomorphism(g, r_op, form))
-    _require_form_compatible(form, n_op)
+    _require("bilinear_form", check_bilinear_form(g, form))
+    sharp = form.sharp()
+    _require("skew_endomorphism", _skew_report(r_op, sharp))
+    _require_form_compatible(sharp, n_op)
     _require("rbn", is_rbn_structure(g, r_op, n_op))
-    pi = Bivector(mat_mul(r_op, form.sharp()))
+    pi = Bivector(mat_mul(r_op, sharp))
     _require("r_matrix", is_r_matrix(g, pi))
     if not _kn_conditions(g, *_rmn_as_kn(g, pi, n_op), "rmn").ok:
         raise StructureCheckError("converted pair failed the r-matrix-Nijenhuis check")
@@ -577,12 +573,14 @@ def rmn_to_rbn(
     """Inverse transport: R is the bivector's induced map composed with the
     Gram matrix. Exact inverse of rbn_to_rmn, so round trips are identities.
     The form and N are checked once; the converted R is reverified as a
-    skew endomorphism and a Rota-Baxter operator."""
+    skew endomorphism and a Rota-Baxter operator; the form's induced map is
+    formed once, for both of its uses."""
     _require("bilinear_form", check_bilinear_form(g, form))
-    _require_form_compatible(form, n_op)
+    sharp = form.sharp()
+    _require_form_compatible(sharp, n_op)
     _require("rmn", is_r_matrix_nijenhuis(g, pi, n_op))
     r_op = mat_mul(pi.matrix, form.matrix)
-    if not _skew_report(r_op, form).ok:
+    if not _skew_report(r_op, sharp).ok:
         raise StructureCheckError("converted operator is not a skew endomorphism")
     _require("rota_baxter", is_rota_baxter(g, r_op))
     if not _kn_conditions(g, *_rbn_as_kn(g, r_op, n_op), "rbn").ok:

@@ -9,7 +9,7 @@ import pytest
 import lieop
 from lieop import cli
 from lieop.cli import main
-from lieop.documents import parse_document
+from lieop.documents import MAX_KMAX, parse_document
 
 from conftest import count_bracket_builds, count_rep_loops
 from fixtures import write_fixtures
@@ -183,8 +183,10 @@ class TestHierarchy:
     def test_non_structure_fails(self, fixtures):
         assert run("hierarchy", str(fixtures["aff1_bad_kn"]), "--kmax", "2") == 1
 
-    def test_negative_kmax_is_usage_error(self, fixtures, capsys):
-        assert run("hierarchy", str(fixtures["aff1_kn"]), "--kmax", "-1") == 2
+    @pytest.mark.parametrize("kmax", (-1, MAX_KMAX + 1), ids=("negative", "past-bound"))
+    def test_negative_kmax_is_usage_error(self, fixtures, capsys, kmax):
+        # Past MAX_KMAX too: the hierarchy's work grows faster than k_max^2.
+        assert run("hierarchy", str(fixtures["aff1_kn"]), "--kmax", str(kmax)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "kmax" in captured.err

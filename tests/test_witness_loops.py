@@ -19,13 +19,15 @@ The KN bracket match runs lieop.kernel's bracket-match loop, in the search
 and in the KN conditions alike. Its reference is the Matrix definition:
 the sub-adjacent bracket of NT against the S-deformation of T's.
 
-hierarchy() decides its claims with kernel loops alone: the morphism
-identity off the compatibility loop where its premises hold, and with
-lieop.kernel's morphism loop elsewhere. Its reference is the Matrix
-route: per-tuple Kupershmidt checks, sub-adjacent brackets, the
-S^p-deformed brackets and the N^i-deformed algebras. The tests call the
-bracket-match and morphism loops directly too, so that every (k, i) is
-compared with the reference whichever way hierarchy() decides it.
+hierarchy() decides its claims with kernel loops alone, and reads the
+morphism identity off the compatibility loop: it decides that identity
+only where its premises hold, T_k and T_(k+i) Kupershmidt and the bracket
+match at k + i, and reports the failed premise elsewhere. Its reference is
+the Matrix route: per-tuple Kupershmidt checks, sub-adjacent brackets,
+the S^p-deformed brackets and the N^i-deformed algebras. The tests call
+the bracket-match loop directly too, at every k, and check the identity
+the shortcut rests on, the morphism defect being minus the polarization,
+with the references alone.
 """
 
 from __future__ import annotations
@@ -69,8 +71,6 @@ from lieop.kernel import (
     bracket_match_defects,
     deformed_sub_adjacent,
     integer_image,
-    kupershmidt_defects,
-    morphism_defects,
     shared_images,
     sub_adjacent_ads,
 )
@@ -425,12 +425,14 @@ def reference_hierarchy_failures(g, rho, ops, s_pows, n_pows):
     against the S^k-deformation of T's, and the morphism identity
     T_k[u,v]_{S^(k+i)} = [T_k u, T_k v]_{N^i} at each module basis pair,
     read off the S^p-deformed sub-adjacent brackets and the N^i-deformed
-    algebras."""
+    algebras. The identity at (k, i) is checked only where its premises
+    hold: T_k and T_(k+i) Kupershmidt and the bracket match at k + i."""
     t_op, count, m = ops[0], len(ops), rho.module_dim
+    kupershmidt = [reference_kupershmidt(g, rho, op).ok for op in ops]
     for k, op in enumerate(ops):
         if op != mat_mul(t_op, s_pows[k]):
             yield f"N^{k} T != T S^{k}"
-        if k and not reference_kupershmidt(g, rho, op).ok:
+        if not kupershmidt[k]:
             yield f"T_{k} is not a Kupershmidt operator"
     for a, b in itertools.combinations(range(count), 2):
         if not reference_kupershmidt(g, rho, ops[a] + ops[b]).ok:
@@ -438,11 +440,14 @@ def reference_hierarchy_failures(g, rho, ops, s_pows, n_pows):
     base = reference_sub_adjacent(rho, t_op)
     deformed = [deformed_algebra(base, s_pow) for s_pow in s_pows]
     n_deformed = [deformed_algebra(g, n_pow) for n_pow in n_pows]
+    matched = [reference_sub_adjacent(rho, op) == deformed[k] for k, op in enumerate(ops)]
     for k, op in enumerate(ops):
-        if reference_sub_adjacent(rho, op) != deformed[k]:
+        if not matched[k]:
             yield f"bracket of T_{k} differs from the S^{k}-deformed bracket"
         cols = [op.column(a) for a in range(m)]
         for i in range(count - k):
+            if not (kupershmidt[k] and kupershmidt[k + i] and matched[k + i]):
+                continue
             for a, b, _, _ in _basis_pairs(m):
                 if op @ deformed[k + i].basis_bracket(a, b) != n_deformed[i](cols[a], cols[b]):
                     yield f"morphism identity fails at k={k}, i={i}, pair ({a},{b})"
@@ -458,16 +463,15 @@ def reference_morphism(g, rho, t_op, tk, s_pow, n_pow):
     }
 
 
-def hierarchy_images(g, rho, ops, s_pows, n_pows):
-    """What _hierarchy_failures hands its loops: the images of the T_k and
-    of N^i under their shared scale b, the S^p-deformed sub-adjacent
-    brackets of T, and b."""
+def hierarchy_images(rho, ops, s_pows):
+    """What _hierarchy_failures hands its bracket-match loop: the images of
+    the T_k under the scale b they share with the S^p, the S^p-deformed
+    sub-adjacent brackets of T, and b."""
     count, image = len(ops), rho.integer_image
-    flats, b = shared_images(ops + s_pows + n_pows)
-    t_flats, n_flats = flats[:count], flats[2 * count :]
-    ads = sub_adjacent_ads(image, t_flats[0])
-    deformed = [list(deformed_sub_adjacent(ads, s_flat)) for s_flat in flats[count : 2 * count]]
-    return t_flats, n_flats, deformed, b
+    flats, b = shared_images(ops + s_pows)
+    ads = sub_adjacent_ads(image, flats[0])
+    deformed = [list(deformed_sub_adjacent(ads, s_flat)) for s_flat in flats[count:]]
+    return flats[:count], deformed, b
 
 
 def in_order(defects):
@@ -476,10 +480,10 @@ def in_order(defects):
     return defects
 
 
-def divided(defects, scale, dim, m):
+def divided(defects, scale, m):
     """A loop's integer defects divided by its scale, at every module basis pair."""
     found = {ij: Vector(Fraction(c, scale) for c in defect) for ij, defect in defects}
-    return {(i, j): found.get((i, j), Vector.zero(dim)) for i, j, _, _ in _basis_pairs(m)}
+    return {(i, j): found.get((i, j), Vector.zero(m)) for i, j, _, _ in _basis_pairs(m)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -489,9 +493,9 @@ def test_random_triples_match_the_hierarchy_references(data):
     entries are fractional half the time, at k_max <= 3 (so k, i <= 3):
     the claims that the hierarchy's kernel loops find failing are, in
     order, those the Matrix references find failing; and the bracket-match
-    loop at every k and the morphism loop at every (k, i), run on the
-    hierarchy's images, yield the reference's defects divided by a*b^2 and
-    a*b^3. Random triples mostly fail; the catalog's pass (test below)."""
+    loop at every k, run on the hierarchy's images, yields the reference's
+    defects divided by a*b^2. Random triples mostly fail; the catalog's
+    pass (test below)."""
     g, rho = _bracket_and_action(data)
     n, m = g.dim, rho.module_dim
     elements = small_fractions if data.draw(st.booleans()) else st.integers(-2, 2)
@@ -500,18 +504,13 @@ def test_random_triples_match_the_hierarchy_references(data):
     s_pows, n_pows = powers(s_op, k_max), powers(n_op, k_max)
     ops = [mat_mul(n_pow, t_op) for n_pow in n_pows]
     expected = list(reference_hierarchy_failures(g, rho, ops, s_pows, n_pows))
-    assert list(_hierarchy_failures(g, rho, ops, s_pows, n_pows)) == expected
-    t_flats, n_flats, deformed, b = hierarchy_images(g, rho, ops, s_pows, n_pows)
-    g_image, image = g.integer_image, rho.integer_image
-    a_rho, a_g = image.scale, g_image.scale
+    assert list(_hierarchy_failures(g, rho, ops, s_pows)) == expected
+    t_flats, deformed, b = hierarchy_images(rho, ops, s_pows)
+    image = rho.integer_image
     for k, t_flat in enumerate(t_flats):
         defects = in_order(bracket_match_defects(image, deformed[k], [x * b for x in t_flat]))
         expected_match = reference_bracket_match(g, rho, t_op, s_pows[k], n_pows[k])
-        assert divided(defects, a_rho * b**2, m, m) == expected_match
-        for i in range(k_max + 1 - k):
-            defects = in_order(morphism_defects(g_image, image, deformed[k + i], t_flat, n_flats[i]))
-            expected_morphism = reference_morphism(g, rho, t_op, ops[k], s_pows[k + i], n_pows[i])
-            assert divided(defects, a_g * a_rho * b**3, n, m) == expected_morphism
+        assert divided(defects, image.scale * b**2, m) == expected_match
 
 
 @functools.cache
@@ -526,13 +525,14 @@ def searched_kupershmidt(name, rep):
 def test_searched_operators_match_the_hierarchy_references(data):
     """T drawn from a Kupershmidt search, N at random over {-1, 0, 1} and S
     too, or zero (as in the grid test below), 1 <= k_max <= 3. Random T
-    almost never pass the Kupershmidt loop, so the test above hardly
+    almost never pass the Kupershmidt check, so the test above hardly
     reaches the (k, i) whose morphism identity _hierarchy_failures reads
     off the compatibility loop; here T_0 always passes and some T_k do
-    too. At every (k, i) whose premises hold, the morphism loop's defect
-    is -b times the Kupershmidt loop's on T_k + T_(k+i), the identity
-    lieop.kernel derives, and zero at i = 0. Few draws make that defect
-    nonzero; the grid test below pins 36 triples that do."""
+    too. At every (k, c = k + i) whose premises hold, the reference's
+    morphism defect is minus the per-tuple polarization of T_k and T_c,
+    the identity lieop.kernel derives and the shortcut rests on, and zero
+    at k = c. Few draws make that defect nonzero; the grid test below pins
+    36 triples that do."""
     name, rep = data.draw(st.sampled_from((("aff1", "adjoint"), ("aff1", "coadjoint"), ("sl2", "adjoint"))))
     g, rho, found = searched_kupershmidt(name, rep)
     n, m = g.dim, rho.module_dim
@@ -544,22 +544,21 @@ def test_searched_operators_match_the_hierarchy_references(data):
     s_pows, n_pows = powers(s_op, k_max), powers(n_op, k_max)
     ops = [mat_mul(n_pow, t_op) for n_pow in n_pows]
     expected = list(reference_hierarchy_failures(g, rho, ops, s_pows, n_pows))
-    assert list(_hierarchy_failures(g, rho, ops, s_pows, n_pows)) == expected
-    t_flats, n_flats, deformed, b = hierarchy_images(g, rho, ops, s_pows, n_pows)
-    g_image, image = g.integer_image, rho.integer_image
-
-    def kupershmidt(t_flat):
-        return dict(kupershmidt_defects(g_image, image, t_flat))
-
+    assert list(_hierarchy_failures(g, rho, ops, s_pows)) == expected
+    kupershmidt = [reference_kupershmidt(g, rho, op).ok for op in ops]
+    matched = [
+        all(d.is_zero() for d in reference_bracket_match(g, rho, t_op, s_pows[c], n_pows[c]).values())
+        for c in range(k_max + 1)
+    ]
     for k, c in itertools.combinations_with_replacement(range(k_max + 1), 2):
-        match = next(bracket_match_defects(image, deformed[c], [x * b for x in t_flats[c]]), None)
-        if match is not None or kupershmidt(t_flats[k]) or kupershmidt(t_flats[c]):
+        if not (kupershmidt[k] and kupershmidt[c] and matched[c]):
             continue
-        morphism = dict(morphism_defects(g_image, image, deformed[c], t_flats[k], n_flats[c - k]))
-        polarization = kupershmidt([x + y for x, y in zip(t_flats[k], t_flats[c])])
+        morphism = reference_morphism(g, rho, t_op, ops[k], s_pows[c], n_pows[c - k])
+        assert morphism == {
+            (a, b): -_polarized(g, rho, ops[k], ops[c], u, v) for a, b, u, v in _basis_pairs(m)
+        }
         if k == c:
-            assert morphism == polarization == {}
-        assert morphism == {ij: [-b * x for x in d] for ij, d in polarization.items()}
+            assert all(d.is_zero() for d in morphism.values())
 
 
 NEAR_MISSES = (
@@ -570,7 +569,7 @@ NEAR_MISSES = (
     # (0, 1) and (0, 2), read off the compatibility loop, fails at the one
     # module basis pair.
     pytest.param(
-        [[0, 0], [0, 0]], [[1, 0], [1, 0]], 2,
+        [[0, -1], [1, -1]], [[0, 0], [0, 0]], [[1, 0], [1, 0]], 2,
         [
             "N^1 T != T S^1",
             "N^2 T != T S^2",
@@ -582,47 +581,41 @@ NEAR_MISSES = (
         id="compatibility",
     ),
     # The bracket match holds at k = 1 and T_0 + T_1 is Kupershmidt, but T_1
-    # is not, so the morphism identity at (0, 1) is not the compatibility
-    # defect: the morphism loop runs, and fails.
+    # is not, so the morphism identity at (0, 1) and (1, 0) is not decided:
+    # the failed premise is the failure reported.
     pytest.param(
-        [[-1, 0], [-1, 0]], [[-1, -1], [0, 0]], 1,
-        [
-            "N^1 T != T S^1",
-            "T_1 is not a Kupershmidt operator",
-            "morphism identity fails at k=0, i=1, pair (0,1)",
-            "morphism identity fails at k=1, i=0, pair (0,1)",
-        ],
+        [[0, -1], [1, -1]], [[-1, 0], [-1, 0]], [[-1, -1], [0, 0]], 1,
+        ["N^1 T != T S^1", "T_1 is not a Kupershmidt operator"],
         id="t1-not-kupershmidt",
+    ),
+    # As above, but T_0 + T_1 is not Kupershmidt either: at (0, 1) the
+    # failed premise T_1 is reported, not the failing pairs of the sum.
+    pytest.param(
+        [[0, -1], [1, -1]], [[-1, -1], [-1, 0]], [[0, -1], [0, 0]], 1,
+        ["N^1 T != T S^1", "T_1 is not a Kupershmidt operator", "T_0 and T_1 are not compatible"],
+        id="t1-and-sum-not-kupershmidt",
+    ),
+    # Outside the hypothesis: T = Id is not Kupershmidt on aff1's coadjoint
+    # action, and neither is T_0 + T_1 = Id, so no morphism identity is
+    # decided (T_1 = 0 and the bracket matches hold at k = 0 and 1).
+    pytest.param(
+        [[1, 0], [0, 1]], [[0, 0], [0, 0]], [[0, 0], [0, 0]], 1,
+        ["T_0 is not a Kupershmidt operator", "T_0 and T_1 are not compatible"],
+        id="t0-not-kupershmidt",
     ),
 )
 
 
-@pytest.mark.parametrize("s_rows, n_rows, k_max, expected", NEAR_MISSES)
-def test_near_misses_match_the_hierarchy_references(s_rows, n_rows, k_max, expected):
-    """aff1 coadjoint, T = [[0, -1], [1, -1]] Kupershmidt."""
+@pytest.mark.parametrize("t_rows, s_rows, n_rows, k_max, expected", NEAR_MISSES)
+def test_near_misses_match_the_hierarchy_references(t_rows, s_rows, n_rows, k_max, expected):
+    """aff1 coadjoint."""
     entry = get_entry("aff1")
     g, rho = entry.algebra, entry.representations["coadjoint"]
-    t_op = Matrix([[0, -1], [1, -1]])
+    t_op = Matrix(t_rows)
     s_pows, n_pows = powers(Matrix(s_rows), k_max), powers(Matrix(n_rows), k_max)
     ops = [mat_mul(n_pow, t_op) for n_pow in n_pows]
     assert list(reference_hierarchy_failures(g, rho, ops, s_pows, n_pows)) == expected
-    assert list(_hierarchy_failures(g, rho, ops, s_pows, n_pows)) == expected
-
-
-def _shortcut_failures(messages):
-    """The morphism failures among hierarchy() messages at an (k, i) whose
-    premises hold: T_k and T_(k+i) Kupershmidt, the bracket match at k + i."""
-    for message in messages:
-        found = re.match(r"morphism identity fails at k=(\d+), i=(\d+)", message)
-        if found:
-            k, i = map(int, found.groups())
-            premises = (
-                f"T_{k} is not a Kupershmidt operator",
-                f"T_{k + i} is not a Kupershmidt operator",
-                f"bracket of T_{k + i} differs from the S^{k + i}-deformed bracket",
-            )
-            if not set(premises) & set(messages):
-                yield message
+    assert list(_hierarchy_failures(g, rho, ops, s_pows)) == expected
 
 
 def test_zero_s_grid_matches_the_hierarchy_references():
@@ -639,8 +632,8 @@ def test_zero_s_grid_matches_the_hierarchy_references():
             n_pows = powers(n_op, 2)
             ops = [mat_mul(n_pow, t_op) for n_pow in n_pows]
             expected = list(reference_hierarchy_failures(g, rho, ops, s_pows, n_pows))
-            assert list(_hierarchy_failures(g, rho, ops, s_pows, n_pows)) == expected
-            telling += any(_shortcut_failures(expected))
+            assert list(_hierarchy_failures(g, rho, ops, s_pows)) == expected
+            telling += any(m.startswith("morphism identity fails") for m in expected)
     assert (len(found), telling) == (21, 36)
 
 
@@ -656,7 +649,7 @@ def test_catalog_triples_pass_the_hierarchy_references(name, bundle):
     s_pows, n_pows = powers(s_op, 3), powers(n_op, 3)
     ops = [mat_mul(n_pow, t_op) for n_pow in n_pows]
     assert list(reference_hierarchy_failures(g, rho, ops, s_pows, n_pows)) == []
-    assert list(_hierarchy_failures(g, rho, ops, s_pows, n_pows)) == []
+    assert list(_hierarchy_failures(g, rho, ops, s_pows)) == []
 
 
 _aff1 = get_entry("aff1")
