@@ -432,8 +432,19 @@ def _staged_search(
         ]
 
     if kind == "compatible_pair":
+        # T1 + T2 = T2 + T1, so each unordered pair is decided once.
         t_ops = kupershmidt_ops()
-        return [(t1, t2) for f1, t1 in t_ops for f2, t2 in t_ops if kernel.compatible(f1, f2)]
+        compatible = {
+            (a, b)
+            for a, b in itertools.combinations_with_replacement(range(len(t_ops)), 2)
+            if kernel.compatible(t_ops[a][0], t_ops[b][0])
+        }
+        return [
+            (t1, t2)
+            for a, (_, t1) in enumerate(t_ops)
+            for b, (_, t2) in enumerate(t_ops)
+            if (min(a, b), max(a, b)) in compatible
+        ]
 
     # Both remaining kinds pair a Nijenhuis N with an S; each distinct N and
     # S is built as a Matrix once.

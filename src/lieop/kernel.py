@@ -70,10 +70,16 @@ exact:
   A nonzero coefficient pins c_L to the exact integer quotient (or to
   nothing, when the division leaves a remainder or the quotient is off the
   grid); a zero coefficient leaves c_L free if the right side is zero and
-  rules the prefix out otherwise. Every pruned candidate would fail that
-  very pair, and every emitted one is still decided by the full identity.
-  Sorting the flats restores the order of the product, because
-  integer_image keeps the grid increasing.
+  rules the prefix out otherwise. The pairs i < j < L then hold for every
+  c_L the solve lets through, so each such c_L (the pinned one, or every
+  grid column when it is free) is tested at the open pairs (i, L) alone,
+  with q[j]c formed once per grid column c and basis j; only a column
+  that passes them all reaches the full identity, so the full check runs
+  once per result. Every pruned candidate fails that very pair of the
+  full identity (the filter evaluates the same pair defect that
+  kupershmidt_defects yields), and every emitted one is still decided by
+  the full identity. Sorting the flats restores the order of the product,
+  because integer_image keeps the grid increasing.
 - Compatibility of two Kupershmidt operators is decided by their sum.
   The compatibility defect is the polarization of the Kupershmidt one:
   K(T1 + T2) = K(T1) + K(T2) + C(T1, T2) at every basis pair, since K is
@@ -88,9 +94,15 @@ exact:
   Each is of degree 1 in rho and 2 in N and S together (C_k is of degree
   1 in each of rho and S), so on the images, where C_k comes out a*b
   times the rational one and N and S b times theirs, each defect is a*b^2
-  times the rational one. A search meets N only through its columns
-  N e_x, so it forms sum_k c_k C_k once per S and distinct column c, and a
-  pair costs one comparison with S C_x per basis vector.
+  times the rational one. The Nijenhuis-pair condition at x reads N only
+  through its column N e_x, so a search walks the N as a trie over their
+  columns, N e_0 at the first level, and for each S goes depth first:
+  at depth x it compares sum_k c_k C_k with S C_x for each column c on
+  that level, and follows only the columns that match. A column that
+  fails x prunes every N that shares the prefix up to it, which is exact,
+  since each of those N fails the condition at that very x. Each
+  combination sum_k c_k C_k is formed on first use, once per S, and each
+  S C_x once per (S, x).
 """
 
 from __future__ import annotations
@@ -225,10 +237,16 @@ def kupershmidt_defects(g: BracketImage, rho: ActionImage, t_op: Sequence[int]) 
         x = cols[i]
         for j in range(i + 1, m):
             y = cols[j]
-            inner = _sub(_apply(q[j], x), _apply(q[i], y))
-            defect = [kg * p - kr * r for p, r in zip(g(x, y), _apply(rows, inner))]
+            defect = _kupershmidt_defect_at(g, kg, kr, rows, x, y, _apply(q[j], x), _apply(q[i], y))
             if any(defect):
                 yield (i, j), defect
+
+
+def _kupershmidt_defect_at(g: BracketImage, kg: int, kr: int, rows, x, y, qjx, qiy) -> list:
+    """kg [x,y] - kr T(q[j]x - q[i]y), the Kupershmidt defect at the module
+    basis pair (e_i, e_j), with x = T e_i, y = T e_j, T given by its rows and
+    qjx = q[j]x, qiy = q[i]y the two halves of rho(Tu)v - rho(Tv)u."""
+    return [kg * p - kr * r for p, r in zip(g(x, y), _apply(rows, _sub(qjx, qiy)))]
 
 
 def _commutators(rho: ActionImage, s: list) -> list:
@@ -340,8 +358,10 @@ class VerdictKernel:
     def kupershmidt_solutions(self, grid: Sequence[int]) -> list[tuple[int, ...]]:
         """Every n x m operator over the increasing integer grid that
         is_kupershmidt accepts, in the order of the product: the columns
-        but the last are enumerated and the last is solved for (see the
-        module docstring); the full identity decides each flat."""
+        but the last are enumerated, the last is solved for, and each column
+        the solve pins or leaves free is tested at the open pairs (i, last)
+        before the full identity decides the flat (see the module
+        docstring)."""
         n, m, q = self.n, self.m, self._rho.q
         kg, kr = self._rho.scale, self._g.scale  # as in kupershmidt_defects
         last = m - 1
@@ -350,12 +370,14 @@ class VerdictKernel:
         on_grid = set(grid)
         columns = list(product(grid, repeat=n))
         pairs = [(i, j) for i in range(last) for j in range(i + 1, last)]
+        # qc[j][c] = q[j]c for every basis j and grid column c.
+        qc = [{col: _apply(q[j], col) for col in columns} for j in range(m)]
         found = []
         for prefix in product(columns, repeat=last):
             pinned = None
             for i, j in pairs:
                 x, y = prefix[i], prefix[j]
-                inner = [kr * c for c in _sub(_apply(q[j], x), _apply(q[i], y))]
+                inner = [kr * c for c in _sub(qc[j][x], qc[i][y])]
                 rhs = [kg * c for c in self._g(x, y)]
                 for coef, col in zip(inner, prefix):
                     if coef:
@@ -375,7 +397,16 @@ class VerdictKernel:
                     break
             else:
                 for col in columns if pinned is None else (pinned,):
-                    flat = tuple(chain.from_iterable(zip(*prefix, col)))
+                    rows = list(zip(*prefix, col))
+                    open_pairs = (
+                        _kupershmidt_defect_at(
+                            self._g, kg, kr, rows, x, col, qc[last][x], qc[i][col]
+                        )
+                        for i, x in enumerate(prefix)
+                    )
+                    if any(map(any, open_pairs)):
+                        continue
+                    flat = tuple(chain.from_iterable(rows))
                     if self.is_kupershmidt(flat):
                         found.append(flat)
         found.sort()
@@ -394,23 +425,40 @@ class VerdictKernel:
         rho(Nx)S - S rho(Nx) = S rho(x) S - S^2 rho(x) at every basis x.
 
         The other half of a Nijenhuis pair, N being Nijenhuis, is
-        is_nijenhuis; callers filter n_ops with it first.
+        is_nijenhuis; callers filter n_ops with it first. Per S, the N are
+        walked as a trie over their columns, and a column that fails the
+        condition at its x prunes every N that shares it and the columns
+        before it (see the module docstring).
         """
         n, m = self.n, self.m
-        # As in pair_defects, the condition at x reads sum_k N_kx C_k = S C_x:
-        # N enters only through its columns N e_x, so each distinct column's
-        # combination of the C_k is formed once per S.
-        n_cols = [tuple(tuple(n_flat[x::n]) for x in range(n)) for n_flat in n_ops]
-        distinct = set(chain.from_iterable(n_cols))
+        # The trie of the N's columns: trie[N e_0][N e_1]...[N e_(n-1)] lists
+        # the indices i of the N with those columns.
+        trie: dict = {}
+        for i, n_flat in enumerate(n_ops):
+            node = trie
+            for x in range(n - 1):
+                node = node.setdefault(tuple(n_flat[x::n]), {})
+            node.setdefault(tuple(n_flat[n - 1 :: n]), []).append(i)
         out = []
         for j, s_flat in enumerate(s_ops):
             s = _rows(s_flat, m)
             cs = _commutators(self._rho, s)
-            rhs = [_matmul(s, c) for c in cs]
-            combos = {col: _combine(col, cs) for col in distinct}
-            for i, cols in enumerate(n_cols):
-                if all(map(list.__eq__, map(combos.__getitem__, cols), rhs)):
-                    out.append((i, j))
+            # sum_k c_k C_k per column c and S C_x per x, each on first use.
+            combos: dict = {}
+            shifted = [None] * n
+            stack = [(trie, 0)]
+            while stack:
+                node, x = stack.pop()
+                if shifted[x] is None:
+                    shifted[x] = _matmul(s, cs[x])
+                for col, child in node.items():
+                    if col not in combos:
+                        combos[col] = _combine(col, cs)
+                    if combos[col] == shifted[x]:
+                        if x < n - 1:
+                            stack.append((child, x + 1))
+                        else:
+                            out.extend((i, j) for i in child)
         out.sort()
         return out
 

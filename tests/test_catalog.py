@@ -161,6 +161,20 @@ class TestGridSearch:
         assert grid_search(g, rho, "compatible_pair", GRID) == expected
         assert (len(t_ops) ** 2, len(expected)) == (441, 177)
 
+    def test_compatible_pair_search_decides_each_unordered_pair_once(self, aff1, monkeypatch):
+        # T1 + T2 = T2 + T1: 21 Kupershmidt T make 21 * 22 / 2 sums, not 21^2.
+        g, rho = aff1.algebra, aff1.representations["coadjoint"]
+        calls = []
+        real = kernel.VerdictKernel.compatible
+
+        def counting(self, t1_op, t2_op):
+            calls.append((t1_op, t2_op))
+            return real(self, t1_op, t2_op)
+
+        monkeypatch.setattr(kernel.VerdictKernel, "compatible", counting)
+        assert len(grid_search(g, rho, "compatible_pair", GRID)) == 177
+        assert len(calls) == len({frozenset(pair) for pair in calls}) == 231
+
     def test_kn_search_decides_the_bracket_match_once_per_t_and_s(self, aff1, monkeypatch):
         g, ad = aff1.algebra, aff1.representations["adjoint"]
         t_ops = grid_search(g, ad, "kupershmidt", (0, 1))

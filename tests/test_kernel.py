@@ -23,8 +23,9 @@ from lieop import (
     mat_mul,
     sub_adjacent_bracket,
 )
+from lieop import kernel as kernel_module
 from lieop.catalog import get_entry
-from lieop.kernel import VerdictKernel, integer_image
+from lieop.kernel import VerdictKernel, integer_image, pair_defects
 from lieop.reps import _ad_family
 
 from conftest import MIXED_AFF1, THIRD_SL2
@@ -235,6 +236,95 @@ class TestSolvedEnumeration:
                 if kernel.is_kupershmidt(flat)
             ]
         assert kernel.kupershmidt_solutions(ints) == expected
+
+
+class TestSolvedEnumerationWork:
+    def test_each_result_is_confirmed_once(self, sl2, monkeypatch):
+        # The open pairs (i, last) filter every solved or free last column,
+        # so the full identity runs once per result (435 times before).
+        g = sl2.algebra
+        kernel = VerdictKernel(g, _ad_family(g))
+        confirmations = []
+        real = VerdictKernel.is_kupershmidt
+
+        def counting(self, t_op):
+            confirmations.append(t_op)
+            return real(self, t_op)
+
+        monkeypatch.setattr(VerdictKernel, "is_kupershmidt", counting)
+        found = kernel.kupershmidt_solutions([-1, 0, 1])
+        assert len(found) == len(confirmations) == 23
+
+
+def pairs_by_the_pair_loop(rho, n_ops, s_ops) -> list[tuple[int, int]]:
+    """The (i, j) for which pair_defects yields nothing, one (N, S) at a time."""
+    image = rho.integer_image
+    return [
+        (i, j)
+        for i, n_op in enumerate(n_ops)
+        for j, s_op in enumerate(s_ops)
+        if next(pair_defects(image, "pair", s_op, n_op), None) is None
+    ]
+
+
+def nijenhuis_survivors(g, rho, grid):
+    kernel = VerdictKernel(g, rho)
+    ints, _ = integer_image(list(grid))
+    n_ops = [f for f in itertools.product(ints, repeat=g.dim * g.dim) if kernel.is_nijenhuis(f)]
+    return kernel, n_ops, list(itertools.product(ints, repeat=rho.module_dim**2))
+
+
+class TestColumnTrie:
+    """nijenhuis_pairs walks the N as a trie over their columns; on sl2 the
+    trie has three levels and the N share prefixes."""
+
+    def test_sl2_adjoint_equals_the_pair_loop(self, sl2):
+        g = sl2.algebra
+        rho = sl2.representations["adjoint"]
+        kernel, n_ops, s_ops = nijenhuis_survivors(g, rho, (0, 1))
+        pairs = kernel.nijenhuis_pairs(n_ops, s_ops)
+        assert (len(n_ops), len(s_ops), len(pairs)) == (34, 512, 128)
+        assert pairs == pairs_by_the_pair_loop(rho, n_ops, s_ops)
+
+    def test_combinations_formed(self, sl2, monkeypatch):
+        # Each column's combination of the C_k is formed once per S, and
+        # only where the walk reaches it: 4,096 with every distinct column
+        # tabulated per S.
+        calls = []
+        real = kernel_module._combine
+
+        def counting(coefs, mats):
+            calls.append(coefs)
+            return real(coefs, mats)
+
+        kernel, n_ops, s_ops = nijenhuis_survivors(
+            sl2.algebra, sl2.representations["adjoint"], (0, 1)
+        )
+        monkeypatch.setattr(kernel_module, "_combine", counting)
+        assert len(kernel.nijenhuis_pairs(n_ops, s_ops)) == 128
+        assert len(calls) == 1576
+
+    def test_empty_lists(self, sl2):
+        kernel, n_ops, s_ops = nijenhuis_survivors(
+            sl2.algebra, sl2.representations["adjoint"], (0, 1)
+        )
+        assert kernel.nijenhuis_pairs([], s_ops) == []
+        assert kernel.nijenhuis_pairs(n_ops, []) == []
+
+    @pytest.mark.parametrize("action", ["adjoint", "nilpotent"])
+    def test_one_level_on_abelian_1(self, action):
+        # The adjoint action is zero, so every (N, S) is a pair; the
+        # nilpotent action on a plane makes some fail.
+        g = get_entry("abelian_1").algebra
+        if action == "adjoint":
+            rho = adjoint_rep(g)
+        else:
+            rho = Representation(g, [Matrix([[0, 1], [0, 0]])])
+        kernel, n_ops, s_ops = nijenhuis_survivors(g, rho, INTEGER_GRID)
+        pairs = kernel.nijenhuis_pairs(n_ops, s_ops)
+        assert pairs == pairs_by_the_pair_loop(rho, n_ops, s_ops)
+        # 3 N by 3 S, and 45 of 3 N by 81 S.
+        assert len(pairs) == (9 if action == "adjoint" else 45)
 
 
 def test_sum_filter_agrees_with_the_compatibility_report(aff1):
