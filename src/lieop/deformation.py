@@ -5,15 +5,27 @@ map omega on the algebra and a linear family varpi of module endomorphisms.
 The t-parametrized family [x,y] + t omega(x,y), rho(x) + t varpi(x) is a
 deformation exactly when four coefficient-wise conditions hold; those are
 what check_deformation_pair tests, so the formal parameter never appears.
+
+Both checks run lieop.kernel's integer loops (deformation_pair_defects,
+trivial_equivalence_defects) over the images of g, omega, rho and varpi,
+with N and S sharing one scale, and divide each defect by its scale for
+the witness; they build no bracket and call neither Bracket.__call__ nor
+Representation.act. The trivial deformation of a Nijenhuis pair is built
+from the same terms: omega from the torsion loop's inner term (the
+N-deformed bracket) and varpi from the pair loop's rho(Nx) and
+[rho(x), S] (lie.deformed_algebra, reps.rho_hat).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterator
 
 from .errors import PreconditionFailure, ShapeError
+from .kernel import deformation_pair_defects, shared_images, trivial_equivalence_defects
 from .lie import Bracket, BracketLike, deformed_algebra
-from .linalg import Matrix, Vector, commutator, mat_mul
+from .linalg import Matrix, Vector
 from .report import CheckReport, Witness, report_from_witnesses
 from .reps import Representation, _check_pair_shapes, rho_hat
 
@@ -48,37 +60,20 @@ def check_deformation_pair(
         raise ShapeError("deformation pair does not match the algebra")
     if d.varpi.module_dim != rho.module_dim:
         raise ShapeError("varpi module dim does not match rho")
-    w = d.omega
-    vp = d.varpi
-    witnesses = []
-    basis = [Vector.basis(n, i) for i in range(n)]
+    defects = deformation_pair_defects(
+        g.integer_image, rho.integer_image, d.omega.integer_image, d.varpi.integer_image
+    )
+    return report_from_witnesses(_witnesses(defects), checked="deformation_pair")
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            x, y = basis[i], basis[j]
-            for k in range(j + 1, n):
-                z = basis[k]
-                cocycle = (
-                    g(w(x, y), z) + g(w(z, x), y) + g(w(y, z), x)
-                    - w(x, g(y, z)) - w(z, g(x, y)) - w(y, g(z, x))
-                )
-                if not cocycle.is_zero():
-                    witnesses.append(Witness("cocycle", (i, j, k), cocycle))
-                omega_jacobi = w(w(x, y), z) + w(w(z, x), y) + w(w(y, z), x)
-                if not omega_jacobi.is_zero():
-                    witnesses.append(Witness("omega_jacobi", (i, j, k), omega_jacobi))
-            varpi_rep = vp.act(w(x, y)) - commutator(vp.matrices[i], vp.matrices[j])
-            if not varpi_rep.is_zero():
-                witnesses.append(Witness("varpi_rep", (i, j), varpi_rep))
-            mixed = (
-                rho.act(w(x, y))
-                + vp.act(g(x, y))
-                - commutator(rho.matrices[i], vp.matrices[j])
-                - commutator(vp.matrices[i], rho.matrices[j])
-            )
-            if not mixed.is_zero():
-                witnesses.append(Witness("mixed", (i, j), mixed))
-    return report_from_witnesses(witnesses, checked="deformation_pair")
+
+def _witnesses(defects) -> Iterator[Witness]:
+    """The witnesses of a deformation loop, each defect divided by its scale."""
+    for label, indices, defect, scale in defects:
+        if isinstance(defect[0], list):
+            value = Matrix([[Fraction(c, scale) for c in row] for row in defect])
+        else:
+            value = Vector(Fraction(c, scale) for c in defect)
+        yield Witness(label, indices, value)
 
 
 def trivial_deformation_from_pair(
@@ -115,25 +110,16 @@ def check_trivial_equivalence(
     n, m = g.dim, rho.module_dim
     if d.omega.dim != n or d.varpi.module_dim != m:
         raise ShapeError("deformation pair does not match the algebra/module")
-    witnesses = []
-    expected_omega = deformed_algebra(g, n_op)
-    for i in range(n):
-        for j in range(i + 1, n):
-            x, y = Vector.basis(n, i), Vector.basis(n, j)
-            omega_match = d.omega(x, y) - expected_omega(x, y)
-            if not omega_match.is_zero():
-                witnesses.append(Witness("omega_match", (i, j), omega_match))
-            n_morphism = (n_op @ d.omega(x, y)) - g(n_op @ x, n_op @ y)
-            if not n_morphism.is_zero():
-                witnesses.append(Witness("n_morphism", (i, j), n_morphism))
-    for i in range(n):
-        rnx = rho.act(n_op.column(i))
-        varpi_match = d.varpi.matrices[i] - (
-            rnx + commutator(rho.matrices[i], s_op)
-        )
-        if not varpi_match.is_zero():
-            witnesses.append(Witness("varpi_match", (i,), varpi_match))
-        intertwine = mat_mul(rnx, s_op) - mat_mul(s_op, d.varpi.matrices[i])
-        if not intertwine.is_zero():
-            witnesses.append(Witness("intertwine", (i,), intertwine))
-    return report_from_witnesses(witnesses, checked="trivial_equivalence")
+    if n_op.shape != (n, n):
+        raise ShapeError(f"operator shape {n_op.shape} on algebra of dim {n}")
+    (n_flat, s_flat), b = shared_images((n_op, s_op))
+    defects = trivial_equivalence_defects(
+        g.integer_image,
+        rho.integer_image,
+        d.omega.integer_image,
+        d.varpi.integer_image,
+        n_flat,
+        s_flat,
+        b,
+    )
+    return report_from_witnesses(_witnesses(defects), checked="trivial_equivalence")

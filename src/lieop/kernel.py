@@ -1,6 +1,6 @@
 """Integer images, the one torsion loop, the one Kupershmidt loop, the
-one (N, S) pair loop and the one KN bracket-match loop, and the
-verdict-only kernel behind grid_search.
+one (N, S) pair loop, the one KN bracket-match loop and the two
+deformation loops, and the verdict-only kernel behind grid_search.
 
 Every Bracket and Representation keeps an integer image (BracketImage,
 ActionImage), built on first use: its structure constants or action
@@ -16,7 +16,12 @@ at every basis vector x (the third shortcut below). All are homogeneous,
 so that defect is the rational one times a*b^2:
 
 - the torsion [Nx,Ny] - N([Nx,y] + [x,Ny] - N[x,y]) has degree 1 in the
-  bracket and 2 in N;
+  bracket and 2 in N. At (e_i, e_j) its inner term is a*b times the
+  N-deformed bracket [e_i,e_j]_N = [Ne_i,e_j] + [e_i,Ne_j] - N[e_i,e_j]
+  (deformed_brackets), which lie.deformed_algebra divides back by a*b.
+  BracketImage.q[j], the map x -> a [x, e_j], is kept as the sparse
+  triples of its nonzero entries: a [Ne_i, e_j] is formed once per (i, j)
+  from them, and N[e_i, e_j] only where the bracket is nonzero;
 - the Kupershmidt defect [Tu,Tv] - T(rho(Tu)v - rho(Tv)u) has degree 2
   in T, and degree 1 in the bracket on one side and in rho on the other.
   The bracket's scale and the action's may differ (a deformed bracket,
@@ -26,6 +31,37 @@ so that defect is the rational one times a*b^2:
   with [u,v]^T = rho(Tu)v - rho(Tv)u, has degree 1 in rho and 2 in the
   operators, and g's bracket does not appear (bracket_match_defects, at
   module basis pairs i < j; a is rho's scale).
+
+deformation_pair_defects and trivial_equivalence_defects are the loops of
+check_deformation_pair and check_trivial_equivalence. They run over the
+images of g, omega, rho and varpi, with scales a_g, a_w, a_r and a_v, and
+of N and S, which share one scale b; they build no bracket and evaluate
+none. Each condition is homogeneous in each of them. Where a condition
+mixes degrees, each side (or term) is multiplied by the scales it lacks,
+as in the Kupershmidt loop, and the witness is the defect divided by the
+product:
+
+- cocycle, [w(x,y),z] + [w(z,x),y] + [w(y,z),x] - w(x,[y,z]) - w(z,[x,y])
+  - w(y,[z,x]): degree 1 in g and 1 in omega, scale a_g a_w;
+- omega_jacobi, the cyclic sum of w(w(x,y),z): degree 2 in omega, a_w^2;
+- varpi_rep, varpi(w(x,y)) - [varpi(x), varpi(y)]: the left side has
+  degree 1 in varpi and 1 in omega, the right 2 in varpi, so they are
+  multiplied by a_v and a_w, for a_v^2 a_w;
+- mixed, rho(w(x,y)) + varpi([x,y]) - [rho(x),varpi(y)] - [varpi(x),rho(y)]:
+  its terms have degree 1 in rho and omega, in varpi and g, and in rho
+  and varpi, and each is multiplied by the other two scales, for
+  a_g a_w a_r a_v;
+- omega_match, w(x,y) - [x,y]_N: degree 1 in omega against 1 in g and 1
+  in N (the torsion loop's inner term), a_w a_g b;
+- n_morphism, N w(x,y) - [Nx,Ny]: 1 in N and 1 in omega against 1 in g
+  and 2 in N, a_w a_g b^2;
+- varpi_match, varpi(x) - rho(Nx) - [rho(x), S]: 1 in varpi against 1 in
+  rho and 1 in N or S, a_v a_r b;
+- intertwine, rho(Nx) S - S varpi(x): 1 in rho and 2 in N and S against 1
+  in S and 1 in varpi, a_r a_v b^2.
+
+rho(Nx) and [rho(x), S] are the pair loop's terms (deformed_actions, with
+the C_x below), which reps.rho_hat divides back by a_r b.
 
 The hierarchy's morphism identity T_k[u,v]_{S^(k+i)} = [T_k u, T_k v]_{N^i},
 the left side the S^(k+i)-deformation of T's sub-adjacent bracket and the
@@ -107,6 +143,7 @@ exact:
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain, combinations, islice, product
 from math import lcm
 from operator import add, mul
@@ -132,6 +169,14 @@ def shared_images(mats) -> tuple[list[list[int]], int]:
     flat, scale = integer_image([c for op in mats for row in op.rows for c in row])
     entries = iter(flat)
     return [list(islice(entries, op.nrows * op.ncols)) for op in mats], scale
+
+
+def divided(values: Iterable[int], scale: int) -> list:
+    """The values over scale: an int where scale divides one, a Fraction
+    otherwise (the inverse of integer_image)."""
+    if scale == 1:
+        return list(values)
+    return [c // scale if not c % scale else Fraction(c, scale) for c in values]
 
 
 def _rows(flat: Sequence[int], ncols: int) -> list:
@@ -162,17 +207,20 @@ class BracketImage:
         n = self.n = g.dim
         table = sorted(g.table.items())
         ints, self.scale = integer_image([c for _, v in table for c in v.coords])
+        # basis[i, j] = a [e_i, e_j] for the nonzero brackets, i < j.
+        self.basis = {ij: ints[t * n : (t + 1) * n] for t, (ij, _) in enumerate(table)}
         # (i, j, [(k, a * c_ij^k), ...]) for the nonzero brackets, i < j.
         self.terms = [
-            (i, j, [(k, c) for k, c in enumerate(ints[t * n : (t + 1) * n]) if c])
-            for t, ((i, j), _) in enumerate(table)
+            (i, j, [(k, c) for k, c in enumerate(value) if c])
+            for (i, j), value in self.basis.items()
         ]
-        # q[j] is ActionImage.q for the adjoint action, x -> [x, e_j]; its
-        # column i is a [e_i, e_j].
-        self.q = [[[0] * n for _ in range(n)] for _ in range(n)]
+        # q[j] is x -> a [x, e_j] as the triples (l, k, c) of its nonzero
+        # entries: row k, column l, c = a c_lj^k.
+        self.q = [[] for _ in range(n)]
         for i, j, comps in self.terms:
             for k, c in comps:
-                self.q[j][k][i], self.q[i][k][j] = c, -c
+                self.q[j].append((i, k, c))
+                self.q[i].append((j, k, -c))
 
     def __call__(self, x, y) -> list:
         """a [x, y] for integer coordinate lists x and y."""
@@ -204,23 +252,41 @@ class ActionImage:
 
 def torsion_defects(g: BracketImage, n_op: Sequence[int]) -> Defects:
     """[Nx,Ny] - N([Nx,y] + [x,Ny] - N[x,y]) at the basis pairs where it
-    is nonzero, a*b^2 times the rational torsion."""
-    n, q = g.n, g.q
-    if n < 2:
-        return
-    rows = _rows(n_op, n)
+    is nonzero, a*b^2 times the rational torsion: [Nx,Ny] less N applied to
+    the N-deformed bracket (deformed_brackets)."""
+    n = g.n
+    cols = [n_op[j::n] for j in range(n)]
+    for (i, j), inner in deformed_brackets(g, n_op):
+        defect = g(cols[i], cols[j])
+        for k, v in enumerate(inner):  # less N inner, a column at a time
+            if v:
+                defect = [d - v * c for d, c in zip(defect, cols[k])]
+        if any(defect):
+            yield (i, j), defect
+
+
+def deformed_brackets(g: BracketImage, n_op: Sequence[int]) -> Defects:
+    """a*b [e_i, e_j]_N = a([Ne_i, e_j] + [e_i, Ne_j] - N[e_i, e_j]) at
+    every basis pair i < j, in order: the torsion loop's inner term. Each
+    a [Ne_i, e_j] is formed once from the triples of q[j], and N a [e_i, e_j]
+    only where the bracket is nonzero."""
+    n, q, basis = g.n, g.q, g.basis
     cols = [n_op[j::n] for j in range(n)]
     for i in range(n):
         x = cols[i]
         for j in range(i + 1, n):
             y = cols[j]
-            inner = _sub(
-                _sub(_apply(q[j], x), _apply(q[i], y)),
-                _apply(rows, [row[i] for row in q[j]]),
-            )
-            defect = _sub(g(x, y), _apply(rows, inner))
-            if any(defect):
-                yield (i, j), defect
+            inner = [0] * n
+            for k, v in enumerate(basis.get((i, j), ())):  # - N a [e_i, e_j]
+                if v:
+                    inner = [p - v * c for p, c in zip(inner, cols[k])]
+            for l, k, c in q[j]:  # + a [Ne_i, e_j]
+                if x[l]:
+                    inner[k] += c * x[l]
+            for l, k, c in q[i]:  # - a [Ne_j, e_i]
+                if y[l]:
+                    inner[k] -= c * y[l]
+            yield (i, j), inner
 
 
 def kupershmidt_defects(g: BracketImage, rho: ActionImage, t_op: Sequence[int]) -> Defects:
@@ -331,6 +397,133 @@ def bracket_match_defects(
         defect = _sub(via_nt, bracket)
         if any(defect):
             yield (i, j), defect
+
+
+def deformed_actions(rho: ActionImage, n_op: Sequence[int], s_op: Sequence[int]) -> Iterator:
+    """(a rho(Ne_x), C_x) at every basis e_x, in order, with C_x = [a rho(e_x), S]
+    the pair loop's term: the two halves of rho_hat's varpi(e_x) = rho(Ne_x) + C_x
+    (and of rho_tilde's rho(Ne_x) - C_x), each a*b times the rational one, with
+    N and S sharing b."""
+    n = len(rho.mats)
+    acts = (_combine(n_op[x::n], rho.mats) for x in range(n))
+    return zip(acts, _commutators(rho, _rows(s_op, rho.m)))
+
+
+def _cyclic(q: list, basis: dict, i: int, j: int, k: int, n: int) -> list:
+    """q[k] B_ij + q[j] B_ki + q[i] B_jk at i < j < k, with q one bracket
+    image's triples and B the basis brackets of another (or the same) image:
+    the cyclic sum of [B(x,y), z] in the first bracket."""
+    out = [0] * n
+    for outer, pair, sign in ((k, (i, j), 1), (j, (i, k), -1), (i, (j, k), 1)):
+        x = basis.get(pair)
+        if x is not None:
+            for l, r, c in q[outer]:
+                if x[l]:
+                    out[r] += sign * c * x[l]
+    return out
+
+
+def deformation_pair_defects(
+    g: BracketImage, rho: ActionImage, w: BracketImage, vp: ActionImage
+) -> Iterator[tuple[str, tuple, list, int]]:
+    """The four conditions for (omega, varpi) to deform (g, rho), as
+    (label, indices, defect, scale) where they fail, in the order of the
+    basis tuples (for each pair i < j, the triples (i, j, k) first), the
+    defect scale times the rational one. With a_g, a_w, a_r and a_v the
+    scales of g, omega, rho and varpi (see the module docstring):
+
+    - cocycle at i < j < k, the cyclic sums of [w(x,y),z] and [[x,y],z]_w,
+      scale a_g a_w;
+    - omega_jacobi at i < j < k, the cyclic sum of [w(x,y),z]_w, a_w^2;
+    - varpi_rep at i < j, a_v varpi(w(x,y)) - a_w [varpi(x), varpi(y)],
+      a_v^2 a_w;
+    - mixed at i < j, rho(w(x,y)) + varpi([x,y]) - [rho(x), varpi(y)]
+      - [varpi(x), rho(y)], each term brought to a_g a_w a_r a_v.
+    """
+    n = g.n
+    ag, aw, ar, av = g.scale, w.scale, rho.scale, vp.scale
+    rs, vs = rho.mats, vp.mats
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                cocycle = list(
+                    map(add, _cyclic(g.q, w.basis, i, j, k, n), _cyclic(w.q, g.basis, i, j, k, n))
+                )
+                if any(cocycle):
+                    yield "cocycle", (i, j, k), cocycle, ag * aw
+                jacobi = _cyclic(w.q, w.basis, i, j, k, n)
+                if any(jacobi):
+                    yield "omega_jacobi", (i, j, k), jacobi, aw * aw
+            wij, gij = w.basis.get((i, j)), g.basis.get((i, j))
+            vi, vj, ri, rj = vs[i], vs[j], rs[i], rs[j]
+            # Each defect is one combination sum_t coefs[t] mats[t] of its
+            # terms; a zero bracket adds none.
+            coefs = [-aw, aw]
+            mats = [_matmul(vi, vj), _matmul(vj, vi)]
+            if wij is not None:
+                coefs += [av * c for c in wij]
+                mats += vs
+            varpi_rep = _combine(coefs, mats)
+            if any(map(any, varpi_rep)):
+                yield "varpi_rep", (i, j), varpi_rep, av * av * aw
+            across = -ag * aw
+            coefs = [across, -across, across, -across]
+            mats = [_matmul(ri, vj), _matmul(vj, ri), _matmul(vi, rj), _matmul(rj, vi)]
+            if wij is not None:
+                coefs += [ag * av * c for c in wij]
+                mats += rs
+            if gij is not None:
+                coefs += [aw * ar * c for c in gij]
+                mats += vs
+            mixed = _combine(coefs, mats)
+            if any(map(any, mixed)):
+                yield "mixed", (i, j), mixed, ag * aw * ar * av
+
+
+def trivial_equivalence_defects(
+    g: BracketImage,
+    rho: ActionImage,
+    w: BracketImage,
+    vp: ActionImage,
+    n_op: Sequence[int],
+    s_op: Sequence[int],
+    b: int,
+) -> Iterator[tuple[str, tuple, list, int]]:
+    """The four conditions for (Id + tN, Id + tS) to trivialize
+    (omega, varpi), as (label, indices, defect, scale) where they fail, in
+    order (the basis pairs first, then the basis vectors), with N and S b
+    times themselves and the scales of deformation_pair_defects:
+
+    - omega_match at i < j, w(x,y) - [x,y]_N, scale a_w a_g b;
+    - n_morphism at i < j, N w(x,y) - [Nx,Ny], a_w a_g b^2;
+    - varpi_match at x, varpi(x) - rho(Nx) - [rho(x), S], a_v a_r b;
+    - intertwine at x, rho(Nx) S - S varpi(x), a_r a_v b^2.
+
+    [x,y]_N is the torsion loop's inner term, and rho(Nx) and [rho(x), S]
+    are rho_hat's (deformed_actions): no deformed bracket is built.
+    """
+    n, m = g.n, rho.m
+    ag, aw, ar, av = g.scale, w.scale, rho.scale, vp.scale
+    rows = _rows(n_op, n)
+    cols = [n_op[j::n] for j in range(n)]
+    zero = [0] * n
+    for (i, j), inner in deformed_brackets(g, n_op):
+        wij = w.basis.get((i, j), zero)
+        omega_match = [ag * b * p - aw * r for p, r in zip(wij, inner)]
+        if any(omega_match):
+            yield "omega_match", (i, j), omega_match, aw * ag * b
+        n_morphism = [ag * b * p - aw * r for p, r in zip(_apply(rows, wij), g(cols[i], cols[j]))]
+        if any(n_morphism):
+            yield "n_morphism", (i, j), n_morphism, aw * ag * b * b
+    s = _rows(s_op, m)
+    for x, (act, c) in enumerate(deformed_actions(rho, n_op, s_op)):
+        vx = vp.mats[x]
+        varpi_match = _combine((ar * b, -av, -av), (vx, act, c))
+        if any(map(any, varpi_match)):
+            yield "varpi_match", (x,), varpi_match, av * ar * b
+        intertwine = _combine((av, -ar * b), (_matmul(act, s), _matmul(s, vx)))
+        if any(map(any, intertwine)):
+            yield "intertwine", (x,), intertwine, ar * av * b * b
 
 
 class VerdictKernel:

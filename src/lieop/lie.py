@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import ShapeError, ValidationError
-from .kernel import BracketImage
+from .kernel import BracketImage, deformed_brackets, divided, integer_image
 from .linalg import Matrix, Vector, format_rational
 from .report import CheckReport, Witness, report_from_witnesses
 
@@ -202,17 +202,23 @@ def deformed_algebra(g: BracketLike, n_op: Matrix) -> Bracket:
     """The deformed product [x,y]_N = [Nx,y] + [x,Ny] - N[x,y].
 
     Returned unvalidated: it satisfies Jacobi whenever N is a Nijenhuis
-    operator for g, but the formula itself is defined for any N.
+    operator for g, but the formula itself is defined for any N. Its
+    constants are the torsion loop's inner terms (lieop.kernel), divided by
+    their scale.
     """
     if n_op.shape != (g.dim, g.dim):
         raise ShapeError(f"operator shape {n_op.shape} on algebra of dim {g.dim}")
-    dim = g.dim
-
-    def entry(i: int, j: int) -> Vector:
-        ei, ej = Vector.basis(dim, i), Vector.basis(dim, j)
-        return g(n_op @ ei, ej) + g(ei, n_op @ ej) - (n_op @ g(ei, ej))
-
-    return Bracket.from_function(dim, entry)
+    flat, b = integer_image([c for row in n_op.rows for c in row])
+    image = g.integer_image
+    scale = image.scale * b
+    return Bracket(
+        g.dim,
+        {
+            ij: Vector(divided(inner, scale))
+            for ij, inner in deformed_brackets(image, flat)
+            if any(inner)
+        },
+    )
 
 
 _SEMIDIRECT_CACHE: dict = {}

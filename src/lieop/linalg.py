@@ -49,10 +49,15 @@ def rational(value: Scalar) -> Rational:
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse the wire format "p/q" (or "p"), minus sign on p only, q > 0."""
-    if not _RATIONAL_RE.fullmatch(text):
+    """Parse the wire format "p/q" (or "p"), minus sign on p only, q > 0.
+    The value is built from the match, so the text is parsed once."""
+    match = _RATIONAL_RE.fullmatch(text)
+    if not match:
         raise ValueError(f"malformed rational {text!r}")
-    return rational(Fraction(text))
+    slash = match.start(1)
+    if slash < 0:
+        return int(text)
+    return rational(Fraction(int(text[:slash]), int(text[slash + 1 :])))
 
 
 def format_rational(value: Rational) -> str:

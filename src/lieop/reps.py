@@ -15,10 +15,11 @@ pair condition, so the caller decides what to validate them against.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import add, sub
 from typing import Sequence
 
 from .errors import ShapeError, ValidationError
-from .kernel import ActionImage
+from .kernel import ActionImage, deformed_actions, divided, shared_images
 from .lie import BracketLike, adjoint_matrices
 from .linalg import Matrix, Vector, commutator
 from .report import CheckReport, Witness, report_from_witnesses
@@ -153,12 +154,7 @@ def rho_hat(rho: Representation, n_op: Matrix, s_op: Matrix) -> Representation:
     A representation of the N-deformed algebra whenever (N, S) is a
     Nijenhuis pair for rho; returned unchecked.
     """
-    _check_pair_shapes(rho, n_op, s_op)
-    mats = tuple(
-        rho.act(n_op.column(i)) + commutator(rho.matrices[i], s_op)
-        for i in range(rho.algebra.dim)
-    )
-    return Representation(rho.algebra, mats, check=False)
+    return _deformed_action(rho, n_op, s_op, add)
 
 
 def rho_tilde(rho: Representation, n_op: Matrix, s_op: Matrix) -> Representation:
@@ -167,10 +163,19 @@ def rho_tilde(rho: Representation, n_op: Matrix, s_op: Matrix) -> Representation
     A representation of the N-deformed algebra whenever (N, S) is a
     dual-Nijenhuis pair for rho; returned unchecked.
     """
+    return _deformed_action(rho, n_op, s_op, sub)
+
+
+def _deformed_action(rho: Representation, n_op: Matrix, s_op: Matrix, op) -> Representation:
+    """x -> op(rho(Nx), [rho(x), S]), op being add or sub, read off the pair
+    loop's terms (lieop.kernel.deformed_actions) and divided by their scale."""
     _check_pair_shapes(rho, n_op, s_op)
+    (n_flat, s_flat), b = shared_images((n_op, s_op))
+    image = rho.integer_image
+    scale = image.scale * b
     mats = tuple(
-        rho.act(n_op.column(i)) - commutator(rho.matrices[i], s_op)
-        for i in range(rho.algebra.dim)
+        Matrix([divided(map(op, p, q), scale) for p, q in zip(act, c)])
+        for act, c in deformed_actions(image, n_flat, s_flat)
     )
     return Representation(rho.algebra, mats, check=False)
 

@@ -43,7 +43,8 @@ def count_rep_loops(monkeypatch):
 
 def count_bound_calls(monkeypatch, functions):
     """Wrap each function under every name that a lieop module binds it to
-    (lie.deformed_algebra is also operators.deform_bracket_by_s); returns
+    (lie.deformed_algebra is also operators.deform_bracket_by_s), and each
+    method (Bracket.__call__, say) in the class that defines it; returns
     the list of the functions' own names, one per call."""
     calls = []
 
@@ -60,6 +61,10 @@ def count_bound_calls(monkeypatch, functions):
         for name, value in list(vars(module).items()):
             if any(value is f for f in functions):
                 monkeypatch.setattr(module, name, counted(value))
+            elif isinstance(value, type):
+                for attr, member in list(vars(value).items()):
+                    if any(member is f for f in functions):
+                        monkeypatch.setattr(value, attr, counted(member))
     return calls
 
 

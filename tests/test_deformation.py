@@ -7,6 +7,7 @@ from lieop import (
     Matrix,
     PreconditionFailure,
     Representation,
+    Vector,
     check_deformation_pair,
     check_trivial_equivalence,
     deformed_algebra,
@@ -16,7 +17,7 @@ from lieop import (
 )
 from lieop.catalog import get_entry
 
-from conftest import matrices
+from conftest import count_bound_calls, count_bracket_builds, matrices
 
 
 def _zero_pair(g, rho):
@@ -154,3 +155,30 @@ class TestTrivialEquivalence:
         )
         if check_trivial_equivalence(g, rho, n_op, s_op, d).ok:
             assert is_nijenhuis_pair(g, rho, n_op, s_op).ok
+
+
+class TestKernelRoute:
+    """Both checks run lieop.kernel's integer loops on the images of g, rho,
+    omega and varpi: they build no bracket and evaluate none."""
+
+    @pytest.mark.parametrize("name", ("aff1", "heis3"))
+    def test_checks_build_and_evaluate_no_bracket(self, name, monkeypatch):
+        e = get_entry(name)
+        g, rho = e.algebra, e.representations["adjoint"]
+        p = Matrix.diagonal([1] + [0] * (g.dim - 1))
+        d = trivial_deformation_from_pair(g, rho, p, p)
+        builds = count_bracket_builds(monkeypatch)
+        evaluations = count_bound_calls(monkeypatch, (Bracket.__call__, Representation.act))
+        assert check_deformation_pair(g, rho, d).ok
+        assert check_trivial_equivalence(g, rho, p, p, d).ok
+        assert (builds, evaluations) == ([], [])
+
+    def test_the_counters_see_bound_calls(self, aff1, monkeypatch):
+        # The pin above is not vacuous: LieAlgebra inherits Bracket.__call__,
+        # and the wrapped methods count calls on catalog objects too.
+        g, rho = aff1.algebra, aff1.representations["adjoint"]
+        evaluations = count_bound_calls(monkeypatch, (Bracket.__call__, Representation.act))
+        x, y = Vector.basis(2, 0), Vector.basis(2, 1)
+        assert g(x, y) == y
+        assert rho.act(y) == rho.matrices[1]
+        assert evaluations == ["__call__", "act"]

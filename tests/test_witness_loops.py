@@ -1,9 +1,13 @@
 """Differential tests of the Nijenhuis and Kupershmidt-family witness loops.
 
 The torsion and Kupershmidt reports run the integer loops of lieop.kernel.
-The compatibility and NT-condition reports read the Kupershmidt report
-three times, as the polarization K(T1 + T2) - K(T1) - K(T2); the NT
-condition is N applied to the polarization at (T, NT). The sub-adjacent
+The torsion loop reads the structure constants as sparse triples; it is
+compared with its reference on algebras of dimension 2 to 6, among them
+abelian_3 (where every pair skips the bracket term) and semidirect
+products that the pair test builds. The compatibility and NT-condition
+reports read the Kupershmidt report three times, as the polarization
+K(T1 + T2) - K(T1) - K(T2); the NT condition is N applied to the
+polarization at (T, NT). The sub-adjacent
 bracket computes each action rho(T e_i) once per call. The references
 here are per-tuple loops over the public nijenhuis_defect and
 kupershmidt_defect, which stay the definitions, evaluated at every basis
@@ -28,6 +32,14 @@ the S^p-deformed brackets and the N^i-deformed algebras. The tests call
 the bracket-match loop directly too, at every k, and check the identity
 the shortcut rests on, the morphism defect being minus the polarization,
 with the references alone.
+
+The two deformation checks, and the trivial deformation's constructors
+deformed_algebra and rho_hat, run lieop.kernel's loops too. Their
+references evaluate the eight conditions per basis tuple in Vector and
+Matrix arithmetic, through Bracket.__call__ and Representation.act. A
+property over random (omega, varpi, N, S), whose scales differ from g's
+and rho's, compares the reports; one near-miss per condition pins its
+label and indices, cocycle and omega_jacobi on heis3.
 """
 
 from __future__ import annotations
@@ -45,13 +57,17 @@ from hypothesis import strategies as st
 from lieop import (
     Bivector,
     Bracket,
+    DeformationPair,
     Matrix,
     Representation,
     ShapeError,
     StructureCheckError,
     Vector,
+    check_deformation_pair,
     check_jacobi,
     check_nt_kupershmidt_condition,
+    check_trivial_equivalence,
+    commutator,
     deformed_algebra,
     is_dual_nijenhuis_pair,
     is_kupershmidt,
@@ -63,6 +79,8 @@ from lieop import (
     kupershmidt_defect,
     mat_mul,
     nijenhuis_defect,
+    rho_hat,
+    rho_tilde,
     semidirect_product,
     sub_adjacent_bracket,
 )
@@ -85,7 +103,7 @@ from lieop.structures import (
     compatible_via_combos,
 )
 
-from conftest import GRID, MIXED_AFF1, THIRD_SL2, matrices, small_fractions
+from conftest import GRID, MIXED_AFF1, THIRD_SL2, matrices, small_fractions, vectors
 
 REPS = ("adjoint", "coadjoint")
 SL2 = get_entry("sl2").algebra
@@ -660,11 +678,17 @@ AFF1_AD = semidirect_product(_aff1.algebra, _aff1.representations["adjoint"])
 _NOT_NIJENHUIS = Matrix(
     [[Fraction(1, 2), 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, Fraction(-1, 3)]]
 )
+_heis3, _sl2 = get_entry("heis3"), get_entry("sl2")
 NIJENHUIS_ALGEBRAS = {
     "mixed_aff1": MIXED_AFF1,
     "third_sl2": THIRD_SL2,
     "deformed_aff1_ad": deformed_algebra(AFF1_AD, _NOT_NIJENHUIS),
     "aff1_ad": AFF1_AD,
+    # The 6-dimensional semidirect products that the pair test builds.
+    "heis3_ad": semidirect_product(_heis3.algebra, _heis3.representations["adjoint"]),
+    "sl2_coad": semidirect_product(_sl2.algebra, _sl2.representations["coadjoint"]),
+    # Every bracket is zero, so the loop skips every N[e_i, e_j].
+    "abelian_3": get_entry("abelian_3").algebra,
 }
 
 
@@ -696,8 +720,8 @@ class TestNijenhuisLoop:
             assert is_nijenhuis(g, n_op).to_json() == expected.to_json()
             verdicts.add(expected.ok)
         # By Cayley-Hamilton, every operator on a 2-dimensional algebra is
-        # Nijenhuis.
-        assert verdicts == ({True} if g.dim == 2 else {True, False})
+        # Nijenhuis; on an abelian one every torsion term vanishes.
+        assert verdicts == ({True} if g.dim == 2 or g.is_zero() else {True, False})
 
 
 @settings(max_examples=100, deadline=None)
@@ -739,3 +763,225 @@ class TestShapeErrorParity:
         ):
             with pytest.raises(ShapeError, match=self.MESSAGE):
                 check()
+
+
+def reference_deformed_algebra(g, n_op):
+    """[e_i,e_j]_N = [Ne_i,e_j] + [e_i,Ne_j] - N[e_i,e_j] in Vector arithmetic."""
+    dim = g.dim
+
+    def entry(i, j):
+        ei, ej = Vector.basis(dim, i), Vector.basis(dim, j)
+        return g(n_op @ ei, ej) + g(ei, n_op @ ej) - (n_op @ g(ei, ej))
+
+    return Bracket.from_function(dim, entry)
+
+
+def reference_rho_hat(rho, n_op, s_op, sign=1):
+    """x -> rho(Nx) + sign [rho(x), S] (sign -1 for rho_tilde)."""
+    mats = tuple(
+        rho.act(n_op.column(i)) + commutator(rho.matrices[i], s_op).scale(sign)
+        for i in range(rho.algebra.dim)
+    )
+    return Representation(rho.algebra, mats, check=False)
+
+
+def reference_deformation_pair(g, rho, d):
+    """The four deformation conditions per basis tuple, on Bracket.__call__
+    and Representation.act."""
+    n, w, vp = g.dim, d.omega, d.varpi
+    witnesses = []
+    basis = [Vector.basis(n, i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = basis[i], basis[j]
+            for k in range(j + 1, n):
+                z = basis[k]
+                cocycle = (
+                    g(w(x, y), z) + g(w(z, x), y) + g(w(y, z), x)
+                    - w(x, g(y, z)) - w(z, g(x, y)) - w(y, g(z, x))
+                )
+                if not cocycle.is_zero():
+                    witnesses.append(Witness("cocycle", (i, j, k), cocycle))
+                omega_jacobi = w(w(x, y), z) + w(w(z, x), y) + w(w(y, z), x)
+                if not omega_jacobi.is_zero():
+                    witnesses.append(Witness("omega_jacobi", (i, j, k), omega_jacobi))
+            varpi_rep = vp.act(w(x, y)) - commutator(vp.matrices[i], vp.matrices[j])
+            if not varpi_rep.is_zero():
+                witnesses.append(Witness("varpi_rep", (i, j), varpi_rep))
+            mixed = (
+                rho.act(w(x, y))
+                + vp.act(g(x, y))
+                - commutator(rho.matrices[i], vp.matrices[j])
+                - commutator(vp.matrices[i], rho.matrices[j])
+            )
+            if not mixed.is_zero():
+                witnesses.append(Witness("mixed", (i, j), mixed))
+    return report_from_witnesses(witnesses, checked="deformation_pair")
+
+
+def reference_trivial_equivalence(g, rho, n_op, s_op, d):
+    """The four trivialization conditions, against the reference deformed
+    bracket and in Matrix arithmetic."""
+    n = g.dim
+    witnesses = []
+    expected_omega = reference_deformed_algebra(g, n_op)
+    for i, j, x, y in _basis_pairs(n):
+        omega_match = d.omega(x, y) - expected_omega(x, y)
+        if not omega_match.is_zero():
+            witnesses.append(Witness("omega_match", (i, j), omega_match))
+        n_morphism = (n_op @ d.omega(x, y)) - g(n_op @ x, n_op @ y)
+        if not n_morphism.is_zero():
+            witnesses.append(Witness("n_morphism", (i, j), n_morphism))
+    for i in range(n):
+        rnx = rho.act(n_op.column(i))
+        varpi_match = d.varpi.matrices[i] - (rnx + commutator(rho.matrices[i], s_op))
+        if not varpi_match.is_zero():
+            witnesses.append(Witness("varpi_match", (i,), varpi_match))
+        intertwine = mat_mul(rnx, s_op) - mat_mul(s_op, d.varpi.matrices[i])
+        if not intertwine.is_zero():
+            witnesses.append(Witness("intertwine", (i,), intertwine))
+    return report_from_witnesses(witnesses, checked="trivial_equivalence")
+
+
+def assert_deformation_checks_agree(g, rho, n_op, s_op, d):
+    expected = reference_deformation_pair(g, rho, d)
+    assert check_deformation_pair(g, rho, d).to_json() == expected.to_json()
+    expected = reference_trivial_equivalence(g, rho, n_op, s_op, d)
+    assert check_trivial_equivalence(g, rho, n_op, s_op, d).to_json() == expected.to_json()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_random_deformations_match_the_references(data):
+    """Over the inputs of _bracket_and_action. S is scaled by 1/5 half the
+    time, so that the scale b N and S share is neither one's own. omega is
+    the N-deformed bracket, whose scale is then a multiple of g's, or, half
+    the time, random with fractional constants; varpi is rho_hat's, or
+    random, so the scales of omega and varpi differ from those of g and rho.
+    The constructors must give the reference objects, and both checks the
+    reference reports."""
+    g, rho = _bracket_and_action(data)
+    n, m = g.dim, rho.module_dim
+    n_op = data.draw(matrices(n))
+    apart = Fraction(1, data.draw(st.sampled_from((1, 5))))
+    s_op = data.draw(matrices(m)).scale(apart)
+    omega, varpi = reference_deformed_algebra(g, n_op), reference_rho_hat(rho, n_op, s_op)
+    assert deformed_algebra(g, n_op).to_json() == omega.to_json()
+    assert deformed_algebra(g, n_op) == omega
+    assert rho_hat(rho, n_op, s_op).matrices == varpi.matrices
+    assert rho_tilde(rho, n_op, s_op).matrices == reference_rho_hat(rho, n_op, s_op, -1).matrices
+    if data.draw(st.booleans()):
+        omega = Bracket.from_function(n, lambda i, j: data.draw(vectors(n)))
+    if data.draw(st.booleans()):
+        varpi = Representation(rho.algebra, [data.draw(matrices(m)) for _ in range(n)], check=False)
+    assert_deformation_checks_agree(g, rho, n_op, s_op, DeformationPair(omega, varpi))
+
+
+def _deformation(n, omega, varpi):
+    """A DeformationPair from sparse constants {(i, j): coords} and action
+    matrices as rows."""
+    algebra = get_entry({2: "aff1", 3: "heis3"}[n]).algebra
+    table = {ij: Vector(coords) for ij, coords in omega.items()}
+    return DeformationPair(
+        Bracket(n, table), Representation(algebra, [Matrix(rows) for rows in varpi], check=False)
+    )
+
+
+_Z3 = [[0, 0, 0]] * 3
+DEFORMATION_NEAR_MISSES = (
+    # heis3 ([e1,e2] = e3) acting trivially on a line, varpi = 0: omega
+    # with w(e1,e3) = e1 is no cocycle, since its cyclic sum reads
+    # [w(e3,e1), e2] = -[e1, e2] = -e3, yet the zero action and varpi kill
+    # every other condition. A faithful rho rules this out: the mixed
+    # condition implies rho applied to the cocycle defect vanishes.
+    pytest.param(
+        "trivial", {(0, 2): [1, 0, 0]}, [[[0]]] * 3, [("cocycle", (0, 1, 2))], id="cocycle"
+    ),
+    # heis3 adjoint: w(e1,e2) = -e2 and w(e2,e3) = -e3 fail Jacobi at the
+    # one triple, w(w(e1,e2),e3) = w(-e2,e3) = e3; varpi is chosen so that
+    # the mixed condition holds.
+    pytest.param(
+        "adjoint",
+        {(0, 1): [0, -1, 0], (1, 2): [0, 0, -1]},
+        [[[0, 0, 0], [0, 0, 0], [0, 0, -1]], [[0, 0, 0], [0, 0, 0], [0, -1, 0]], _Z3],
+        [("omega_jacobi", (0, 1, 2))],
+        id="omega_jacobi",
+    ),
+    # heis3 adjoint: the rescaling pair (omega = [,], varpi = ad), with e1
+    # added to w(e1,e2) and E12 to varpi(e1): only varpi stops being a
+    # representation of omega, at (e1, e2).
+    pytest.param(
+        "adjoint",
+        {(0, 1): [1, 0, 1]},
+        [[[0, 1, 0], [0, 0, 0], [0, 1, 0]], [[0, 0, 0], [0, 0, 0], [-1, 0, 0]], _Z3],
+        [("varpi_rep", (0, 1))],
+        id="varpi_rep",
+    ),
+    # heis3 adjoint, varpi = 0 and w(e2,e3) = -e1: rho(w(e2,e3)) = -ad(e1)
+    # is the only term left of the mixed condition at (e2, e3).
+    pytest.param("adjoint", {(1, 2): [-1, 0, 0]}, [_Z3] * 3, [("mixed", (1, 2))], id="mixed"),
+)
+
+
+@pytest.mark.parametrize("rep, omega, varpi, expected", DEFORMATION_NEAR_MISSES)
+def test_deformation_pair_near_misses(rep, omega, varpi, expected):
+    """heis3: each case fails one condition, at the basis tuples given."""
+    g = get_entry("heis3").algebra
+    if rep == "trivial":
+        rho = Representation(g, [Matrix([[0]])] * 3)
+    else:
+        rho = get_entry("heis3").representations[rep]
+    d = _deformation(3, omega, varpi)
+    report = check_deformation_pair(g, rho, d)
+    assert [(w.condition, w.indices) for w in report.witnesses] == expected
+    assert report.to_json() == reference_deformation_pair(g, rho, d).to_json()
+
+
+EQUIVALENCE_NEAR_MISSES = (
+    # aff1 ([e1,e2] = e2), N = E22, S = 0: [e1,e2]_N = 0, and omega =
+    # -e1 there lies in N's kernel, so only omega_match fails.
+    pytest.param(
+        [[0, 0], [0, 1]], [[0, 0], [0, 0]], {(0, 1): [-1, 0]},
+        [[[0, 0], [0, 0]], [[0, 0], [-1, 0]]],
+        [("omega_match", (0, 1))],
+        id="omega_match",
+    ),
+    # heis3, N not Nijenhuis, S = 0: omega = [,]_N and varpi = rho_hat, so
+    # both matches hold, but N omega(e2,e3) = Ne3 = -e1, while
+    # [Ne2,Ne3] = [-e3,-e1] = 0.
+    pytest.param(
+        [[0, 0, -1], [0, 0, 0], [0, -1, 0]], [[0] * 3] * 3, {(0, 1): [1, 0, 0], (1, 2): [0, 0, 1]},
+        [_Z3, _Z3, [[0, 0, 0], [0, 0, 0], [0, -1, 0]]],
+        [("n_morphism", (1, 2))],
+        id="n_morphism",
+    ),
+    # aff1, S = 0, omega = [,]_N = 0: varpi(e1) is off rho_hat's by E22,
+    # and S = 0 keeps the intertwining.
+    pytest.param(
+        [[0, 0], [-1, -1]], [[0, 0], [0, 0]], {},
+        [[[0, 0], [1, 1]], [[0, 0], [1, 0]]],
+        [("varpi_match", (0,))],
+        id="varpi_match",
+    ),
+    # aff1: omega and varpi are the N-deformed bracket and rho_hat, but
+    # (N, S) is no Nijenhuis pair, which shows at e1 only.
+    pytest.param(
+        [[1, 0], [1, 1]], [[0, 0], [-1, 0]], {(0, 1): [0, 1]},
+        [[[0, 0], [-2, 1]], [[0, 0], [-1, 0]]],
+        [("intertwine", (0,))],
+        id="intertwine",
+    ),
+)
+
+
+@pytest.mark.parametrize("n_rows, s_rows, omega, varpi, expected", EQUIVALENCE_NEAR_MISSES)
+def test_trivial_equivalence_near_misses(n_rows, s_rows, omega, varpi, expected):
+    """Adjoint actions: each case fails one condition, at the basis tuples given."""
+    n = len(n_rows)
+    entry = get_entry({2: "aff1", 3: "heis3"}[n])
+    g, rho = entry.algebra, entry.representations["adjoint"]
+    n_op, s_op = Matrix(n_rows), Matrix(s_rows)
+    d = _deformation(n, omega, varpi)
+    report = check_trivial_equivalence(g, rho, n_op, s_op, d)
+    assert [(w.condition, w.indices) for w in report.witnesses] == expected
+    assert report.to_json() == reference_trivial_equivalence(g, rho, n_op, s_op, d).to_json()
