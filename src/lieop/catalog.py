@@ -21,7 +21,11 @@ NT = TS and the KN bracket match, and pairs of Kupershmidt operators by
 their sum being Kupershmidt. Rota-Baxter operators and r-matrices are
 searched as the Kupershmidt operators they are, for the adjoint and the
 coadjoint action: the search runs the same stages on that action family,
-over the skew candidates only for r-matrices.
+over the skew candidates only for r-matrices. Over a grid that equals its
+negation, each stage decides one candidate of each sign orbit and mirrors
+what passes: X and -X for the filters, (N, S) and (-N, -S) for the pair
+condition, (T1, T2) and (-T1, -T2) for compatibility, and T and -T for the
+twist and the bracket match, which keep the same pairs (N, S).
 
 Every verdict comes from the loop that the public predicate itself runs
 (lieop.kernel: the torsion, Kupershmidt, pair and bracket-match loops),
@@ -47,7 +51,7 @@ from functools import cache, lru_cache
 from typing import Optional, Sequence
 
 from .errors import GridCapExceeded, LieopError, ShapeError, StructureCheckError
-from .kernel import VerdictKernel, integer_image
+from .kernel import VerdictKernel, integer_image, negated, upper_half
 from .kinds import CATALOG_KINDS, OPERATOR_SHAPES, SEARCH_KINDS
 from .lie import LieAlgebra
 from .linalg import Matrix, Scalar, rational
@@ -391,19 +395,41 @@ def _staged_search(
     The loops themselves are tested against the per-tuple definitions.
     The survivors are visited in the nesting order of the full product,
     which keeps the lexicographic order of the results.
+
+    Over a grid that equals its negation, each identity is decided on one
+    candidate of each sign orbit and the rest mirrored: every identity is
+    homogeneous of even degree in the operators it pairs (see
+    lieop.kernel), so X and -X, or (X, Y) and (-X, -Y), get one verdict.
+    Such a grid's product, and every filtered list below, is then closed
+    under negation with -flats[i] = flats[-1 - i], since negation reverses
+    the lexicographic order.
     """
     kernel = VerdictKernel(g, rho)
     ints, _ = integer_image(values)
     value_of = dict(zip(ints, values))
+    symmetric = set(ints) == {-v for v in ints}
     n = g.dim
     m = rho.module_dim if rho is not None else n
 
     def grid(size: int):
         return itertools.product(ints, repeat=size)
 
+    def solutions(size: int, passes) -> list:
+        """The flats of grid(size) that pass, in order: over a symmetric
+        grid, only the upper half (kernel.upper_half) is decided, and the
+        lower half mirrored from it."""
+        if not symmetric:
+            return [flat for flat in grid(size) if passes(flat)]
+        found = [flat for flat in upper_half(ints, size) if passes(flat)]
+        return [negated(flat) for flat in reversed(found) if any(flat)] + found
+
     def matrix(flat, ncols: int) -> Matrix:
-        return Matrix(
-            [[value_of[c] for c in flat[r : r + ncols]] for r in range(0, len(flat), ncols)]
+        # value_of's entries are canonical scalars already.
+        return Matrix._make(
+            tuple(
+                tuple(value_of[c] for c in flat[r : r + ncols])
+                for r in range(0, len(flat), ncols)
+            )
         )
 
     def kupershmidt_ops() -> list:
@@ -413,7 +439,7 @@ def _staged_search(
     if kind in ("kupershmidt", "rota_baxter"):
         return [t_op for _, t_op in kupershmidt_ops()]
     if kind == "nijenhuis":
-        return [matrix(flat, n) for flat in grid(n * n) if kernel.is_nijenhuis(flat)]
+        return [matrix(flat, n) for flat in solutions(n * n, kernel.is_nijenhuis)]
     if kind == "r_matrix":
         # Each skew candidate, over the entries above the diagonal, on its
         # full n x n image.
@@ -425,20 +451,29 @@ def _staged_search(
                 rows[i][j], rows[j][i] = c, -c
             return rows
 
+        def is_r_matrix(combo) -> bool:
+            return kernel.is_kupershmidt([c for row in skew(combo) for c in row])
+
         return [
-            Bivector(Matrix(skew([value_of[c] for c in combo])))
-            for combo in grid(len(upper))
-            if kernel.is_kupershmidt([c for row in skew(combo) for c in row])
+            Bivector(Matrix._make(tuple(map(tuple, skew([value_of[c] for c in combo])))))
+            for combo in solutions(len(upper), is_r_matrix)
         ]
 
     if kind == "compatible_pair":
-        # T1 + T2 = T2 + T1, so each unordered pair is decided once.
+        # T1 + T2 = T2 + T1, so each unordered pair is decided once; over a
+        # symmetric grid, once per orbit {(a, b), (-a, -b)}, where -t_ops[a]
+        # is t_ops[last - a].
         t_ops = kupershmidt_ops()
-        compatible = {
-            (a, b)
-            for a, b in itertools.combinations_with_replacement(range(len(t_ops)), 2)
-            if kernel.compatible(t_ops[a][0], t_ops[b][0])
-        }
+        last = len(t_ops) - 1
+        compatible = set()
+        for a, b in itertools.combinations_with_replacement(range(len(t_ops)), 2):
+            mirror = (last - b, last - a)
+            if symmetric and mirror < (a, b):
+                continue
+            if kernel.compatible(t_ops[a][0], t_ops[b][0]):
+                compatible.add((a, b))
+                if symmetric:
+                    compatible.add(mirror)
         return [
             (t1, t2)
             for a, (_, t1) in enumerate(t_ops)
@@ -448,7 +483,7 @@ def _staged_search(
 
     # Both remaining kinds pair a Nijenhuis N with an S; each distinct N and
     # S is built as a Matrix once.
-    n_ops = [flat for flat in grid(n * n) if kernel.is_nijenhuis(flat)]
+    n_ops = solutions(n * n, kernel.is_nijenhuis)
     s_ops = list(grid(m * m))
     n_matrix = cache(lambda i: matrix(n_ops[i], n))
     s_matrix = cache(lambda j: matrix(s_ops[j], m))
@@ -459,8 +494,23 @@ def _staged_search(
     # kn_structure: a candidate lists T, then S, then N, so S varies slower
     # than N once T is fixed.
     pairs = sorted(kernel.nijenhuis_pairs(n_ops, s_ops), key=lambda p: (p[1], p[0]))
+    t_ops = kupershmidt_ops()
+    last = len(t_ops) - 1
+    held: dict = {}
+
+    def kept(a: int) -> list:
+        """The pairs that meet the twist and the bracket match with T =
+        t_ops[a]. Both have degree 1 in T, so over a symmetric grid -T =
+        t_ops[last - a] keeps the same pairs, held until its turn."""
+        if a in held:
+            return held.pop(a)
+        out = kernel.kn_pairs(t_ops[a][0], n_ops, s_ops, pairs)
+        if symmetric and last - a > a:
+            held[last - a] = out
+        return out
+
     return [
         (t_op, s_matrix(j), n_matrix(i))
-        for t_flat, t_op in kupershmidt_ops()
-        for i, j in kernel.kn_pairs(t_flat, n_ops, s_ops, pairs)
+        for a, (_, t_op) in enumerate(t_ops)
+        for i, j in kept(a)
     ]

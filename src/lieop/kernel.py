@@ -94,7 +94,7 @@ NT = TS is homogeneous too, of degree 2 in the operators. N, S and T
 share b, since the pair identities, the twist and the bracket match mix
 them.
 
-Three shortcuts keep the searches from testing the whole product, each
+Four shortcuts keep the searches from testing the whole product, each
 exact:
 
 - Kupershmidt operators are enumerated column by column, with the last
@@ -139,6 +139,27 @@ exact:
   since each of those N fails the condition at that very x. Each
   combination sum_k c_k C_k is formed on first use, once per S, and each
   S C_x once per (S, x).
+- Over a grid that equals its negation, one candidate of each sign orbit
+  is decided and the rest mirrored. Every identity a search decides is
+  homogeneous of even degree in the operators it pairs, so it gives X and
+  -X one verdict:
+  - the Kupershmidt identity (Rota-Baxter operators and r-matrices
+    included) and the torsion have degree 2 in T and in N;
+  - the pair identities have degree 2 in (N, S) together, so (N, S) and
+    (-N, -S) share a verdict, but (N, -S) need not;
+  - compatibility, as K(T1 + T2), has degree 2 in (T1, T2) together;
+  - the KN twist NT = TS and bracket match have degree 1 in T and 1 in
+    (N, S), so T and -T keep the same pairs (N, S).
+  On such a grid the product, in its lexicographic order, has -X at the
+  mirror image of X's position (negation reverses the order), and the
+  upper half is the zero flat, if the grid has 0, then the flats whose
+  first nonzero entry is positive. kupershmidt_solutions enumerates only
+  the upper half of its column prefixes, and for the zero prefix only the
+  upper half of the last columns, then adds -T for each nonzero T found;
+  nijenhuis_pairs, given lists closed under negation, walks the upper
+  half of the S and mirrors each (N, S) found to (-N, -S), but for S = 0,
+  whose walk finds both (N, 0) and (-N, 0). The rest of the rule is
+  grid_search's (lieop.catalog).
 """
 
 from __future__ import annotations
@@ -313,6 +334,38 @@ def _kupershmidt_defect_at(g: BracketImage, kg: int, kr: int, rows, x, y, qjx, q
     basis pair (e_i, e_j), with x = T e_i, y = T e_j, T given by its rows and
     qjx = q[j]x, qiy = q[i]y the two halves of rho(Tu)v - rho(Tv)u."""
     return [kg * p - kr * r for p, r in zip(g(x, y), _apply(rows, _sub(qjx, qiy)))]
+
+
+def _quotient_on(on_grid: set, values: Sequence[int], d: int) -> Optional[tuple]:
+    """values / d, if d divides each value and every quotient is on the
+    grid; None at the first remainder or off-grid quotient."""
+    out = []
+    for v in values:
+        quo, rem = divmod(v, d)
+        if rem or quo not in on_grid:
+            return None
+        out.append(quo)
+    return tuple(out)
+
+
+def negated(flat: Sequence[int]) -> tuple:
+    """-X, entry by entry."""
+    return tuple(-c for c in flat)
+
+
+def upper_half(items: Sequence, size: int) -> Iterator[tuple]:
+    """product(items, repeat=size) from its middle on. For items in
+    increasing order that equal their negation, that is one of each
+    {X, -X}: the zero tuple, if there is one, then the tuples whose first
+    nonzero entry is positive."""
+    return islice(product(items, repeat=size), len(items) ** size // 2, None)
+
+
+def closed_under_negation(ops: Sequence[Sequence[int]]) -> bool:
+    """Whether ops[-1 - i] = -ops[i] for every i, as for an increasing
+    list of flats that equals its negation (a grid's product, say)."""
+    half = ops[: (len(ops) + 1) // 2]
+    return all(tuple(a) == negated(b) for a, b in zip(half, reversed(ops)))
 
 
 def _commutators(rho: ActionImage, s: list) -> list:
@@ -553,24 +606,28 @@ class VerdictKernel:
         is_kupershmidt accepts, in the order of the product: the columns
         but the last are enumerated, the last is solved for, and each column
         the solve pins or leaves free is tested at the open pairs (i, last)
-        before the full identity decides the flat (see the module
+        before the full identity decides the flat. Over a grid that equals
+        its negation, one of each {T, -T} is decided (see the module
         docstring)."""
         n, m, q = self.n, self.m, self._rho.q
         kg, kr = self._rho.scale, self._g.scale  # as in kupershmidt_defects
         last = m - 1
-        if last < 2:  # no pair i < j < last: nothing pins the last column
-            return [flat for flat in product(grid, repeat=n * m) if self.is_kupershmidt(flat)]
         on_grid = set(grid)
+        symmetric = on_grid == {-v for v in grid}
         columns = list(product(grid, repeat=n))
         pairs = [(i, j) for i in range(last) for j in range(i + 1, last)]
-        # qc[j][c] = q[j]c for every basis j and grid column c.
-        qc = [{col: _apply(q[j], col) for col in columns} for j in range(m)]
+        # kqc[j][c] = kr q[j]c for every basis j and grid column c.
+        kqc = [{col: [kr * v for v in _apply(q[j], col)] for col in columns} for j in range(m)]
+        prefixes = upper_half(columns, last) if symmetric else product(columns, repeat=last)
         found = []
-        for prefix in product(columns, repeat=last):
+        for prefix in prefixes:
+            free = columns
+            if symmetric and not any(map(any, prefix)):
+                free = columns[len(columns) // 2 :]  # the zero or canonical ones
             pinned = None
             for i, j in pairs:
                 x, y = prefix[i], prefix[j]
-                inner = [kr * c for c in _sub(qc[j][x], qc[i][y])]
+                inner = _sub(kqc[j][x], kqc[i][y])
                 rhs = [kg * c for c in self._g(x, y)]
                 for coef, col in zip(inner, prefix):
                     if coef:
@@ -580,20 +637,17 @@ class VerdictKernel:
                     if any(rhs):
                         break
                     continue
-                quotients = [divmod(r, coef) for r in rhs]
-                solved = tuple(quo for quo, _ in quotients)
-                if any(rem for _, rem in quotients) or not on_grid.issuperset(solved):
+                solved = _quotient_on(on_grid, rhs, coef)
+                if solved is None or (pinned is not None and pinned != solved):
                     break
-                if pinned is None:
-                    pinned = solved
-                elif pinned != solved:
-                    break
+                pinned = solved
             else:
-                for col in columns if pinned is None else (pinned,):
+                for col in free if pinned is None else (pinned,):
                     rows = list(zip(*prefix, col))
+                    # kqc carries kr already, so the defect takes 1 for it.
                     open_pairs = (
                         _kupershmidt_defect_at(
-                            self._g, kg, kr, rows, x, col, qc[last][x], qc[i][col]
+                            self._g, kg, 1, rows, x, col, kqc[last][x], kqc[i][col]
                         )
                         for i, x in enumerate(prefix)
                     )
@@ -602,6 +656,8 @@ class VerdictKernel:
                     flat = tuple(chain.from_iterable(rows))
                     if self.is_kupershmidt(flat):
                         found.append(flat)
+        if symmetric:
+            found += [negated(flat) for flat in found if any(flat)]
         found.sort()
         return found
 
@@ -621,9 +677,14 @@ class VerdictKernel:
         is_nijenhuis; callers filter n_ops with it first. Per S, the N are
         walked as a trie over their columns, and a column that fails the
         condition at its x prunes every N that shares it and the columns
-        before it (see the module docstring).
+        before it (see the module docstring). Where both lists are closed
+        under negation, (N, S) is a pair exactly when (-N, -S) is, so only
+        the upper half of the S is walked and each pair found is mirrored,
+        but for S = 0, whose walk finds both (N, 0) and (-N, 0).
         """
         n, m = self.n, self.m
+        n_last, s_last = len(n_ops) - 1, len(s_ops) - 1
+        mirrored = closed_under_negation(n_ops) and closed_under_negation(s_ops)
         # The trie of the N's columns: trie[N e_0][N e_1]...[N e_(n-1)] lists
         # the indices i of the N with those columns.
         trie: dict = {}
@@ -633,8 +694,8 @@ class VerdictKernel:
                 node = node.setdefault(tuple(n_flat[x::n]), {})
             node.setdefault(tuple(n_flat[n - 1 :: n]), []).append(i)
         out = []
-        for j, s_flat in enumerate(s_ops):
-            s = _rows(s_flat, m)
+        for j in range(len(s_ops) // 2 if mirrored else 0, len(s_ops)):
+            s = _rows(s_ops[j], m)
             cs = _commutators(self._rho, s)
             # sum_k c_k C_k per column c and S C_x per x, each on first use.
             combos: dict = {}
@@ -652,6 +713,8 @@ class VerdictKernel:
                             stack.append((child, x + 1))
                         else:
                             out.extend((i, j) for i in child)
+        if mirrored:
+            out += [(n_last - i, s_last - j) for i, j in out if s_last - j != j]
         out.sort()
         return out
 

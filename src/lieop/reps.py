@@ -40,6 +40,8 @@ class Representation:
         if not matrices:
             raise ShapeError("empty action family")
         m = matrices[0].nrows
+        if m == 0:
+            raise ShapeError("zero-dimensional module")
         for mat in matrices:
             if mat.shape != (m, m):
                 raise ShapeError(f"action matrix of shape {mat.shape}, expected ({m},{m})")

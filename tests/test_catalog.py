@@ -3,6 +3,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieop import (
     GridCapExceeded,
@@ -162,7 +164,10 @@ class TestGridSearch:
         assert (len(t_ops) ** 2, len(expected)) == (441, 177)
 
     def test_compatible_pair_search_decides_each_unordered_pair_once(self, aff1, monkeypatch):
-        # T1 + T2 = T2 + T1: 21 Kupershmidt T make 21 * 22 / 2 sums, not 21^2.
+        # T1 + T2 = T2 + T1, and K(-T1 - T2) = K(T1 + T2): the 21 Kupershmidt
+        # T (0 and ten pairs {T, -T}) make 21 * 22 / 2 = 231 unordered pairs,
+        # in (231 + 11) / 2 = 121 orbits under negation, since the 11 pairs
+        # {0, 0} and {T, -T} are their own negation.
         g, rho = aff1.algebra, aff1.representations["coadjoint"]
         calls = []
         real = kernel.VerdictKernel.compatible
@@ -173,7 +178,10 @@ class TestGridSearch:
 
         monkeypatch.setattr(kernel.VerdictKernel, "compatible", counting)
         assert len(grid_search(g, rho, "compatible_pair", GRID)) == 177
-        assert len(calls) == len({frozenset(pair) for pair in calls}) == 231
+        orbits = {
+            frozenset({frozenset(pair), frozenset(map(kernel.negated, pair))}) for pair in calls
+        }
+        assert len(calls) == len(orbits) == 121
 
     def test_kn_search_decides_the_bracket_match_once_per_t_and_s(self, aff1, monkeypatch):
         g, ad = aff1.algebra, aff1.representations["adjoint"]
@@ -216,6 +224,40 @@ class TestGridSearch:
         found = grid_search(g, ad, "nijenhuis_pair", ("-1/2", "0", "1/3"))
         assert len(found) == 451
         assert len(calls) == len(set(map(str, calls))) == 81
+
+    def test_pair_search_walks_one_s_of_each_sign_orbit(self, sl2, monkeypatch):
+        # Over {-1,0,1}, (N, S) is a pair exactly when (-N, -S) is, so the
+        # trie is walked for S = 0 and the 9,841 S whose first nonzero entry
+        # is positive: (3^9 + 1) / 2 of the 3^9.
+        calls = []
+        real = kernel._commutators
+
+        def counting(rho, s):
+            calls.append(tuple(c for row in s for c in row))
+            return real(rho, s)
+
+        monkeypatch.setattr(kernel, "_commutators", counting)
+        ad = sl2.representations["adjoint"]
+        found = grid_search(sl2.algebra, ad, "nijenhuis_pair", GRID, cap=3**18)
+        assert len(found) == 941
+        assert len(calls) == len(set(calls)) == 9842
+        assert all(s > kernel.negated(s) for s in calls if any(s))
+
+    def test_kn_search_decides_the_twist_once_per_t_and_minus_t(self, aff1, monkeypatch):
+        # The twist and the bracket match have degree 1 in T: the 21
+        # Kupershmidt T over {-1,0,1} are 0 and ten pairs {T, -T}.
+        rho = aff1.representations["coadjoint"]
+        calls = _count_method_calls(monkeypatch, "kn_pairs")
+        assert len(grid_search(aff1.algebra, rho, "kn_structure", GRID)) == 1101
+        decided = [t_op for t_op, *_ in calls]
+        assert len(decided) == len(set(decided)) == 11
+        assert set(decided).isdisjoint(kernel.negated(t) for t in decided if any(t))
+
+    def test_r_matrix_search_decides_one_skew_combo_per_sign_orbit(self, sl2, monkeypatch):
+        # 3^3 skew combos over {-1,0,1}: 0 and 13 pairs {X, -X}.
+        calls = _count_method_calls(monkeypatch, "is_kupershmidt")
+        assert len(grid_search(sl2.algebra, None, "r_matrix", GRID)) == 5
+        assert len(calls) == 14
 
     def test_catalog_representation_is_not_checked_again(self, aff1, monkeypatch):
         calls = count_rep_loops(monkeypatch)
@@ -260,6 +302,20 @@ def _count_calls(monkeypatch, real):
             for attr, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def _count_method_calls(monkeypatch, name):
+    """Wrap the VerdictKernel method; return the list of its calls' arguments
+    after self."""
+    calls = []
+    real = getattr(kernel.VerdictKernel, name)
+
+    def counting(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(kernel.VerdictKernel, name, counting)
     return calls
 
 
@@ -366,7 +422,73 @@ def _contract_inputs(algebra, rep):
     else:
         entry = get_entry(algebra)
         g, reps = entry.algebra, entry.representations
+    if rep == "nilpotent":
+        # abelian_1 on a plane by a nilpotent matrix: a 2-dimensional module
+        # small enough for the reference, on which some (N, S) fail.
+        return g, Representation(g, [Matrix([[0, 1], [0, 0]])])
     return g, reps[rep] if rep else None
+
+
+# Grids that equal their negation, where the search decides one candidate
+# per sign orbit, and a near miss, where it must decide every candidate.
+SIGN_CLOSED_GRIDS = {
+    "int": INTEGER_GRID,
+    "half": ("-1/2", "0", "1/2"),
+    "zero_free": ("-1", "1"),
+    "empty": (),
+    "near_miss": ("-1", "0", "2"),
+}
+ALL_SIGN_GRIDS = tuple(SIGN_CLOSED_GRIDS)
+# (kind, algebra, representation, grid names): every kind on every grid,
+# each input chosen so that every nonempty grid has results.
+SIGN_CASES = [
+    (kind, algebra, rep, grid)
+    for kind, algebra, rep, grids in (
+        ("nijenhuis", "aff1", None, ALL_SIGN_GRIDS),
+        ("nijenhuis", "sl2", None, ("int",)),
+        ("rota_baxter", "aff1", None, ALL_SIGN_GRIDS),
+        ("rota_baxter", "sl2", None, ("int",)),
+        ("r_matrix", "sl2", None, ("int", "half", "empty", "near_miss")),
+        ("r_matrix", "aff1", None, ("zero_free",)),
+        ("kupershmidt", "aff1", "coadjoint", ALL_SIGN_GRIDS),
+        ("nijenhuis_pair", "abelian_1", "nilpotent", ("int", "half", "empty", "near_miss")),
+        ("nijenhuis_pair", "aff1", "coadjoint", ("zero_free",)),
+        ("kn_structure", "abelian_1", "nilpotent", ("int", "half", "empty", "near_miss")),
+        ("kn_structure", "abelian_1", "coadjoint", ("zero_free",)),
+        ("compatible_pair", "aff1", "coadjoint", ALL_SIGN_GRIDS),
+    )
+    for grid in grids
+]
+
+
+def _sign_maps(kind):
+    """The kind's sign maps: each identity is homogeneous of even degree in
+    the operators it pairs, and the KN twist and bracket match of degree 1
+    in T and 1 in (N, S), so a result set over a grid closed under negation
+    is closed under these."""
+    if kind == "r_matrix":
+        return [lambda r: Bivector(r.matrix.scale(-1))]
+    if kind in ("nijenhuis_pair", "compatible_pair"):
+        return [lambda r: (r[0].scale(-1), r[1].scale(-1))]
+    if kind == "kn_structure":
+        return [
+            lambda r: (r[0].scale(-1), r[1], r[2]),
+            lambda r: (r[0], r[1].scale(-1), r[2].scale(-1)),
+        ]
+    return [lambda r: r.scale(-1)]
+
+
+# Per kind, an input whose searches over a grid of up to three values stay
+# well under a second.
+PROPERTY_INPUTS = {
+    "nijenhuis": ("heis3", None),
+    "rota_baxter": ("sl2", None),
+    "r_matrix": ("sl2", None),
+    "kupershmidt": ("heis3", "coadjoint"),
+    "nijenhuis_pair": ("aff1", "adjoint"),
+    "kn_structure": ("abelian_1", "nilpotent"),
+    "compatible_pair": ("aff1", "coadjoint"),
+}
 
 
 class TestGridSearchContract:
@@ -381,6 +503,35 @@ class TestGridSearchContract:
         expected = reference_grid_search(g, rho, kind, grid)
         assert expected
         assert grid_search(g, rho, kind, grid) == expected
+
+    def test_sign_cases_cover_every_kind_on_every_grid(self):
+        covered = {(kind, grid) for kind, _, _, grid in SIGN_CASES}
+        assert covered == set(itertools.product(SEARCH_KINDS, SIGN_CLOSED_GRIDS))
+
+    @pytest.mark.parametrize(
+        "kind,algebra,rep,grid", SIGN_CASES, ids=lambda v: v if isinstance(v, str) else None
+    )
+    def test_sign_closed_grids_give_the_reference_results(self, kind, algebra, rep, grid):
+        g, rho = _contract_inputs(algebra, rep)
+        values = SIGN_CLOSED_GRIDS[grid]
+        expected = reference_grid_search(g, rho, kind, values)
+        assert bool(expected) == bool(values)
+        assert grid_search(g, rho, kind, values) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(SEARCH_KINDS)),
+        value=st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4),
+        with_zero=st.booleans(),
+    )
+    def test_results_are_closed_under_the_sign_maps(self, kind, value, with_zero):
+        g, rho = _contract_inputs(*PROPERTY_INPUTS[kind])
+        grid = (-value, value) + ((0,) if with_zero else ())
+        found = grid_search(g, rho, kind, grid)
+        if with_zero:
+            assert found  # the zero operators at least
+        for sign in _sign_maps(kind):
+            assert {sign(r) for r in found} == set(found)
 
     def test_cap_counts_nominal_candidates_before_evaluating_any(self, aff1, monkeypatch):
         monkeypatch.setattr(catalog, "VerdictKernel", _forbidden)

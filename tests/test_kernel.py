@@ -25,7 +25,7 @@ from lieop import (
 )
 from lieop import kernel as kernel_module
 from lieop.catalog import get_entry
-from lieop.kernel import VerdictKernel, integer_image, pair_defects
+from lieop.kernel import VerdictKernel, integer_image, negated, pair_defects
 from lieop.reps import _ad_family
 
 from conftest import MIXED_AFF1, THIRD_SL2
@@ -241,7 +241,9 @@ class TestSolvedEnumeration:
 class TestSolvedEnumerationWork:
     def test_each_result_is_confirmed_once(self, sl2, monkeypatch):
         # The open pairs (i, last) filter every solved or free last column,
-        # so the full identity runs once per result (435 times before).
+        # so the full identity runs once per result it decides (435 times
+        # before), and over {-1, 0, 1} it decides one of each {T, -T}: the
+        # zero operator and 11 of the 22 others.
         g = sl2.algebra
         kernel = VerdictKernel(g, _ad_family(g))
         confirmations = []
@@ -253,7 +255,11 @@ class TestSolvedEnumerationWork:
 
         monkeypatch.setattr(VerdictKernel, "is_kupershmidt", counting)
         found = kernel.kupershmidt_solutions([-1, 0, 1])
-        assert len(found) == len(confirmations) == 23
+        assert (len(found), len(confirmations)) == (23, 12)
+        assert {t_op for t_op in confirmations if any(t_op)}.isdisjoint(
+            map(negated, confirmations)
+        )
+        assert sorted(confirmations + [negated(t) for t in confirmations if any(t)]) == found
 
 
 def pairs_by_the_pair_loop(rho, n_ops, s_ops) -> list[tuple[int, int]]:

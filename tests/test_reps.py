@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from lieop import (
     Matrix,
     Representation,
+    ShapeError,
     ValidationError,
     check_representation,
     deformed_algebra,
@@ -45,6 +46,13 @@ class TestCheckRepresentation:
     def test_constructor_validates_eagerly(self, aff1):
         with pytest.raises(ValidationError):
             Representation(aff1.algebra, (Matrix.identity(1), Matrix.identity(1)))
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_zero_dimensional_module_is_refused(self, aff1, check):
+        # As a document's module_dim of 0 is; the pair loop and the search
+        # would otherwise split their flats into rows of length 0.
+        with pytest.raises(ShapeError, match="zero-dimensional module"):
+            Representation(aff1.algebra, (Matrix([]), Matrix([])), check=check)
 
 
 class TestCheckAgainst:
