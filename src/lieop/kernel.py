@@ -122,23 +122,45 @@ exact:
   quadratic and C is its symmetric bilinear form. With K(T1) = K(T2) = 0,
   C vanishes exactly when T1 + T2 is Kupershmidt, and the sum of two
   images under one scale b is the image of the sum.
-- The pair identities share the n terms C_k = [rho(e_k), S], computed
-  once per S. At a basis x, with rho(Nx) = sum_k N_kx rho(e_k):
+- The pair identities share the n terms C_k = [rho(e_k), S]. At a basis
+  x, with rho(Nx) = sum_k N_kx rho(e_k):
   - the Nijenhuis pair [rho(Nx) - S rho(x), S] is sum_k N_kx C_k - S C_x;
   - the dual pair [rho(Nx) - rho(x) S, S] is sum_k N_kx C_k - C_x S;
   - the perfect pair [S, [S, rho(x)]] is C_x S - S C_x.
   Each is of degree 1 in rho and 2 in N and S together (C_k is of degree
   1 in each of rho and S), so on the images, where C_k comes out a*b
   times the rational one and N and S b times theirs, each defect is a*b^2
-  times the rational one. The Nijenhuis-pair condition at x reads N only
-  through its column N e_x, so a search walks the N as a trie over their
-  columns, N e_0 at the first level, and for each S goes depth first:
-  at depth x it compares sum_k c_k C_k with S C_x for each column c on
-  that level, and follows only the columns that match. A column that
-  fails x prunes every N that shares the prefix up to it, which is exact,
-  since each of those N fails the condition at that very x. Each
-  combination sum_k c_k C_k is formed on first use, once per S, and each
-  S C_x once per (S, x).
+  times the rational one. pair_defects, behind the reports, forms the C_k
+  as matrices once per S. A search decides the Nijenhuis-pair identity on
+  packed integer keys instead (nijenhuis_pairs):
+  - Tables. With E_u the unit matrix at S's u-th flat entry s_u, C_k has
+    degree 1 in S and S C_x degree 2: C_k = sum_u s_u C_k(E_u) and
+    S C_x = sum_{u,v} s_u s_v E_u C_x(E_v). The packed C_k(E_u) and
+    E_u C_x(E_v) are tabulated once per search from rho's image, the
+    latter folded over u <= v since s_u s_v = s_v s_u (_pair_tables). Per
+    S, each packed C_k is then one dot product with s, of length m^2, and
+    each packed S C_x one with the products s_u s_v, of length
+    m^2 (m^2 + 1) / 2 (_pair_keys).
+  - Packing. A flat m x m matrix v packs to P(v) = sum_i v_i B^i with
+    B = 2^w (pair_width). P is linear, so the packed sum_k c_k C_k is
+    sum_k c_k P(C_k), one dot product of length n. B exceeds
+    2 m R G (n G_N + m G), with R, G_N and G the largest |entry| of rho's
+    image, of the N and of the S: an entry of a C_k is at most 2 m R G in
+    size, one of sum_k c_k C_k at most n G_N times that, and one of S C_x
+    at most m G times that. So, for u = sum_k c_k C_k and v = S C_x, each
+    entry of u - v lies strictly between -B and B, and P(u) = P(v) exactly
+    when u = v. Otherwise, let d_t be the first nonzero entry of u - v:
+    then 0 = P(u - v) = B^t (d_t + B y) for an integer y, so B divides
+    d_t, although 0 < |d_t| < B.
+  - Trie. The Nijenhuis-pair condition at x reads N only through its
+    column N e_x, so a search walks the N as a trie over their columns,
+    N e_0 at the first level, and for each S goes depth first: at depth x
+    it compares the packed sum_k c_k C_k with the packed S C_x, two ints,
+    for each column c on that level, and follows only the columns that
+    match. A column that fails x prunes every N that shares the prefix up
+    to it, which is exact, since each of those N fails the condition at
+    that very x. Each packed combination is formed on first use, once per
+    (S, column), and each packed S C_x once per (S, x).
 - Over a grid that equals its negation, one candidate of each sign orbit
   is decided and the rest mirrored. Every identity a search decides is
   homogeneous of even degree in the operators it pairs, so it gives X and
@@ -165,7 +187,15 @@ exact:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations, islice, product
+from itertools import (
+    chain,
+    combinations,
+    combinations_with_replacement,
+    islice,
+    product,
+    repeat,
+    starmap,
+)
 from math import lcm
 from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
@@ -376,6 +406,74 @@ def _commutators(rho: ActionImage, s: list) -> list:
 def _combine(coefs: Sequence[int], mats: list) -> list:
     """sum_k coefs[k] mats[k]."""
     return [[sum(map(mul, coefs, entries)) for entries in zip(*rows)] for rows in zip(*mats)]
+
+
+def pair_width(
+    rho: ActionImage, n_ops: Sequence[Sequence[int]], s_ops: Sequence[Sequence[int]]
+) -> int:
+    """The digit width w of the pair search's packing, B = 2^w: the least
+    power of two above 2 m R G (n G_N + m G), with R, G_N and G the largest
+    |entry| of rho's image, of the N and of the S (0 for an empty list)."""
+    n, m = len(rho.mats), rho.m
+
+    def largest(values) -> int:
+        return max(map(abs, values), default=0)
+
+    r = largest(chain.from_iterable(chain.from_iterable(rho.mats)))
+    g_n = largest(chain.from_iterable(n_ops))
+    g = largest(chain.from_iterable(s_ops))
+    return (2 * m * r * g * (n * g_n + m * g)).bit_length()
+
+
+def _packed(values: Iterable[int], w: int) -> int:
+    """P(v) = sum_i v_i B^i with B = 2^w."""
+    return sum(v << (w * i) for i, v in enumerate(values))
+
+
+def _pair_tables(rho: ActionImage, w: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The pair search's coefficient tables. With E_u the unit matrix of a
+    flat m x m matrix's u-th entry, C_k is linear in S and S C_x quadratic:
+    P(C_k) = sum_u s_u P(C_k(E_u)) and P(S C_x) = sum_{u<=v} s_u s_v
+    (P(E_u C_x(E_v)) + P(E_v C_x(E_u))), the term counted once at u = v.
+    The tables are, for each k, the P(C_k(E_u)), and for each x, the packed
+    coefficient of s_u s_v at each u <= v, in the order of
+    combinations_with_replacement."""
+    m = rho.m
+    units = [(p, q) for p in range(m) for q in range(m)]
+    # [R, E_pq] = R E_pq - E_pq R, row by row, for R = a rho(e_k) and each
+    # (p, q): R's column p as column q, less R's row q as row p.
+    commutators = []
+    for r in rho.mats:
+        per_unit = []
+        for p, q in units:
+            c = [[0] * m for _ in range(m)]
+            for a in range(m):
+                c[a][q] += r[a][p]
+                c[p][a] -= r[q][a]
+            per_unit.append(c)
+        commutators.append(per_unit)
+    ck = [[_packed(chain.from_iterable(c), w) for c in per_unit] for per_unit in commutators]
+    sc = []
+    for per_unit in commutators:
+        # E_pq M is M's row q moved to row p: t[u][v] = P(E_u C_x(E_v)).
+        t = [[_packed(c[q], w) << (w * m * p) for c in per_unit] for p, q in units]
+        pairs = combinations_with_replacement(range(m * m), 2)
+        sc.append([t[u][v] + t[v][u] if u < v else t[u][u] for u, v in pairs])
+    return ck, sc
+
+
+def _pair_keys(ck: list[list[int]], s_op: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The per-S step of the pair search: the packed C_k = [a rho(e_k), S],
+    one dot product of length m^2 each, and the products s_u s_v, u <= v,
+    which the tables of _pair_tables turn into the packed S C_x."""
+    return [sum(map(mul, s_op, row)) for row in ck], list(
+        starmap(mul, combinations_with_replacement(s_op, 2))
+    )
+
+
+def _combination(col: Sequence[int], packed: Sequence[int]) -> int:
+    """The packed sum_k col[k] C_k."""
+    return sum(map(mul, col, packed))
 
 
 def pair_defects(
@@ -671,48 +769,61 @@ class VerdictKernel:
     ) -> list[tuple[int, int]]:
         """Index pairs (i, j), in lexicographic order, for which N = n_ops[i]
         and S = s_ops[j] satisfy the pair condition
-        rho(Nx)S - S rho(Nx) = S rho(x) S - S^2 rho(x) at every basis x.
+        rho(Nx)S - S rho(Nx) = S rho(x) S - S^2 rho(x) at every basis x,
+        that is sum_k N_kx C_k = S C_x with C_k = [rho(e_k), S].
 
         The other half of a Nijenhuis pair, N being Nijenhuis, is
-        is_nijenhuis; callers filter n_ops with it first. Per S, the N are
+        is_nijenhuis; callers filter n_ops with it first. Both sides are
+        compared as packed integer keys: the coefficient tables are built
+        once per call, each S costs one dot product per C_k and per S C_x
+        reached, and each column reached one of length n (see the module
+        docstring for the tables and the packing bound). Per S, the N are
         walked as a trie over their columns, and a column that fails the
         condition at its x prunes every N that shares it and the columns
-        before it (see the module docstring). Where both lists are closed
-        under negation, (N, S) is a pair exactly when (-N, -S) is, so only
-        the upper half of the S is walked and each pair found is mirrored,
-        but for S = 0, whose walk finds both (N, 0) and (-N, 0).
+        before it. Where both lists are closed under negation, (N, S) is a
+        pair exactly when (-N, -S) is, so only the upper half of the S is
+        walked and each pair found is mirrored, but for S = 0, whose walk
+        finds both (N, 0) and (-N, 0). pair_defects, the reports' loop,
+        is not used.
         """
-        n, m = self.n, self.m
+        n = self.n
         n_last, s_last = len(n_ops) - 1, len(s_ops) - 1
         mirrored = closed_under_negation(n_ops) and closed_under_negation(s_ops)
-        # The trie of the N's columns: trie[N e_0][N e_1]...[N e_(n-1)] lists
-        # the indices i of the N with those columns.
+        # The trie of the N's columns: trie[c_0][c_1]...[c_(n-1)] lists the
+        # indices i of the N with columns[c_x] = N e_x for every x.
         trie: dict = {}
+        ids: dict = {}  # column -> its index in columns
         for i, n_flat in enumerate(n_ops):
             node = trie
             for x in range(n - 1):
-                node = node.setdefault(tuple(n_flat[x::n]), {})
-            node.setdefault(tuple(n_flat[n - 1 :: n]), []).append(i)
+                col = tuple(n_flat[x::n])
+                node = node.setdefault(ids.setdefault(col, len(ids)), {})
+            col = tuple(n_flat[n - 1 :: n])
+            node.setdefault(ids.setdefault(col, len(ids)), []).append(i)
+        columns = list(ids)
+        ck, sc = _pair_tables(self._rho, pair_width(self._rho, n_ops, s_ops))
         out = []
         for j in range(len(s_ops) // 2 if mirrored else 0, len(s_ops)):
-            s = _rows(s_ops[j], m)
-            cs = _commutators(self._rho, s)
-            # sum_k c_k C_k per column c and S C_x per x, each on first use.
-            combos: dict = {}
-            shifted = [None] * n
+            packed, ss = _pair_keys(ck, s_ops[j])
+            # The packed sum_k c_k C_k per column c and S C_x per x, each on
+            # first use.
+            combos = [None] * len(columns)
+            keys = [None] * n
             stack = [(trie, 0)]
             while stack:
                 node, x = stack.pop()
-                if shifted[x] is None:
-                    shifted[x] = _matmul(s, cs[x])
-                for col, child in node.items():
-                    if col not in combos:
-                        combos[col] = _combine(col, cs)
-                    if combos[col] == shifted[x]:
+                key = keys[x]
+                if key is None:
+                    key = keys[x] = sum(map(mul, ss, sc[x]))
+                for c, child in node.items():
+                    combo = combos[c]
+                    if combo is None:
+                        combo = combos[c] = _combination(columns[c], packed)
+                    if combo == key:
                         if x < n - 1:
                             stack.append((child, x + 1))
                         else:
-                            out.extend((i, j) for i in child)
+                            out.extend(zip(child, repeat(j)))
         if mirrored:
             out += [(n_last - i, s_last - j) for i, j in out if s_last - j != j]
         out.sort()

@@ -211,37 +211,29 @@ class TestGridSearch:
         assert len(matches) == len(decided) == len(set(survivors)) == 37
 
     def test_pair_search_forms_the_commutators_once_per_s(self, aff1, monkeypatch):
-        # The terms C_k = [rho(e_k), S] depend on S alone: 3^4 of them.
+        # The packed terms C_k = [rho(e_k), S] depend on S alone: 3^4 of
+        # them, each formed by _pair_keys from the per-search tables. The
+        # search runs no matrix loop over the C_k beside it.
         g, ad = aff1.algebra, aff1.representations["adjoint"]
-        calls = []
-        real = kernel._commutators
-
-        def counting(rho, s):
-            calls.append(s)
-            return real(rho, s)
-
-        monkeypatch.setattr(kernel, "_commutators", counting)
+        calls = _count_calls(monkeypatch, kernel._pair_keys)
+        matrix_loops = _count_calls(monkeypatch, kernel._commutators)
         found = grid_search(g, ad, "nijenhuis_pair", ("-1/2", "0", "1/3"))
         assert len(found) == 451
-        assert len(calls) == len(set(map(str, calls))) == 81
+        decided = [s_op for _, s_op in calls]
+        assert len(decided) == len(set(decided)) == 81
+        assert matrix_loops == []
 
     def test_pair_search_walks_one_s_of_each_sign_orbit(self, sl2, monkeypatch):
         # Over {-1,0,1}, (N, S) is a pair exactly when (-N, -S) is, so the
         # trie is walked for S = 0 and the 9,841 S whose first nonzero entry
         # is positive: (3^9 + 1) / 2 of the 3^9.
-        calls = []
-        real = kernel._commutators
-
-        def counting(rho, s):
-            calls.append(tuple(c for row in s for c in row))
-            return real(rho, s)
-
-        monkeypatch.setattr(kernel, "_commutators", counting)
+        calls = _count_calls(monkeypatch, kernel._pair_keys)
         ad = sl2.representations["adjoint"]
         found = grid_search(sl2.algebra, ad, "nijenhuis_pair", GRID, cap=3**18)
         assert len(found) == 941
-        assert len(calls) == len(set(calls)) == 9842
-        assert all(s > kernel.negated(s) for s in calls if any(s))
+        decided = [s_op for _, s_op in calls]
+        assert len(decided) == len(set(decided)) == 9842
+        assert all(s > kernel.negated(s) for s in decided if any(s))
 
     def test_kn_search_decides_the_twist_once_per_t_and_minus_t(self, aff1, monkeypatch):
         # The twist and the bracket match have degree 1 in T: the 21

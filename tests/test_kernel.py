@@ -77,9 +77,10 @@ def assert_single_operator_kernel_agrees(g, grid) -> set[bool]:
 
 
 def assert_module_kernel_agrees(g, rho, grid, four_term=False):
-    """With four_term, the pair verdicts are also compared with the four-term
-    reference, which does not read the commutators [rho(e_k), S] that both
-    nijenhuis_pairs and is_nijenhuis_pair read."""
+    """The pair verdicts of nijenhuis_pairs, on packed keys from its
+    coefficient tables, against is_nijenhuis_pair, which reads the
+    commutators [rho(e_k), S] as matrices; with four_term, also against the
+    four-term reference, which reads neither."""
     kernel = VerdictKernel(g, rho)
     n, m = g.dim, rho.module_dim
     for combo, t_op in grid_operators(grid, n, m):
@@ -293,20 +294,20 @@ class TestColumnTrie:
         assert pairs == pairs_by_the_pair_loop(rho, n_ops, s_ops)
 
     def test_combinations_formed(self, sl2, monkeypatch):
-        # Each column's combination of the C_k is formed once per S, and
-        # only where the walk reaches it: 4,096 with every distinct column
-        # tabulated per S.
+        # Each column's packed combination of the C_k is formed once per S,
+        # and only where the walk reaches it: 4,096 with every distinct
+        # column tabulated per S.
         calls = []
-        real = kernel_module._combine
+        real = kernel_module._combination
 
-        def counting(coefs, mats):
-            calls.append(coefs)
-            return real(coefs, mats)
+        def counting(col, packed):
+            calls.append(col)
+            return real(col, packed)
 
         kernel, n_ops, s_ops = nijenhuis_survivors(
             sl2.algebra, sl2.representations["adjoint"], (0, 1)
         )
-        monkeypatch.setattr(kernel_module, "_combine", counting)
+        monkeypatch.setattr(kernel_module, "_combination", counting)
         assert len(kernel.nijenhuis_pairs(n_ops, s_ops)) == 128
         assert len(calls) == 1576
 
@@ -316,6 +317,7 @@ class TestColumnTrie:
         )
         assert kernel.nijenhuis_pairs([], s_ops) == []
         assert kernel.nijenhuis_pairs(n_ops, []) == []
+        assert kernel.nijenhuis_pairs([], []) == []
 
     @pytest.mark.parametrize("action", ["adjoint", "nilpotent"])
     def test_one_level_on_abelian_1(self, action):
@@ -331,6 +333,84 @@ class TestColumnTrie:
         assert pairs == pairs_by_the_pair_loop(rho, n_ops, s_ops)
         # 3 N by 3 S, and 45 of 3 N by 81 S.
         assert len(pairs) == (9 if action == "adjoint" else 45)
+
+
+class TestPairPacking:
+    """nijenhuis_pairs compares sum_k c_k C_k with S C_x as integers
+    P(v) = sum_i v_i B^i, with B = 2^w from pair_width."""
+
+    @pytest.mark.parametrize("name", ["abelian_1", "aff1", "sl2"])
+    def test_the_base_separates_what_half_of_it_merges(self, name):
+        # Over {-1, 0, 1} (G_N = G = 1), an entry of a C_k = [rho(e_k), S]
+        # is at most 2 m R in size, one of sum_k c_k C_k at most n times
+        # that and one of S C_x at most m times that; B exceeds their sum.
+        # At B / 2, the digits (0, a, 0, ...) and (0, a - B/2, 1, 0, ...),
+        # each within its side's reach, already pack to the same integer.
+        # abelian_1 acts on a plane by a nilpotent matrix, the others by ad.
+        g = get_entry(name).algebra
+        if name == "abelian_1":
+            rho = Representation(g, [Matrix([[0, 1], [0, 0]])]).integer_image
+        else:
+            rho = adjoint_rep(g).integer_image
+        n, m = g.dim, rho.m
+        n_ops = list(itertools.product((-1, 0, 1), repeat=n * n))
+        s_ops = list(itertools.product((-1, 0, 1), repeat=m * m))
+        entry = 2 * m * max(abs(c) for mat in rho.mats for row in mat for c in row)
+        u_reach, v_reach = n * entry, m * entry
+        w = kernel_module.pair_width(rho, n_ops, s_ops)
+        half = 1 << (w - 1)
+        assert half <= u_reach + v_reach < 2 * half
+        pad = (0,) * (m * m - 3)
+        u, v = (0, u_reach, 0) + pad, (0, u_reach - half, 1) + pad
+        assert abs(u_reach - half) <= v_reach
+        assert kernel_module._packed(u, w - 1) == kernel_module._packed(v, w - 1)
+        assert kernel_module._packed(u, w) != kernel_module._packed(v, w)
+
+    @pytest.mark.parametrize("name", ["abelian_1", "aff1", "sl2"])
+    def test_grid_of_zero(self, name):
+        # Every entry is 0, so the base is 2^0 = 1, and (0, 0) is the one
+        # pair.
+        g = get_entry(name).algebra
+        rho = adjoint_rep(g)
+        kernel, n_ops, s_ops = nijenhuis_survivors(g, rho, (0,))
+        assert kernel_module.pair_width(rho.integer_image, n_ops, s_ops) == 0
+        assert kernel.nijenhuis_pairs(n_ops, s_ops) == [(0, 0)]
+
+    def test_width_over_empty_lists(self, aff1):
+        # An empty list's largest entry counts as 0: with no N the bound is
+        # 2 m R G (m G) = 8 on aff1's adjoint image (R = 1) for G = 1, and
+        # with no S it is 0.
+        rho = aff1.representations["adjoint"].integer_image
+        assert kernel_module.pair_width(rho, [], [(1, 0, 0, 1)]) == 4
+        assert kernel_module.pair_width(rho, [(1, 0, 0, 1)], []) == 0
+        assert kernel_module.pair_width(rho, [], []) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.sampled_from([2, 3]),
+        action=st.data(),
+        values=st.lists(
+            st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        ),
+        symmetric=st.booleans(),
+    )
+    def test_large_entries_agree_with_the_pair_loop(self, m, action, values, symmetric):
+        # abelian_1 takes any single matrix as its action. Entries up to
+        # 10^6 and grid values with numerators and denominators up to 10^6
+        # make wide digits; over a grid closed under negation the walk is
+        # also mirrored. 3 x 3 actions take two grid values (2^9 S).
+        g = get_entry("abelian_1").algebra
+        entry = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
+        flat_action = action.draw(st.lists(entry, min_size=m * m, max_size=m * m))
+        rho = Representation(g, [Matrix([flat_action[r * m : (r + 1) * m] for r in range(m)])])
+        if symmetric:
+            values = [values[0], -values[0]]
+        grid = sorted(set(values[: 3 if m == 2 else 2]))
+        kernel, n_ops, s_ops = nijenhuis_survivors(g, rho, grid)
+        assert kernel.nijenhuis_pairs(n_ops, s_ops) == pairs_by_the_pair_loop(rho, n_ops, s_ops)
 
 
 def test_sum_filter_agrees_with_the_compatibility_report(aff1):
