@@ -28,12 +28,17 @@ condition, (T1, T2) and (-T1, -T2) for compatibility, and T and -T for the
 twist and the bracket match, which keep the same pairs (N, S).
 
 Every verdict comes from the loop that the public predicate itself runs
-(lieop.kernel: the torsion, Kupershmidt, pair and bracket-match loops),
-read on the grid's integer image. That is exact: each identity is
-homogeneous, so a candidate's verdict does not depend on the scale b its
-entries are cleared by, and for two Kupershmidt operators the
-compatibility defect is the polarization K(T1 + T2) - K(T1) - K(T2) =
-K(T1 + T2). A result is therefore one the public predicate
+(lieop.kernel: the Kupershmidt and bracket-match loops, which
+lieop.verdicts reads), or from packed
+integer keys read off the integer images and off those loops (the
+torsion, Kupershmidt and pair loops) at unit operators, on the grid's
+integer image. That is exact: each identity is homogeneous, so a
+candidate's verdict does not depend on the scale b its entries are
+cleared by; each has degree at most 2 in its operators, so its table
+holds it whole; each packing base exceeds what the compared entries can
+reach; and for two Kupershmidt operators the compatibility defect is the
+polarization K(T1 + T2) - K(T1) - K(T2) = K(T1 + T2). A result is
+therefore one the public predicate
 (is_kn_structure, are_compatible_kupershmidt, ...) accepts, and each
 identity is decided once: the search makes no call to the reporting
 path. A given representation is validated against g before any
@@ -47,16 +52,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from typing import Optional, Sequence
 
 from .errors import GridCapExceeded, LieopError, ShapeError, StructureCheckError
-from .kernel import VerdictKernel, integer_image, negated, upper_half
+from .kernel import integer_image, negated, upper_half
 from .kinds import CATALOG_KINDS, OPERATOR_SHAPES, SEARCH_KINDS
 from .lie import LieAlgebra
 from .linalg import Matrix, Scalar, rational
 from .reps import Representation, adjoint_rep, coadjoint_rep
 from .structures import BilinearForm, Bivector, check_bilinear_form
+from .verdicts import VerdictKernel, compatible, form_vanishes
 
 GRID_CAP = 10_000_000
 
@@ -390,9 +396,10 @@ def _staged_search(
     """Filter each factor, then pair the factors.
 
     The kernel decides each identity in integers on the flat candidates,
-    with the loop its public predicate runs (exact, see the module
-    docstring and lieop.kernel); a Matrix is built only for what passes.
-    The loops themselves are tested against the per-tuple definitions.
+    with the loop its public predicate runs or on packed keys from tables
+    of it (exact, see the module docstring and lieop.kernel); a Matrix is
+    built only for what passes. The loops themselves are tested against
+    the per-tuple definitions, and the packed stages against the loops.
     The survivors are visited in the nesting order of the full product,
     which keeps the lexicographic order of the results.
 
@@ -436,10 +443,19 @@ def _staged_search(
         """The Kupershmidt operators T, with their flats."""
         return [(flat, matrix(flat, m)) for flat in kernel.kupershmidt_solutions(ints)]
 
+    def nijenhuis_flats() -> list:
+        """The flats of the Nijenhuis N, each decided by one dot product
+        with the packed torsion form; where every coefficient is zero,
+        every N passes and none is evaluated."""
+        form = kernel.torsion_form(max(map(abs, ints), default=0))
+        if not any(form):
+            return list(grid(n * n))
+        return solutions(n * n, partial(form_vanishes, form))
+
     if kind in ("kupershmidt", "rota_baxter"):
         return [t_op for _, t_op in kupershmidt_ops()]
     if kind == "nijenhuis":
-        return [matrix(flat, n) for flat in solutions(n * n, kernel.is_nijenhuis)]
+        return [matrix(flat, n) for flat in nijenhuis_flats()]
     if kind == "r_matrix":
         # Each skew candidate, over the entries above the diagonal, on its
         # full n x n image.
@@ -462,28 +478,30 @@ def _staged_search(
     if kind == "compatible_pair":
         # T1 + T2 = T2 + T1, so each unordered pair is decided once; over a
         # symmetric grid, once per orbit {(a, b), (-a, -b)}, where -t_ops[a]
-        # is t_ops[last - a].
+        # is t_ops[last - a]. Each is one dot product with T1's packed row
+        # of the polarization table.
         t_ops = kupershmidt_ops()
+        rows = kernel.compatibility_rows([flat for flat, _ in t_ops])
         last = len(t_ops) - 1
-        compatible = set()
+        kept = set()
         for a, b in itertools.combinations_with_replacement(range(len(t_ops)), 2):
             mirror = (last - b, last - a)
             if symmetric and mirror < (a, b):
                 continue
-            if kernel.compatible(t_ops[a][0], t_ops[b][0]):
-                compatible.add((a, b))
+            if compatible(rows[a], t_ops[b][0]):
+                kept.add((a, b))
                 if symmetric:
-                    compatible.add(mirror)
+                    kept.add(mirror)
         return [
             (t1, t2)
             for a, (_, t1) in enumerate(t_ops)
             for b, (_, t2) in enumerate(t_ops)
-            if (min(a, b), max(a, b)) in compatible
+            if (min(a, b), max(a, b)) in kept
         ]
 
     # Both remaining kinds pair a Nijenhuis N with an S; each distinct N and
     # S is built as a Matrix once.
-    n_ops = solutions(n * n, kernel.is_nijenhuis)
+    n_ops = nijenhuis_flats()
     s_ops = list(grid(m * m))
     n_matrix = cache(lambda i: matrix(n_ops[i], n))
     s_matrix = cache(lambda j: matrix(s_ops[j], m))

@@ -1,6 +1,7 @@
 """Integer images, the one torsion loop, the one Kupershmidt loop, the
 one (N, S) pair loop, the one KN bracket-match loop and the two
-deformation loops, and the verdict-only kernel behind grid_search.
+deformation loops, and the shortcuts by which the verdict-only kernel
+behind grid_search (lieop.verdicts) reads them.
 
 Every Bracket and Representation keeps an integer image (BracketImage,
 ActionImage), built on first use: its structure constants or action
@@ -88,13 +89,16 @@ undecided, as the theorem's hypothesis rules that case out.
 The reporting predicates (is_nijenhuis, the Kupershmidt report behind
 is_kupershmidt, is_rota_baxter and is_r_matrix, the pair, dual-pair and
 perfect-pair reports, and the KN conditions behind the KN, KdN, RBN and
-RMN checks) divide each defect by a*b^2 for the exact witness;
-VerdictKernel decides an identity as its loop yielding nothing. Its twist
+RMN checks) divide each defect by a*b^2 for the exact witness.
+VerdictKernel (lieop.verdicts) decides the Kupershmidt identity of a
+whole candidate (a search's confirmation, and the r-matrix filter) and
+the KN bracket match as their loops yielding nothing, and every other
+stage on packed integer keys (the fifth shortcut below). Its twist
 NT = TS is homogeneous too, of degree 2 in the operators. N, S and T
 share b, since the pair identities, the twist and the bracket match mix
 them.
 
-Four shortcuts keep the searches from testing the whole product, each
+Five shortcuts keep the searches from testing the whole product, each
 exact:
 
 - Kupershmidt operators are enumerated column by column, with the last
@@ -112,16 +116,16 @@ exact:
   with q[j]c formed once per grid column c and basis j; only a column
   that passes them all reaches the full identity, so the full check runs
   once per result. Every pruned candidate fails that very pair of the
-  full identity (the filter evaluates the same pair defect that
-  kupershmidt_defects yields), and every emitted one is still decided by
-  the full identity. Sorting the flats restores the order of the product,
-  because integer_image keeps the grid increasing.
-- Compatibility of two Kupershmidt operators is decided by their sum.
-  The compatibility defect is the polarization of the Kupershmidt one:
-  K(T1 + T2) = K(T1) + K(T2) + C(T1, T2) at every basis pair, since K is
-  quadratic and C is its symmetric bilinear form. With K(T1) = K(T2) = 0,
-  C vanishes exactly when T1 + T2 is Kupershmidt, and the sum of two
-  images under one scale b is the image of the sum.
+  full identity (each solve and open pair is that pair's defect, packed
+  as in the fifth shortcut), and every emitted one is still decided by
+  the full identity, on its loop. Sorting the flats restores the order
+  of the product, because integer_image keeps the grid increasing.
+- Compatibility of two Kupershmidt operators is decided by their
+  polarization. K(T1 + T2) = K(T1) + K(T2) + C(T1, T2) at every basis
+  pair, since K is quadratic and C is its symmetric bilinear form. With
+  K(T1) = K(T2) = 0, C = K(T1 + T2), so C vanishes exactly when T1 + T2
+  is Kupershmidt; the search reads C off a table of it (the fifth
+  shortcut).
 - The pair identities share the n terms C_k = [rho(e_k), S]. At a basis
   x, with rho(Nx) = sum_k N_kx rho(e_k):
   - the Nijenhuis pair [rho(Nx) - S rho(x), S] is sum_k N_kx C_k - S C_x;
@@ -135,23 +139,19 @@ exact:
   packed integer keys instead (nijenhuis_pairs):
   - Tables. With E_u the unit matrix at S's u-th flat entry s_u, C_k has
     degree 1 in S and S C_x degree 2: C_k = sum_u s_u C_k(E_u) and
-    S C_x = sum_{u,v} s_u s_v E_u C_x(E_v). The packed C_k(E_u) and
-    E_u C_x(E_v) are tabulated once per search from rho's image, the
-    latter folded over u <= v since s_u s_v = s_v s_u (_pair_tables). Per
-    S, each packed C_k is then one dot product with s, of length m^2, and
-    each packed S C_x one with the products s_u s_v, of length
-    m^2 (m^2 + 1) / 2 (_pair_keys).
-  - Packing. A flat m x m matrix v packs to P(v) = sum_i v_i B^i with
-    B = 2^w (pair_width). P is linear, so the packed sum_k c_k C_k is
-    sum_k c_k P(C_k), one dot product of length n. B exceeds
-    2 m R G (n G_N + m G), with R, G_N and G the largest |entry| of rho's
-    image, of the N and of the S: an entry of a C_k is at most 2 m R G in
-    size, one of sum_k c_k C_k at most n G_N times that, and one of S C_x
-    at most m G times that. So, for u = sum_k c_k C_k and v = S C_x, each
-    entry of u - v lies strictly between -B and B, and P(u) = P(v) exactly
-    when u = v. Otherwise, let d_t be the first nonzero entry of u - v:
-    then 0 = P(u - v) = B^t (d_t + B y) for an integer y, so B divides
-    d_t, although 0 < |d_t| < B.
+    S C_x = sum_{u,v} s_u s_v E_u C_x(E_v). The packed C_k(E_u) are
+    tabulated once per search from rho's image (_commutator_table), and
+    each x's packed E_u C_x(E_v), folded over u <= v since
+    s_u s_v = s_v s_u, when the walk first reaches x (_shift_table); a
+    search with no N or no S builds neither. Per S, each packed C_k is
+    then one dot product with s, of length m^2, and each packed S C_x one
+    with the products s_u s_v, of length m^2 (m^2 + 1) / 2 (_pair_keys).
+  - Packing (the fifth shortcut). P is linear, so the packed
+    sum_k c_k C_k is sum_k c_k P(C_k), one dot product of length n. The
+    reach is 2 m R G (n G_N + m G), with R, G_N and G the largest |entry|
+    of rho's image, of the N and of the S (pair_width): an entry of a C_k
+    is at most 2 m R G in size, one of sum_k c_k C_k at most n G_N times
+    that, and one of S C_x at most m G times that.
   - Trie. The Nijenhuis-pair condition at x reads N only through its
     column N e_x, so a search walks the N as a trie over their columns,
     N e_0 at the first level, and for each S goes depth first: at depth x
@@ -182,23 +182,70 @@ exact:
   half of the S and mirrors each (N, S) found to (-N, -S), but for S = 0,
   whose walk finds both (N, 0) and (-N, 0). The rest of the rule is
   grid_search's (lieop.catalog).
+- Every search stage but the Kupershmidt identity of a whole candidate
+  and the KN bracket match compares packed integer keys (lieop.verdicts).
+  A vector v packs to P(v) = sum_i v_i B^i with B = 2^w, w from width:
+  the least w with B above the stage's reach, a bound on every entry of
+  the difference d of the two vectors it compares (or of the one it tests
+  for zero). P is linear, so P(u) = P(v) exactly when P(d) = 0 for d = u - v, and that
+  holds exactly when d = 0. Otherwise, let d_t be the first nonzero entry
+  of d: then 0 = P(d) = B^t (d_t + B y) for an integer y, so B divides
+  d_t, although 0 < |d_t| < B. Each stage's table is read off the
+  integer images or off its identity's loop at unit operators, so the
+  search and the reports still share the loops. With G the largest
+  |value| of the grid's image (G_T, G_N and G_S over the T, N and S where
+  those differ), the stages, their degrees, tables and reaches are:
+  - the Kupershmidt column solve, degree 2 in T and 1 in the bracket or
+    in rho (kupershmidt_solutions). Every grid column c is packed once
+    per call; P(kg [x, y]), bilinear in x and y, is x dotted with the n
+    packed sums sum_b y_b kg P(a [e_a, e_b]), tabulated per grid column y.
+    A pair i < j < L of the solve is the packed
+    R = P(kg [c_i, c_j]) - sum_{l<L} inner_l P(c_l). With a zero
+    coefficient it holds when R = 0; otherwise divmod(R, coef) leaves no
+    remainder and gives a packed grid column exactly when the right side
+    is coef times that column, which a dict from packed values to grid
+    columns returns. Each open pair (i, L) is one packed integer, tested
+    for zero. Reach 2 G^2 (kg A + m n kr R) (solve_width), with A the sum
+    of |entry| over g's image and R the largest |entry| of rho's: an entry
+    of kg [x, y] is at most 2 G^2 kg A, one of kr q[j]c at most kr n R G
+    and an inner coefficient twice that, and the difference of the right
+    side and coef c_L, or an open pair's defect, adds m such coefficients
+    times G to the bracket. Where a coefficient can be nonzero (R > 0),
+    that reach is at least 2 G, so distinct grid columns pack apart.
+  - compatibility, degree 2 in (T1, T2) together (compatibility_rows,
+    compatible). K is quadratic in T's nm flat entries:
+    K(T) = sum_{a<=b} t_a t_b K_ab, with K_aa = K(E_a) and
+    K_ab = K(E_a + E_b) - K(E_a) - K(E_b) read off the Kupershmidt loop at
+    the unit operators, nm (nm + 1) / 2 loops per search
+    (_quadratic_coefficients). So C(T1, T2) = sum_{a,b} t1_a t2_b M_ab,
+    with M_ab = K_ab off the diagonal and 2 K_aa on it. Each T1 gets one
+    packed row sum_a t1_a P(M_ab), and each pair is one dot product of
+    that row with T2, of length nm. Reach 2 G^2 sum_{a<=b} max|K_ab|
+    (form_width), since t1_a t2_b + t1_b t2_a is at most 2 G^2.
+  - the Nijenhuis filter, degree 2 in N (torsion_form, form_vanishes).
+    The torsion is sum_{a<=b} n_a n_b K_ab in the same way, its K_ab read
+    off the torsion loop at unit operators, n^2 (n^2 + 1) / 2 loops per
+    search; each N is one dot product of its products n_a n_b with the
+    packed K_ab. Reach G^2 sum_{a<=b} max|K_ab|. Where every K_ab is zero,
+    as on every 2-dimensional algebra (Cayley-Hamilton), every N passes
+    and none is evaluated.
+  - the KN twist NT = TS, degree 1 in T and 1 in N or in S (kn_pairs).
+    P(NT) = sum_u n_u P(E_u T) and P(TS) = sum_v s_v P(T E_v), each table
+    entry a shift of one of T's packed rows or columns, formed per T
+    (_twist_tables); each distinct N and S is keyed by one dot product.
+    Reach G_T (n G_N + m G_S) (twist_width): an entry of NT is at most
+    n G_N G_T, one of TS at most m G_T G_S.
+  - the Nijenhuis-pair identity of the third shortcut, with its reach
+    2 m R G (n G_N + m G) (pair_width).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import (
-    chain,
-    combinations,
-    combinations_with_replacement,
-    islice,
-    product,
-    repeat,
-    starmap,
-)
+from itertools import combinations, islice, product
 from math import lcm
 from operator import add, mul
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .lie import BracketLike
@@ -366,18 +413,6 @@ def _kupershmidt_defect_at(g: BracketImage, kg: int, kr: int, rows, x, y, qjx, q
     return [kg * p - kr * r for p, r in zip(g(x, y), _apply(rows, _sub(qjx, qiy)))]
 
 
-def _quotient_on(on_grid: set, values: Sequence[int], d: int) -> Optional[tuple]:
-    """values / d, if d divides each value and every quotient is on the
-    grid; None at the first remainder or off-grid quotient."""
-    out = []
-    for v in values:
-        quo, rem = divmod(v, d)
-        if rem or quo not in on_grid:
-            return None
-        out.append(quo)
-    return tuple(out)
-
-
 def negated(flat: Sequence[int]) -> tuple:
     """-X, entry by entry."""
     return tuple(-c for c in flat)
@@ -406,74 +441,6 @@ def _commutators(rho: ActionImage, s: list) -> list:
 def _combine(coefs: Sequence[int], mats: list) -> list:
     """sum_k coefs[k] mats[k]."""
     return [[sum(map(mul, coefs, entries)) for entries in zip(*rows)] for rows in zip(*mats)]
-
-
-def pair_width(
-    rho: ActionImage, n_ops: Sequence[Sequence[int]], s_ops: Sequence[Sequence[int]]
-) -> int:
-    """The digit width w of the pair search's packing, B = 2^w: the least
-    power of two above 2 m R G (n G_N + m G), with R, G_N and G the largest
-    |entry| of rho's image, of the N and of the S (0 for an empty list)."""
-    n, m = len(rho.mats), rho.m
-
-    def largest(values) -> int:
-        return max(map(abs, values), default=0)
-
-    r = largest(chain.from_iterable(chain.from_iterable(rho.mats)))
-    g_n = largest(chain.from_iterable(n_ops))
-    g = largest(chain.from_iterable(s_ops))
-    return (2 * m * r * g * (n * g_n + m * g)).bit_length()
-
-
-def _packed(values: Iterable[int], w: int) -> int:
-    """P(v) = sum_i v_i B^i with B = 2^w."""
-    return sum(v << (w * i) for i, v in enumerate(values))
-
-
-def _pair_tables(rho: ActionImage, w: int) -> tuple[list[list[int]], list[list[int]]]:
-    """The pair search's coefficient tables. With E_u the unit matrix of a
-    flat m x m matrix's u-th entry, C_k is linear in S and S C_x quadratic:
-    P(C_k) = sum_u s_u P(C_k(E_u)) and P(S C_x) = sum_{u<=v} s_u s_v
-    (P(E_u C_x(E_v)) + P(E_v C_x(E_u))), the term counted once at u = v.
-    The tables are, for each k, the P(C_k(E_u)), and for each x, the packed
-    coefficient of s_u s_v at each u <= v, in the order of
-    combinations_with_replacement."""
-    m = rho.m
-    units = [(p, q) for p in range(m) for q in range(m)]
-    # [R, E_pq] = R E_pq - E_pq R, row by row, for R = a rho(e_k) and each
-    # (p, q): R's column p as column q, less R's row q as row p.
-    commutators = []
-    for r in rho.mats:
-        per_unit = []
-        for p, q in units:
-            c = [[0] * m for _ in range(m)]
-            for a in range(m):
-                c[a][q] += r[a][p]
-                c[p][a] -= r[q][a]
-            per_unit.append(c)
-        commutators.append(per_unit)
-    ck = [[_packed(chain.from_iterable(c), w) for c in per_unit] for per_unit in commutators]
-    sc = []
-    for per_unit in commutators:
-        # E_pq M is M's row q moved to row p: t[u][v] = P(E_u C_x(E_v)).
-        t = [[_packed(c[q], w) << (w * m * p) for c in per_unit] for p, q in units]
-        pairs = combinations_with_replacement(range(m * m), 2)
-        sc.append([t[u][v] + t[v][u] if u < v else t[u][u] for u, v in pairs])
-    return ck, sc
-
-
-def _pair_keys(ck: list[list[int]], s_op: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The per-S step of the pair search: the packed C_k = [a rho(e_k), S],
-    one dot product of length m^2 each, and the products s_u s_v, u <= v,
-    which the tables of _pair_tables turn into the packed S C_x."""
-    return [sum(map(mul, s_op, row)) for row in ck], list(
-        starmap(mul, combinations_with_replacement(s_op, 2))
-    )
-
-
-def _combination(col: Sequence[int], packed: Sequence[int]) -> int:
-    """The packed sum_k col[k] C_k."""
-    return sum(map(mul, col, packed))
 
 
 def pair_defects(
@@ -675,193 +642,3 @@ def trivial_equivalence_defects(
         intertwine = _combine((av, -ar * b), (_matmul(act, s), _matmul(s, vx)))
         if any(map(any, intertwine)):
             yield "intertwine", (x,), intertwine, ar * av * b * b
-
-
-class VerdictKernel:
-    """The integer images of one algebra and, optionally, one representation.
-
-    Built once per search; each method decides one identity for one
-    candidate (or one batch of pairs) and returns a plain verdict, or,
-    for kupershmidt_solutions, every candidate over a grid that passes.
-    """
-
-    def __init__(self, g: BracketLike, rho: Optional[Representation] = None):
-        self.n = g.dim
-        self._g = g.integer_image
-        self.m = None if rho is None else rho.module_dim
-        self._rho = None if rho is None else rho.integer_image
-
-    def is_nijenhuis(self, n_op: Sequence[int]) -> bool:
-        """[Nx,Ny] = N([Nx,y] + [x,Ny] - N[x,y]) on basis pairs x, y."""
-        return next(torsion_defects(self._g, n_op), None) is None
-
-    def is_kupershmidt(self, t_op: Sequence[int]) -> bool:
-        """[Tu,Tv] = T(rho(Tu)v - rho(Tv)u) on module basis pairs u, v."""
-        return next(kupershmidt_defects(self._g, self._rho, t_op), None) is None
-
-    def kupershmidt_solutions(self, grid: Sequence[int]) -> list[tuple[int, ...]]:
-        """Every n x m operator over the increasing integer grid that
-        is_kupershmidt accepts, in the order of the product: the columns
-        but the last are enumerated, the last is solved for, and each column
-        the solve pins or leaves free is tested at the open pairs (i, last)
-        before the full identity decides the flat. Over a grid that equals
-        its negation, one of each {T, -T} is decided (see the module
-        docstring)."""
-        n, m, q = self.n, self.m, self._rho.q
-        kg, kr = self._rho.scale, self._g.scale  # as in kupershmidt_defects
-        last = m - 1
-        on_grid = set(grid)
-        symmetric = on_grid == {-v for v in grid}
-        columns = list(product(grid, repeat=n))
-        pairs = [(i, j) for i in range(last) for j in range(i + 1, last)]
-        # kqc[j][c] = kr q[j]c for every basis j and grid column c.
-        kqc = [{col: [kr * v for v in _apply(q[j], col)] for col in columns} for j in range(m)]
-        prefixes = upper_half(columns, last) if symmetric else product(columns, repeat=last)
-        found = []
-        for prefix in prefixes:
-            free = columns
-            if symmetric and not any(map(any, prefix)):
-                free = columns[len(columns) // 2 :]  # the zero or canonical ones
-            pinned = None
-            for i, j in pairs:
-                x, y = prefix[i], prefix[j]
-                inner = _sub(kqc[j][x], kqc[i][y])
-                rhs = [kg * c for c in self._g(x, y)]
-                for coef, col in zip(inner, prefix):
-                    if coef:
-                        rhs = [r - coef * c for r, c in zip(rhs, col)]
-                coef = inner[last]
-                if not coef:
-                    if any(rhs):
-                        break
-                    continue
-                solved = _quotient_on(on_grid, rhs, coef)
-                if solved is None or (pinned is not None and pinned != solved):
-                    break
-                pinned = solved
-            else:
-                for col in free if pinned is None else (pinned,):
-                    rows = list(zip(*prefix, col))
-                    # kqc carries kr already, so the defect takes 1 for it.
-                    open_pairs = (
-                        _kupershmidt_defect_at(
-                            self._g, kg, 1, rows, x, col, kqc[last][x], kqc[i][col]
-                        )
-                        for i, x in enumerate(prefix)
-                    )
-                    if any(map(any, open_pairs)):
-                        continue
-                    flat = tuple(chain.from_iterable(rows))
-                    if self.is_kupershmidt(flat):
-                        found.append(flat)
-        if symmetric:
-            found += [negated(flat) for flat in found if any(flat)]
-        found.sort()
-        return found
-
-    def compatible(self, t1_op: Sequence[int], t2_op: Sequence[int]) -> bool:
-        """[T1u,T2v] + [T2u,T1v] = T1(rho(T2u)v - rho(T2v)u) + T2(rho(T1u)v - rho(T1v)u)
-        for Kupershmidt T1 and T2, decided as T1 + T2 being Kupershmidt."""
-        return self.is_kupershmidt(tuple(map(add, t1_op, t2_op)))
-
-    def nijenhuis_pairs(
-        self, n_ops: Sequence[Sequence[int]], s_ops: Sequence[Sequence[int]]
-    ) -> list[tuple[int, int]]:
-        """Index pairs (i, j), in lexicographic order, for which N = n_ops[i]
-        and S = s_ops[j] satisfy the pair condition
-        rho(Nx)S - S rho(Nx) = S rho(x) S - S^2 rho(x) at every basis x,
-        that is sum_k N_kx C_k = S C_x with C_k = [rho(e_k), S].
-
-        The other half of a Nijenhuis pair, N being Nijenhuis, is
-        is_nijenhuis; callers filter n_ops with it first. Both sides are
-        compared as packed integer keys: the coefficient tables are built
-        once per call, each S costs one dot product per C_k and per S C_x
-        reached, and each column reached one of length n (see the module
-        docstring for the tables and the packing bound). Per S, the N are
-        walked as a trie over their columns, and a column that fails the
-        condition at its x prunes every N that shares it and the columns
-        before it. Where both lists are closed under negation, (N, S) is a
-        pair exactly when (-N, -S) is, so only the upper half of the S is
-        walked and each pair found is mirrored, but for S = 0, whose walk
-        finds both (N, 0) and (-N, 0). pair_defects, the reports' loop,
-        is not used.
-        """
-        n = self.n
-        n_last, s_last = len(n_ops) - 1, len(s_ops) - 1
-        mirrored = closed_under_negation(n_ops) and closed_under_negation(s_ops)
-        # The trie of the N's columns: trie[c_0][c_1]...[c_(n-1)] lists the
-        # indices i of the N with columns[c_x] = N e_x for every x.
-        trie: dict = {}
-        ids: dict = {}  # column -> its index in columns
-        for i, n_flat in enumerate(n_ops):
-            node = trie
-            for x in range(n - 1):
-                col = tuple(n_flat[x::n])
-                node = node.setdefault(ids.setdefault(col, len(ids)), {})
-            col = tuple(n_flat[n - 1 :: n])
-            node.setdefault(ids.setdefault(col, len(ids)), []).append(i)
-        columns = list(ids)
-        ck, sc = _pair_tables(self._rho, pair_width(self._rho, n_ops, s_ops))
-        out = []
-        for j in range(len(s_ops) // 2 if mirrored else 0, len(s_ops)):
-            packed, ss = _pair_keys(ck, s_ops[j])
-            # The packed sum_k c_k C_k per column c and S C_x per x, each on
-            # first use.
-            combos = [None] * len(columns)
-            keys = [None] * n
-            stack = [(trie, 0)]
-            while stack:
-                node, x = stack.pop()
-                key = keys[x]
-                if key is None:
-                    key = keys[x] = sum(map(mul, ss, sc[x]))
-                for c, child in node.items():
-                    combo = combos[c]
-                    if combo is None:
-                        combo = combos[c] = _combination(columns[c], packed)
-                    if combo == key:
-                        if x < n - 1:
-                            stack.append((child, x + 1))
-                        else:
-                            out.extend(zip(child, repeat(j)))
-        if mirrored:
-            out += [(n_last - i, s_last - j) for i, j in out if s_last - j != j]
-        out.sort()
-        return out
-
-    def kn_pairs(
-        self,
-        t_op: Sequence[int],
-        n_ops: Sequence[Sequence[int]],
-        s_ops: Sequence[Sequence[int]],
-        pairs: Sequence[tuple[int, int]],
-    ) -> list[tuple[int, int]]:
-        """The index pairs (i, j) of pairs, in their order, for which
-        T, S = s_ops[j] and N = n_ops[i] meet the twist NT = TS and the
-        bracket match [u,v]^{NT} = ([u,v]^T)_S.
-
-        The rest of a KN structure, T Kupershmidt and (N, S) a Nijenhuis
-        pair, is is_kupershmidt and nijenhuis_pairs; callers filter with
-        them first. T's sub-adjacent constants are formed once, NT once per
-        distinct N and TS once per distinct S. Where NT = TS, the
-        NT-induced bracket is the TS-induced one, so the match is decided
-        once per distinct S, on TS.
-        """
-        n, m = self.n, self.m
-        t = _rows(t_op, m)
-        nt = {i: _matmul(_rows(n_ops[i], n), t) for i in {i for i, _ in pairs}}
-        ts = {j: _matmul(t, _rows(s_ops[j], m)) for j in {j for _, j in pairs}}
-        ads = sub_adjacent_ads(self._rho, t_op)
-        matches: dict[int, bool] = {}
-        out = []
-        for i, j in pairs:
-            if nt[i] != ts[j]:
-                continue
-            if j not in matches:
-                ts_flat = list(chain.from_iterable(ts[j]))
-                deformed = deformed_sub_adjacent(ads, s_ops[j])
-                defects = bracket_match_defects(self._rho, deformed, ts_flat)
-                matches[j] = next(defects, None) is None
-            if matches[j]:
-                out.append((i, j))
-        return out

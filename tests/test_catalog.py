@@ -26,6 +26,7 @@ from lieop import (
     mat_mul,
 )
 from lieop import catalog, kernel, operators, structures
+from lieop import verdicts as verdicts_module
 from lieop.catalog import SEARCH_KINDS, get_entry, grid_search, list_catalog
 from lieop.structures import Bivector
 
@@ -168,20 +169,27 @@ class TestGridSearch:
         # T (0 and ten pairs {T, -T}) make 21 * 22 / 2 = 231 unordered pairs,
         # in (231 + 11) / 2 = 121 orbits under negation, since the 11 pairs
         # {0, 0} and {T, -T} are their own negation.
+        # Each pair is one dot product of T1's packed row of the
+        # polarization table with T2 (lieop.verdicts.compatible); the rows
+        # are built once, and each row object tells its T1.
         g, rho = aff1.algebra, aff1.representations["coadjoint"]
-        calls = []
-        real = kernel.VerdictKernel.compatible
+        t1_of = {}
+        real_rows = verdicts_module.VerdictKernel.compatibility_rows
 
-        def counting(self, t1_op, t2_op):
-            calls.append((t1_op, t2_op))
-            return real(self, t1_op, t2_op)
+        def recording(self, t_ops):
+            rows = real_rows(self, t_ops)
+            t1_of.update({id(row): t1_op for row, t1_op in zip(rows, t_ops)})
+            return rows
 
-        monkeypatch.setattr(kernel.VerdictKernel, "compatible", counting)
+        monkeypatch.setattr(verdicts_module.VerdictKernel, "compatibility_rows", recording)
+        calls = _count_calls(monkeypatch, verdicts_module.compatible)
         assert len(grid_search(g, rho, "compatible_pair", GRID)) == 177
+        pairs = [(t1_of[id(row)], t2_op) for row, t2_op in calls]
         orbits = {
-            frozenset({frozenset(pair), frozenset(map(kernel.negated, pair))}) for pair in calls
+            frozenset({frozenset(pair), frozenset(map(kernel.negated, pair))}) for pair in pairs
         }
-        assert len(calls) == len(orbits) == 121
+        assert len(t1_of) == 21
+        assert len(pairs) == len(orbits) == 121
 
     def test_kn_search_decides_the_bracket_match_once_per_t_and_s(self, aff1, monkeypatch):
         g, ad = aff1.algebra, aff1.representations["adjoint"]
@@ -215,7 +223,7 @@ class TestGridSearch:
         # them, each formed by _pair_keys from the per-search tables. The
         # search runs no matrix loop over the C_k beside it.
         g, ad = aff1.algebra, aff1.representations["adjoint"]
-        calls = _count_calls(monkeypatch, kernel._pair_keys)
+        calls = _count_calls(monkeypatch, verdicts_module._pair_keys)
         matrix_loops = _count_calls(monkeypatch, kernel._commutators)
         found = grid_search(g, ad, "nijenhuis_pair", ("-1/2", "0", "1/3"))
         assert len(found) == 451
@@ -227,7 +235,7 @@ class TestGridSearch:
         # Over {-1,0,1}, (N, S) is a pair exactly when (-N, -S) is, so the
         # trie is walked for S = 0 and the 9,841 S whose first nonzero entry
         # is positive: (3^9 + 1) / 2 of the 3^9.
-        calls = _count_calls(monkeypatch, kernel._pair_keys)
+        calls = _count_calls(monkeypatch, verdicts_module._pair_keys)
         ad = sl2.representations["adjoint"]
         found = grid_search(sl2.algebra, ad, "nijenhuis_pair", GRID, cap=3**18)
         assert len(found) == 941
@@ -244,6 +252,31 @@ class TestGridSearch:
         decided = [t_op for t_op, *_ in calls]
         assert len(decided) == len(set(decided)) == 11
         assert set(decided).isdisjoint(kernel.negated(t) for t in decided if any(t))
+
+    def test_kn_search_forms_no_matrix_product(self, aff1, monkeypatch):
+        # The twist NT = TS is compared on packed keys, one dot product per
+        # distinct N and S with T's tables, and the bracket match reads TS
+        # column by column: no _matmul runs.
+        rho = aff1.representations["coadjoint"]
+        products = _count_calls(monkeypatch, kernel._matmul)
+        calls = _count_method_calls(monkeypatch, "kn_pairs")
+        assert len(grid_search(aff1.algebra, rho, "kn_structure", GRID)) == 1101
+        assert (len(calls), len(products)) == (11, 0)
+
+    def test_aff1_nijenhuis_filter_runs_no_torsion_loop(self, aff1, monkeypatch):
+        # On a 2-dimensional algebra every operator is Nijenhuis, so the
+        # torsion form's coefficients are all zero and every N passes
+        # undecided. The torsion loop runs only for the table, at the 10
+        # unit operators E_a and E_a + E_b (a < b) of a 2 x 2 flat.
+        loops = _count_calls(monkeypatch, kernel.torsion_defects)
+        checks = _count_calls(monkeypatch, verdicts_module.form_vanishes)
+        ad = aff1.representations["adjoint"]
+        found = grid_search(aff1.algebra, ad, "nijenhuis_pair", ("-1/2", "0", "1/3"))
+        assert len(found) == 451
+        assert checks == []
+        units = [flat for _, flat in loops]
+        assert len(units) == 10
+        assert all(set(flat) <= {0, 1} and 1 <= sum(flat) <= 2 for flat in units)
 
     def test_r_matrix_search_decides_one_skew_combo_per_sign_orbit(self, sl2, monkeypatch):
         # 3^3 skew combos over {-1,0,1}: 0 and 13 pairs {X, -X}.
@@ -301,13 +334,13 @@ def _count_method_calls(monkeypatch, name):
     """Wrap the VerdictKernel method; return the list of its calls' arguments
     after self."""
     calls = []
-    real = getattr(kernel.VerdictKernel, name)
+    real = getattr(verdicts_module.VerdictKernel, name)
 
     def counting(self, *args):
         calls.append(args)
         return real(self, *args)
 
-    monkeypatch.setattr(kernel.VerdictKernel, name, counting)
+    monkeypatch.setattr(verdicts_module.VerdictKernel, name, counting)
     return calls
 
 

@@ -1,5 +1,6 @@
-"""Differential tests: every verdict of lieop.kernel against the reporting
-predicates it stands in for inside grid_search."""
+"""Differential tests: every verdict of lieop.verdicts, on lieop.kernel's
+loops or on packed keys, against the reporting predicates and the loops it
+stands in for inside grid_search."""
 
 import itertools
 from fractions import Fraction
@@ -24,8 +25,10 @@ from lieop import (
     sub_adjacent_bracket,
 )
 from lieop import kernel as kernel_module
+from lieop import verdicts as verdicts_module
 from lieop.catalog import get_entry
-from lieop.kernel import VerdictKernel, integer_image, negated, pair_defects
+from lieop.kernel import integer_image, negated, pair_defects
+from lieop.verdicts import VerdictKernel, compatible, form_vanishes
 from lieop.reps import _ad_family
 
 from conftest import MIXED_AFF1, THIRD_SL2
@@ -50,6 +53,13 @@ def grid_operators(grid, nrows: int, ncols: int):
         yield combo, Matrix(rows)
 
 
+def nijenhuis_by_the_form(kernel, flats) -> list[bool]:
+    """The verdict of the search's packed torsion form on each flat, its
+    table built once for the largest entry among them."""
+    form = kernel.torsion_form(max((abs(c) for f in flats for c in f), default=0))
+    return [form_vanishes(form, f) for f in flats]
+
+
 def reps_of(g):
     return [adjoint_rep(g), coadjoint_rep(g)]
 
@@ -67,9 +77,11 @@ def assert_single_operator_kernel_agrees(g, grid) -> set[bool]:
     at least)."""
     kernel = VerdictKernel(g, adjoint_rep(g))
     verdicts = set()
-    for combo, op in grid_operators(grid, g.dim, g.dim):
+    ops = list(grid_operators(grid, g.dim, g.dim))
+    by_the_form = nijenhuis_by_the_form(kernel, [combo for combo, _ in ops])
+    for (combo, op), packed in zip(ops, by_the_form):
         nij = is_nijenhuis(g, op).ok
-        assert kernel.is_nijenhuis(combo) == nij, op
+        assert packed == nij, op
         assert kernel.is_kupershmidt(combo) == is_rota_baxter(g, op).ok, op
         verdicts.add(nij)
     assert True in verdicts
@@ -88,7 +100,8 @@ def assert_module_kernel_agrees(g, rho, grid, four_term=False):
 
     n_ops = list(grid_operators(grid, n, n))
     s_ops = list(grid_operators(grid, m, m))
-    nijenhuis = [k for k, (combo, _) in enumerate(n_ops) if kernel.is_nijenhuis(combo)]
+    by_the_form = nijenhuis_by_the_form(kernel, [combo for combo, _ in n_ops])
+    nijenhuis = [k for k, passes in enumerate(by_the_form) if passes]
     pairs = kernel.nijenhuis_pairs([n_ops[k][0] for k in nijenhuis], [s for s, _ in s_ops])
     assert pairs == sorted(pairs)
     decided = {(nijenhuis[i], j) for i, j in pairs}
@@ -177,10 +190,11 @@ def test_random_rationals(name, rep, data):
     kernel = VerdictKernel(g, rho)
     n_int, s_int, t_int = flat(n_op, s_op, t_op)
 
-    assert kernel.is_nijenhuis(n_int) == is_nijenhuis(g, n_op).ok
+    [nij] = nijenhuis_by_the_form(kernel, [n_int])
+    assert nij == is_nijenhuis(g, n_op).ok
     assert VerdictKernel(g, adjoint_rep(g)).is_kupershmidt(n_int) == is_rota_baxter(g, n_op).ok
     assert kernel.is_kupershmidt(t_int) == is_kupershmidt(g, rho, t_op).ok
-    pair = kernel.is_nijenhuis(n_int) and kernel.nijenhuis_pairs([n_int], [s_int]) == [(0, 0)]
+    pair = nij and kernel.nijenhuis_pairs([n_int], [s_int]) == [(0, 0)]
     assert pair == is_nijenhuis_pair(g, rho, n_op, s_op).ok
     # The twist and the bracket match, against the Matrix definitions.
     nt = mat_mul(n_op, t_op)
@@ -277,7 +291,8 @@ def pairs_by_the_pair_loop(rho, n_ops, s_ops) -> list[tuple[int, int]]:
 def nijenhuis_survivors(g, rho, grid):
     kernel = VerdictKernel(g, rho)
     ints, _ = integer_image(list(grid))
-    n_ops = [f for f in itertools.product(ints, repeat=g.dim * g.dim) if kernel.is_nijenhuis(f)]
+    flats = list(itertools.product(ints, repeat=g.dim * g.dim))
+    n_ops = list(itertools.compress(flats, nijenhuis_by_the_form(kernel, flats)))
     return kernel, n_ops, list(itertools.product(ints, repeat=rho.module_dim**2))
 
 
@@ -298,7 +313,7 @@ class TestColumnTrie:
         # and only where the walk reaches it: 4,096 with every distinct
         # column tabulated per S.
         calls = []
-        real = kernel_module._combination
+        real = verdicts_module._combination
 
         def counting(col, packed):
             calls.append(col)
@@ -307,7 +322,7 @@ class TestColumnTrie:
         kernel, n_ops, s_ops = nijenhuis_survivors(
             sl2.algebra, sl2.representations["adjoint"], (0, 1)
         )
-        monkeypatch.setattr(kernel_module, "_combination", counting)
+        monkeypatch.setattr(verdicts_module, "_combination", counting)
         assert len(kernel.nijenhuis_pairs(n_ops, s_ops)) == 128
         assert len(calls) == 1576
 
@@ -357,14 +372,14 @@ class TestPairPacking:
         s_ops = list(itertools.product((-1, 0, 1), repeat=m * m))
         entry = 2 * m * max(abs(c) for mat in rho.mats for row in mat for c in row)
         u_reach, v_reach = n * entry, m * entry
-        w = kernel_module.pair_width(rho, n_ops, s_ops)
+        w = verdicts_module.pair_width(rho, n_ops, s_ops)
         half = 1 << (w - 1)
         assert half <= u_reach + v_reach < 2 * half
         pad = (0,) * (m * m - 3)
         u, v = (0, u_reach, 0) + pad, (0, u_reach - half, 1) + pad
         assert abs(u_reach - half) <= v_reach
-        assert kernel_module._packed(u, w - 1) == kernel_module._packed(v, w - 1)
-        assert kernel_module._packed(u, w) != kernel_module._packed(v, w)
+        assert verdicts_module._packed(u, w - 1) == verdicts_module._packed(v, w - 1)
+        assert verdicts_module._packed(u, w) != verdicts_module._packed(v, w)
 
     @pytest.mark.parametrize("name", ["abelian_1", "aff1", "sl2"])
     def test_grid_of_zero(self, name):
@@ -373,7 +388,7 @@ class TestPairPacking:
         g = get_entry(name).algebra
         rho = adjoint_rep(g)
         kernel, n_ops, s_ops = nijenhuis_survivors(g, rho, (0,))
-        assert kernel_module.pair_width(rho.integer_image, n_ops, s_ops) == 0
+        assert verdicts_module.pair_width(rho.integer_image, n_ops, s_ops) == 0
         assert kernel.nijenhuis_pairs(n_ops, s_ops) == [(0, 0)]
 
     def test_width_over_empty_lists(self, aff1):
@@ -381,9 +396,9 @@ class TestPairPacking:
         # 2 m R G (m G) = 8 on aff1's adjoint image (R = 1) for G = 1, and
         # with no S it is 0.
         rho = aff1.representations["adjoint"].integer_image
-        assert kernel_module.pair_width(rho, [], [(1, 0, 0, 1)]) == 4
-        assert kernel_module.pair_width(rho, [(1, 0, 0, 1)], []) == 0
-        assert kernel_module.pair_width(rho, [], []) == 0
+        assert verdicts_module.pair_width(rho, [], [(1, 0, 0, 1)]) == 4
+        assert verdicts_module.pair_width(rho, [(1, 0, 0, 1)], []) == 0
+        assert verdicts_module.pair_width(rho, [], []) == 0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -413,7 +428,438 @@ class TestPairPacking:
         assert kernel.nijenhuis_pairs(n_ops, s_ops) == pairs_by_the_pair_loop(rho, n_ops, s_ops)
 
 
-def test_sum_filter_agrees_with_the_compatibility_report(aff1):
+def count_table_builds(monkeypatch) -> list[str]:
+    """Wrap the pair search's table builders; return their names, one per
+    call."""
+    calls = []
+    for name in ("_unit_commutators", "_commutator_table", "_shift_table"):
+        real = getattr(verdicts_module, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(verdicts_module, name, counting)
+    return calls
+
+
+class TestPairTables:
+    """nijenhuis_pairs builds its tables only for a walk that happens, and
+    each x's table of S C_x only once the walk reaches x."""
+
+    def test_an_empty_list_builds_no_table(self, sl2, monkeypatch):
+        kernel, n_ops, s_ops = nijenhuis_survivors(
+            sl2.algebra, sl2.representations["adjoint"], (0, 1)
+        )
+        built = count_table_builds(monkeypatch)
+        for n_list, s_list in (([], s_ops), (n_ops, []), ([], [])):
+            assert kernel.nijenhuis_pairs(n_list, s_list) == []
+        assert built == []
+
+    def test_each_shift_table_is_built_once(self, sl2, monkeypatch):
+        kernel, n_ops, s_ops = nijenhuis_survivors(
+            sl2.algebra, sl2.representations["adjoint"], (0, 1)
+        )
+        built = count_table_builds(monkeypatch)
+        assert len(kernel.nijenhuis_pairs(n_ops, s_ops)) == 128
+        assert sorted(built) == ["_commutator_table", "_shift_table", "_shift_table",
+                                 "_shift_table", "_unit_commutators"]
+
+    def test_a_walk_that_stops_at_the_first_basis_vector_builds_one(self, sl2, monkeypatch):
+        # N = 0 makes sum_k N_kx C_k zero, so the pair fails at x = 0
+        # exactly when S C_0 is nonzero, and the walk goes no deeper.
+        rho = sl2.representations["adjoint"]
+        kernel = VerdictKernel(sl2.algebra, rho)
+        zero = (0,) * 9
+        s_op = next(
+            s
+            for s in itertools.product((0, 1), repeat=9)
+            if next(pair_defects(rho.integer_image, "pair", s, zero), (None,))[0] == (0,)
+        )
+        built = count_table_builds(monkeypatch)
+        assert kernel.nijenhuis_pairs([zero], [s_op]) == []
+        assert sorted(built) == ["_commutator_table", "_shift_table", "_unit_commutators"]
+
+
+def torsion_by_the_loop(image, flat) -> list[int]:
+    """The torsion loop's defects as one flat vector over the pairs i < j."""
+    n = image.n
+    out = []
+    defects = dict(kernel_module.torsion_defects(image, flat))
+    for pair in itertools.combinations(range(n), 2):
+        out += defects.get(pair, [0] * n)
+    return out
+
+
+def kupershmidt_by_the_loop(kernel, flat) -> list[int]:
+    """The Kupershmidt loop's defects as one flat vector over the module
+    pairs i < j."""
+    n, m = kernel.n, kernel.m
+    defects = dict(kernel_module.kupershmidt_defects(kernel._g, kernel._rho, flat))
+    out = []
+    for pair in itertools.combinations(range(m), 2):
+        out += defects.get(pair, [0] * n)
+    return out
+
+
+def dot(xs, ys) -> int:
+    return sum(x * y for x, y in zip(xs, ys))
+
+
+class TestPackedStages:
+    """Each packed search stage against the loop it stands in for."""
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    @pytest.mark.parametrize("grid", [INTEGER_GRID, FRACTIONAL_GRID], ids=["int", "frac"])
+    def test_torsion_form_against_the_torsion_loop(self, name, grid):
+        # The coefficients reproduce the torsion of every N; the packed form
+        # vanishes exactly where the loop yields nothing. On a 3-dimensional
+        # algebra only the N over two grid values are taken.
+        g = ALGEBRAS[name]
+        kernel = VerdictKernel(g, adjoint_rep(g))
+        ints, _ = integer_image(list(grid))
+        image = g.integer_image
+        n = g.dim
+        coefs = verdicts_module._quadratic_coefficients(
+            lambda flat: torsion_by_the_loop(image, flat), n * n
+        )
+        form = kernel.torsion_form(max(map(abs, ints)))
+        assert any(form) == (n > 2)
+        verdicts = set()
+        for flat in itertools.product(ints if n < 3 else ints[1:], repeat=n * n):
+            products = [a * b for a, b in itertools.combinations_with_replacement(flat, 2)]
+            torsion = torsion_by_the_loop(image, flat)
+            assert [dot(products, entries) for entries in zip(*coefs)] == torsion
+            passes = form_vanishes(form, flat)
+            assert passes == (not any(torsion))
+            verdicts.add(passes)
+        assert True in verdicts
+
+    @pytest.mark.parametrize(
+        "name,form,grid",
+        [
+            ("aff1", "coadjoint", INTEGER_GRID),
+            ("aff1", "adjoint", FRACTIONAL_GRID),
+            ("sl2", "rota_baxter", INTEGER_GRID),
+            ("heis3", "adjoint", (Fraction(0), Fraction(1))),
+            ("mixed_aff1", "rescaled", FRACTIONAL_GRID),
+            ("third_sl2", "coadjoint", (Fraction(0), Fraction(1, 2))),
+        ],
+    )
+    def test_compatibility_against_the_sum(self, name, form, grid):
+        # For Kupershmidt T1 and T2, one dot product of T1's row with T2
+        # decides whether T1 + T2 is Kupershmidt.
+        g = ALGEBRAS[name]
+        if form == "rota_baxter":
+            rho = _ad_family(g)
+        elif form == "rescaled":
+            rho = rescaled_adjoint(g)
+        else:
+            rho = reps_of(g)[form == "coadjoint"]
+        kernel = VerdictKernel(g, rho)
+        ints, _ = integer_image(list(grid))
+        t_ops = kernel.kupershmidt_solutions(ints)
+        rows = kernel.compatibility_rows(t_ops)
+        verdicts = [
+            [compatible(row, t2) for t2 in t_ops] for row in rows
+        ]
+        expected = [
+            [kernel.is_kupershmidt(tuple(map(sum, zip(t1, t2)))) for t2 in t_ops] for t1 in t_ops
+        ]
+        assert verdicts == expected
+        assert {v for row in verdicts for v in row} == {True, False}
+
+    def test_compatibility_rows_are_the_polarization_of_any_pair(self, aff1):
+        # Off the Kupershmidt operators too, T1's row dotted with T2 is the
+        # packed K(T1 + T2) - K(T1) - K(T2); it vanishes exactly where that
+        # vector does.
+        g, rho = aff1.algebra, aff1.representations["adjoint"]
+        kernel = VerdictKernel(g, rho)
+        t_ops = list(itertools.product((-1, 0, 2), repeat=4))
+        rows = kernel.compatibility_rows(t_ops)
+        for t1, row in zip(t_ops, rows):
+            for t2 in t_ops:
+                total = kupershmidt_by_the_loop(kernel, tuple(map(sum, zip(t1, t2))))
+                ones = kupershmidt_by_the_loop(kernel, t1)
+                twos = kupershmidt_by_the_loop(kernel, t2)
+                cross = [s - a - b for s, a, b in zip(total, ones, twos)]
+                assert compatible(row, t2) == (not any(cross))
+
+    @pytest.mark.parametrize("name", ["aff1", "abelian_1"])
+    def test_twist_keys_against_the_matrix_products(self, name):
+        # P(NT) and P(TS), one dot product each with T's tables, against
+        # the packed products of the matrices. abelian_1 acts on a plane,
+        # so its T is 1 x 2 and the two tables differ in length.
+        g = SOLVE_ALGEBRAS[name]
+        m = 2
+        n = g.dim
+        values = (-2, 0, 1)
+        t_ops = list(itertools.product(values, repeat=n * m))
+        n_ops = list(itertools.product(values, repeat=n * n))
+        s_ops = list(itertools.product(values, repeat=m * m))
+        w = verdicts_module.twist_width(n, m, 2, 2, 2)
+        for t_op in t_ops[::3]:
+            by_n, by_s = verdicts_module._twist_tables(t_op, n, m, w)
+            t = kernel_module._rows(t_op, m)
+            for n_op in n_ops:
+                nt = kernel_module._matmul(kernel_module._rows(n_op, n), t)
+                assert dot(n_op, by_n) == verdicts_module._packed(itertools.chain(*nt), w)
+            for s_op in s_ops:
+                ts = kernel_module._matmul(t, kernel_module._rows(s_op, m))
+                assert dot(s_op, by_s) == verdicts_module._packed(itertools.chain(*ts), w)
+
+
+class TestEdgeGrids:
+    """The grid {0}, single-value grids and an empty T list."""
+
+    def test_grid_of_zero(self, sl2):
+        g = sl2.algebra
+        kernel = VerdictKernel(g, sl2.representations["adjoint"])
+        zero = (0,) * 9
+        # Every entry is 0, so each packing has width 0 (B = 1).
+        assert kernel.kupershmidt_solutions([0]) == [zero]
+        assert verdicts_module.solve_width(g.integer_image, kernel._rho, 0) == 0
+        assert form_vanishes(kernel.torsion_form(0), zero)
+        assert kernel.compatibility_rows([zero]) == [[0] * 9]
+        assert compatible([0] * 9, zero)
+        assert kernel.kn_pairs(zero, [zero], [zero], [(0, 0)]) == [(0, 0)]
+
+    @pytest.mark.parametrize("value", [-1, 2])
+    def test_single_value_grids(self, sl2, value):
+        # One N, the constant one: -1 times or 2 times the all-ones matrix.
+        g = sl2.algebra
+        rho = sl2.representations["coadjoint"]
+        kernel = VerdictKernel(g, rho)
+        flat = (value,) * 9
+        assert kernel.kupershmidt_solutions([value]) == (
+            [flat] if kernel.is_kupershmidt(flat) else []
+        )
+        form = kernel.torsion_form(abs(value))
+        assert form_vanishes(form, flat) == (
+            next(kernel_module.torsion_defects(g.integer_image, flat), None) is None
+        )
+        [row] = kernel.compatibility_rows([flat])
+        doubled = tuple(2 * c for c in flat)
+        assert compatible(row, flat) == kernel.is_kupershmidt(doubled)
+
+    def test_empty_t_list(self, aff1):
+        kernel = VerdictKernel(aff1.algebra, aff1.representations["coadjoint"])
+        assert kernel.compatibility_rows([]) == []
+        assert kernel.kn_pairs((1, 0, 0, 1), [(1, 0, 0, 1)], [(1, 0, 0, 1)], []) == []
+
+
+def assert_least_width(w: int, reach: int, length: int) -> None:
+    """B = 2^w is the least power of two above reach, the bound on every
+    entry of a difference the stage tests for zero, and half of it would
+    not separate: (B/2, 0, ...) and (0, 1, 0, ...), whose difference
+    (B/2, -1, 0, ...) is within reach, pack to one integer at base B/2."""
+    half = 1 << (w - 1)
+    assert half <= reach < 2 * half
+    u, v = (half,) + (0,) * (length - 1), (0, 1) + (0,) * (length - 2)
+    assert verdicts_module._packed(u, w - 1) == verdicts_module._packed(v, w - 1)
+    assert verdicts_module._packed(u, w) != verdicts_module._packed(v, w)
+
+
+def images_reach(g, rho) -> tuple[int, int]:
+    """A, the sum of |entry| over g's image, and R, the largest |entry| of
+    rho's."""
+    a = sum(abs(c) for value in g.integer_image.basis.values() for c in value)
+    r = max(abs(c) for mat in rho.integer_image.mats for row in mat for c in row)
+    return a, r
+
+
+class TestWidths:
+    """Each packed stage's width against the reach its docstring states."""
+
+    @pytest.mark.parametrize(
+        "name,form,grid",
+        [
+            ("sl2", "rota_baxter", INTEGER_GRID),
+            ("heis3", "coadjoint", INTEGER_GRID),
+            ("mixed_aff1", "rescaled", FRACTIONAL_GRID),
+            ("third_sl2", "adjoint", FRACTIONAL_GRID),
+        ],
+    )
+    def test_solve(self, name, form, grid):
+        # An entry of kg [x, y] is at most 2 G^2 kg A; one of kr q[j]c at
+        # most kr n R G, so an inner coefficient at most twice that, and the
+        # right side less the coefficient times a column sums m of them.
+        g = ALGEBRAS[name]
+        if form == "rota_baxter":
+            rho = _ad_family(g)
+        elif form == "rescaled":
+            rho = rescaled_adjoint(g)
+        else:
+            rho = reps_of(g)[form == "coadjoint"]
+        ints, _ = integer_image(list(grid))
+        big = max(map(abs, ints))
+        a, r = images_reach(g, rho)
+        kg, kr = rho.integer_image.scale, g.integer_image.scale
+        n, m = g.dim, rho.module_dim
+        reach = 2 * big * big * kg * a + 2 * m * (kr * n * r * big) * big
+        w = verdicts_module.solve_width(g.integer_image, rho.integer_image, big)
+        assert_least_width(w, reach, n)
+
+    @pytest.mark.parametrize("name", ["sl2", "heis3", "third_sl2"])
+    def test_torsion_form(self, name):
+        # Each product n_a n_b is at most G^2 in size.
+        g = ALGEBRAS[name]
+        image = g.integer_image
+        n = g.dim
+        coefs = verdicts_module._quadratic_coefficients(
+            lambda flat: torsion_by_the_loop(image, flat), n * n
+        )
+        for big in (1, 3):
+            reach = big * big * sum(max(map(abs, c)) for c in coefs)
+            w = verdicts_module.form_width(coefs, big * big)
+            assert_least_width(w, reach, len(coefs[0]))
+
+    @pytest.mark.parametrize("name,rep", [("aff1", 1), ("sl2", 0), ("heis3", 1)])
+    def test_compatibility(self, name, rep):
+        # t1_a t2_b + t1_b t2_a is at most 2 G^2 in size, and so is
+        # t1_a t2_a times the doubled diagonal term.
+        g = ALGEBRAS[name]
+        kernel = VerdictKernel(g, reps_of(g)[rep])
+        coefs = verdicts_module._quadratic_coefficients(
+            lambda flat: kupershmidt_by_the_loop(kernel, flat), g.dim * kernel.m
+        )
+        reach = 2 * sum(max(map(abs, c)) for c in coefs)
+        w = verdicts_module.form_width(coefs, 2)
+        assert_least_width(w, reach, len(coefs[0]))
+
+    def test_each_form_takes_its_reach(self, sl2, monkeypatch):
+        # form_width is shared: the torsion form bounds n_a n_b by G^2, and
+        # compatibility bounds t1_a t2_b + t1_b t2_a by 2 G^2, G the largest
+        # |entry| of the grid or of the T.
+        reaches = []
+        real = verdicts_module.form_width
+
+        def recording(coefs, reach):
+            reaches.append(reach)
+            return real(coefs, reach)
+
+        monkeypatch.setattr(verdicts_module, "form_width", recording)
+        kernel = VerdictKernel(sl2.algebra, sl2.representations["adjoint"])
+        kernel.torsion_form(3)
+        kernel.compatibility_rows([(0,) * 8 + (-3,), (2,) * 9])
+        assert reaches == [9, 18]
+
+    def test_solve_and_twist_take_their_largest_entries(self, aff1, monkeypatch):
+        # The solve reads G off the grid; the twist reads G_T off T and G_N
+        # and G_S off the N and S that its pairs name.
+        seen = []
+        for name in ("solve_width", "twist_width"):
+            real = getattr(verdicts_module, name)
+
+            def recording(*args, _real=real):
+                seen.append(args[2:])
+                return _real(*args)
+
+            monkeypatch.setattr(verdicts_module, name, recording)
+        kernel = VerdictKernel(aff1.algebra, aff1.representations["adjoint"])
+        kernel.kupershmidt_solutions([-3, 0, 2])
+        n_ops, s_ops = [(0, 5, 0, 0), (9, 0, 0, 0)], [(0, 0, 0, 1), (0, -7, 0, 0)]
+        kernel.kn_pairs((0, 0, 0, -2), n_ops, s_ops, [(0, 1)])
+        assert seen == [(3,), (2, 5, 7)]
+
+    @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (3, 3), (3, 2)])
+    def test_twist(self, n, m):
+        # An entry of NT is at most n G_N G_T, one of TS at most m G_T G_S.
+        for g_t, g_n, g_s in ((1, 1, 1), (3, 2, 5), (6, 1, 1)):
+            reach = n * g_n * g_t + m * g_t * g_s
+            assert_least_width(verdicts_module.twist_width(n, m, g_t, g_n, g_s), reach, n * m)
+
+
+big_entries = st.one_of(st.just(0), st.just(0), st.integers(-(10**6), 10**6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]),
+    data=st.data(),
+    values=st.lists(
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+        min_size=1,
+        max_size=3,
+        unique=True,
+    ),
+    symmetric=st.booleans(),
+)
+def test_packed_stages_with_large_entries(dims, data, values, symmetric):
+    # Random brackets and actions with entries up to 10^6, mostly zero so
+    # that the identities hold often enough, over grids with numerators
+    # and denominators up to 10^6 (closed under negation in half the
+    # draws) that mostly hold 0. Neither needs the Jacobi identity or the representation
+    # axiom: every stage is an identity of the loops. Each packed stage is
+    # compared with its loop: the column solve with the filtered product,
+    # compatibility with the polarization of the Kupershmidt loop, the
+    # torsion form with the torsion loop and kn_pairs with the matrix
+    # products and the bracket-match loop.
+    from lieop import Bracket, Vector
+
+    n, m = dims
+    g = Bracket(
+        n,
+        {
+            (i, j): Vector(data.draw(st.lists(big_entries, min_size=n, max_size=n)))
+            for i, j in itertools.combinations(range(n), 2)
+        },
+    )
+    mats = [
+        Matrix([data.draw(st.lists(big_entries, min_size=m, max_size=m)) for _ in range(m)])
+        for _ in range(n)
+    ]
+    rho = Representation(g, mats, check=False)
+    # 0 and up to two values, or 0, -v and v; 3 x 3 operators take two
+    # values, 0 and v or -v and v.
+    if symmetric:
+        values = [-values[0], values[0]]
+    if n * m == 9:
+        grid = sorted(set(values[:2]) if symmetric else {Fraction(0), values[0]})
+    else:
+        grid = sorted({Fraction(0), *values[:2]})
+    ints, _ = integer_image(grid)
+    kernel = VerdictKernel(g, rho)
+
+    flats = list(itertools.product(ints, repeat=n * m))
+    assert kernel.kupershmidt_solutions(ints) == [f for f in flats if kernel.is_kupershmidt(f)]
+
+    sample = flats[:: max(1, len(flats) // 12)]
+    for t1, row in zip(sample, kernel.compatibility_rows(sample)):
+        for t2 in sample:
+            sums = kupershmidt_by_the_loop(kernel, tuple(map(sum, zip(t1, t2))))
+            ones, twos = kupershmidt_by_the_loop(kernel, t1), kupershmidt_by_the_loop(kernel, t2)
+            assert compatible(row, t2) == (sums == [a + b for a, b in zip(ones, twos)])
+
+    n_flats = list(itertools.product(ints[:2] if n == 3 else ints, repeat=n * n))
+    form = kernel.torsion_form(max(map(abs, ints)))
+    image = g.integer_image
+    assert [form_vanishes(form, f) for f in n_flats] == [
+        not any(torsion_by_the_loop(image, f)) for f in n_flats
+    ]
+
+    n_ops = n_flats[:: max(1, len(n_flats) // 8)]
+    s_ops = list(itertools.product(ints[:2], repeat=m * m))[:: 2 ** (m * m) // 8 or 1]
+    pairs = [(i, j) for j in range(len(s_ops)) for i in range(len(n_ops))]
+    rho_image = rho.integer_image
+    for t_op in sample:
+        t = kernel_module._rows(t_op, m)
+        expected = []
+        for i, j in pairs:
+            nt = kernel_module._matmul(kernel_module._rows(n_ops[i], n), t)
+            if nt != kernel_module._matmul(t, kernel_module._rows(s_ops[j], m)):
+                continue
+            deformed = kernel_module.deformed_sub_adjacent(
+                kernel_module.sub_adjacent_ads(rho_image, t_op), s_ops[j]
+            )
+            nt_flat = list(itertools.chain(*nt))
+            defects = kernel_module.bracket_match_defects(rho_image, deformed, nt_flat)
+            if next(defects, None) is None:
+                expected.append((i, j))
+        assert kernel.kn_pairs(t_op, n_ops, s_ops, pairs) == expected
+
+
+def test_polarization_rows_agree_with_the_compatibility_report(aff1):
     g, rho = aff1.algebra, aff1.representations["coadjoint"]
     kernel = VerdictKernel(g, rho)
     t_ops = [
@@ -426,7 +872,8 @@ def test_sum_filter_agrees_with_the_compatibility_report(aff1):
         for _, t1 in t_ops
         for _, t2 in t_ops
     ]
-    assert [kernel.compatible(f1, f2) for f1, _ in t_ops for f2, _ in t_ops] == verdicts
+    rows = kernel.compatibility_rows([f for f, _ in t_ops])
+    assert [compatible(row, f2) for row in rows for f2, _ in t_ops] == verdicts
     assert (len(verdicts), sum(verdicts)) == (441, 177)
 
 
