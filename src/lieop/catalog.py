@@ -28,13 +28,13 @@ condition, (T1, T2) and (-T1, -T2) for compatibility, and T and -T for the
 twist and the bracket match, which keep the same pairs (N, S).
 
 Every verdict comes from the loop that the public predicate itself runs
-(lieop.kernel: the Kupershmidt and bracket-match loops, which
-lieop.verdicts reads), or from packed
-integer keys read off the integer images and off those loops (the
-torsion, Kupershmidt and pair loops) at unit operators, on the grid's
-integer image. That is exact: each identity is homogeneous, so a
-candidate's verdict does not depend on the scale b its entries are
-cleared by; each has degree at most 2 in its operators, so its table
+(lieop.kernel: the Kupershmidt loop, which lieop.verdicts reads), or
+from packed integer keys read off the integer images and off those loops
+(the torsion, Kupershmidt, pair and bracket-match loops) at unit
+operators, on the grid's integer image. That is exact: each identity is
+homogeneous, so a candidate's verdict does not depend on the scale b its
+entries are cleared by; each has degree at most 2 in its operators (the
+bracket match 1 in T and 1 in S, once NT = TS), so its table
 holds it whole; each packing base exceeds what the compared entries can
 reach; and for two Kupershmidt operators the compatibility defect is the
 polarization K(T1 + T2) - K(T1) - K(T2) = K(T1 + T2). A result is
@@ -448,7 +448,7 @@ def _staged_search(
         with the packed torsion form; where every coefficient is zero,
         every N passes and none is evaluated."""
         form = kernel.torsion_form(max(map(abs, ints), default=0))
-        if not any(form):
+        if not form.coefs:
             return list(grid(n * n))
         return solutions(n * n, partial(form_vanishes, form))
 
@@ -513,6 +513,7 @@ def _staged_search(
     # than N once T is fixed.
     pairs = sorted(kernel.nijenhuis_pairs(n_ops, s_ops), key=lambda p: (p[1], p[0]))
     t_ops = kupershmidt_ops()
+    join = kernel.kn_join([flat for flat, _ in t_ops], n_ops, s_ops, pairs)
     last = len(t_ops) - 1
     held: dict = {}
 
@@ -522,7 +523,7 @@ def _staged_search(
         t_ops[last - a] keeps the same pairs, held until its turn."""
         if a in held:
             return held.pop(a)
-        out = kernel.kn_pairs(t_ops[a][0], n_ops, s_ops, pairs)
+        out = kernel.kn_pairs(t_ops[a][0], join)
         if symmetric and last - a > a:
             held[last - a] = out
         return out

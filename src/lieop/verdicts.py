@@ -2,11 +2,11 @@
 packed integer keys its search stages compare.
 
 VerdictKernel reads lieop.kernel's integer images and loops. It decides
-the Kupershmidt identity of a whole candidate and the KN bracket match on
-their loops, and every other stage on packed integer keys; the
-shortcuts, with each stage's degrees, table and packing bound and the
-exactness proof, are written in lieop.kernel's docstring beside the loops
-they read (the first, third and fifth shortcuts).
+the Kupershmidt identity of a whole candidate on its loop, and every
+other stage on packed integer keys; the shortcuts, with each stage's
+degrees, table and packing bound and the exactness proof, are written in
+lieop.kernel's docstring beside the loops they read (the first, third
+and fifth shortcuts).
 
 A vector v of integers packs to P(v) = sum_i v_i B^i with B = 2^w, and w
 comes from width, the one width helper: the least w with B above a
@@ -16,27 +16,25 @@ vectors can take. Each stage states its reach in its width function
 packed combination of vectors is the same combination of their packed
 values, and each stage's keys come from tables read off the integer
 images or off the loops at unit operators: the quadratic forms of the
-torsion and of compatibility (_quadratic_coefficients, form_vanishes,
-compatible), the Nijenhuis-pair tables (_unit_commutators,
-_commutator_table, _shift_table, _pair_keys, _combination) and the KN
-twist's (_twist_tables).
+torsion and of compatibility (_quadratic_coefficients, form_vanishes over
+the torsion's nonzero coefficients, compatible), the Nijenhuis-pair
+tables (_unit_commutators, _commutator_table, _shift_table, _pair_keys,
+_combination), and the KN twist's (_twist_tables) and bracket match's
+(_match_table, bilinear in T and S), which kn_join builds once per search
+with the pairs grouped by S.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations_with_replacement, product, repeat, starmap
-from operator import mul, sub
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from itertools import chain, combinations, combinations_with_replacement, product, repeat, starmap
+from operator import itemgetter, mul, sub
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .kernel import (
     _apply,
-    _rows,
-    bracket_match_defects,
     closed_under_negation,
-    deformed_sub_adjacent,
     kupershmidt_defects,
     negated,
-    sub_adjacent_ads,
     torsion_defects,
     upper_half,
 )
@@ -138,11 +136,28 @@ def _quadratic_coefficients(form, units: int) -> list[list[int]]:
     ]
 
 
-def form_vanishes(coefs: Sequence[int], flat: Sequence[int]) -> bool:
-    """Whether the packed quadratic form sum_{a<=b} z_a z_b P(K_ab), its
-    coefficients in the order of combinations_with_replacement, is zero
-    at z = flat: one dot product with the products z_a z_b."""
-    return not sum(map(mul, starmap(mul, combinations_with_replacement(flat, 2)), coefs))
+class SparseForm(NamedTuple):
+    """A packed quadratic form sum_t coefs[t] z_a z_b over its nonzero
+    coefficients alone, with left(z)[t] = z_a and right(z)[t] = z_b."""
+
+    left: Callable[[Sequence[int]], tuple]
+    right: Callable[[Sequence[int]], tuple]
+    coefs: list[int]
+
+
+def _picker(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
+    """z -> the tuple of z's entries at indices (itemgetter gives a bare
+    entry for one index)."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda z: (z[i],)
+    return itemgetter(*indices) if indices else lambda z: ()
+
+
+def form_vanishes(form: SparseForm, flat: Sequence[int]) -> bool:
+    """Whether the packed quadratic form is zero at z = flat: one dot
+    product of its nonzero coefficients with the products z_a z_b."""
+    return not sum(map(mul, map(mul, form.left(flat), form.right(flat)), form.coefs))
 
 
 def compatible(row: Sequence[int], t2_op: Sequence[int]) -> bool:
@@ -215,6 +230,44 @@ def _twist_tables(t_op: Sequence[int], n: int, m: int, w: int) -> tuple[list[int
     return by_n, by_s
 
 
+def _match_table(commutators: list, m: int) -> list[list[list[int]]]:
+    """The KN bracket match's table. Where NT = TS its terms in TS cancel,
+    and D(T, S)(u, v) = [S, rho(Tu)]v - [S, rho(Tv)]u is left: at the
+    module basis pair i < j, sum_k (T_kj C_k e_i - T_ki C_k e_j) with
+    C_k = [a rho(e_k), S], bilinear in T and S. So
+    D(T, S) = sum_{a,b} t_a s_b D(E_a, E_b), and for T = E_pv, D(E_pv, E_b)
+    is C_p(E_b) e_i at the pairs with j = v, less C_p(E_b) e_j at those
+    with i = v: table[a][b] = D(E_a, E_b) over the pairs i < j in order,
+    for the flat entries a of an n x m T and b of an m x m S."""
+    pairs = list(combinations(range(m), 2))
+    zero = (0,) * m
+    table = []
+    for per_unit in commutators:
+        columns = [list(zip(*c)) for c in per_unit]  # of each C_p(E_b)
+        for v in range(m):
+            per_t = []
+            for cols in columns:
+                d = []
+                for i, j in pairs:
+                    d += cols[i] if j == v else [-x for x in cols[j]] if i == v else zero
+                per_t.append(d)
+            table.append(per_t)
+    return table
+
+
+class KNJoin(NamedTuple):
+    """What kn_pairs reads of a search's pairs (N, S), listed once per
+    search (VerdictKernel.kn_join): the twist's width and the distinct N,
+    the pairs grouped by S as (j, S, [(N's place among those, i), ...]), the
+    bracket match's packed table by S's flat entry b, and that width."""
+
+    twist_w: int
+    n_ops: list
+    groups: list
+    match: list[list[int]]
+    match_w: int
+
+
 def _combination(col: Sequence[int], packed: Sequence[int]) -> int:
     """The packed sum_k col[k] C_k."""
     return sum(map(mul, col, packed))
@@ -226,8 +279,8 @@ class VerdictKernel:
     Built once per search; each method decides one identity for one
     candidate (or one batch of pairs) and returns a plain verdict, or,
     for kupershmidt_solutions, every candidate over a grid that passes,
-    or builds one stage's packed table (torsion_form,
-    compatibility_rows), which a module function reads per candidate.
+    or builds one stage's packed tables (torsion_form, compatibility_rows,
+    kn_join), which a module function or kn_pairs reads per candidate.
     """
 
     def __init__(self, g: BracketLike, rho: Optional[Representation] = None):
@@ -240,19 +293,25 @@ class VerdictKernel:
         """[Tu,Tv] = T(rho(Tu)v - rho(Tv)u) on module basis pairs u, v."""
         return next(kupershmidt_defects(self._g, self._rho, t_op), None) is None
 
-    def torsion_form(self, largest: int) -> list[int]:
+    def torsion_form(self, largest: int) -> SparseForm:
         """The Nijenhuis filter's table over a grid whose largest |value| is
         largest: the torsion is quadratic in N, so it is
         sum_{a<=b} n_a n_b K_ab over N's flat entries, each K_ab read off
-        torsion_defects at unit operators. The packed P(K_ab), in the order
-        of combinations_with_replacement, for form_vanishes; all zero when
-        every N is Nijenhuis (on every 2-dimensional algebra, say)."""
+        torsion_defects at unit operators. The packed P(K_ab) that are
+        nonzero, for form_vanishes; none when every N is Nijenhuis (on every
+        2-dimensional algebra, say)."""
         n = self.n
         coefs = _quadratic_coefficients(
             lambda flat: _dense(torsion_defects(self._g, flat), n, n), n * n
         )
         w = form_width(coefs, largest * largest)
-        return [_packed(c, w) for c in coefs]
+        units = combinations_with_replacement(range(n * n), 2)
+        kept = [(ab, _packed(c, w)) for ab, c in zip(units, coefs) if any(c)]
+        return SparseForm(
+            _picker([a for (a, _), _ in kept]),
+            _picker([b for (_, b), _ in kept]),
+            [c for _, c in kept],
+        )
 
     def kupershmidt_solutions(self, grid: Sequence[int]) -> list[tuple[int, ...]]:
         """Every n x m operator over the increasing integer grid that
@@ -432,55 +491,65 @@ class VerdictKernel:
         out.sort()
         return out
 
-    def kn_pairs(
+    def kn_join(
         self,
-        t_op: Sequence[int],
+        t_ops: Sequence[Sequence[int]],
         n_ops: Sequence[Sequence[int]],
         s_ops: Sequence[Sequence[int]],
         pairs: Sequence[tuple[int, int]],
-    ) -> list[tuple[int, int]]:
-        """The index pairs (i, j) of pairs, in their order, for which
-        T, S = s_ops[j] and N = n_ops[i] meet the twist NT = TS and the
-        bracket match [u,v]^{NT} = ([u,v]^T)_S.
+    ) -> KNJoin:
+        """The tables kn_pairs reads for every T of t_ops, built once per
+        search: the pairs (i, j) grouped by S = s_ops[j] in the order each
+        S first appears, each group in pairs' order; the distinct N =
+        n_ops[i], listed once; and the bracket match's packed table. The
+        widths read G_T off t_ops and G_N and G_S off the N and S that
+        pairs names."""
+        if not t_ops or not pairs:
+            return KNJoin(0, [], [], [], 0)
+        n, m = self.n, self.m
+        place: dict = {}  # i -> its place among the distinct N
+        groups: dict = {}
+        for i, j in pairs:
+            members = groups.setdefault(j, [])
+            members.append((place.setdefault(i, len(place)), i))
+        g_t = _largest(chain.from_iterable(t_ops))
+        g_s = _largest(chain.from_iterable(s_ops[j] for j in groups))
+        n_listed = [n_ops[i] for i in place]
+        table = _match_table(_unit_commutators(self._rho), m)
+        match_w = form_width(chain.from_iterable(table), g_t * g_s)
+        return KNJoin(
+            twist_width(n, m, g_t, _largest(chain.from_iterable(n_listed)), g_s),
+            n_listed,
+            [(j, s_ops[j], members) for j, members in groups.items()],
+            [[_packed(per_t[b], match_w) for per_t in table] for b in range(m * m)],
+            match_w,
+        )
+
+    def kn_pairs(self, t_op: Sequence[int], join: KNJoin) -> list[tuple[int, int]]:
+        """The index pairs (i, j) of the join's pairs, grouped by S as
+        kn_join lists them, for which T, S = s_ops[j] and N = n_ops[i] meet
+        the twist NT = TS and the bracket match
+        [u,v]^{NT} = ([u,v]^T)_S; pairs sorted by S keep their order.
 
         The rest of a KN structure, T Kupershmidt and (N, S) a Nijenhuis
         pair, is is_kupershmidt and nijenhuis_pairs; callers filter with
-        them first. The twist is compared on packed integer keys
-        (lieop.kernel's fifth shortcut): NT is linear in N and TS in S, so per T the packed
-        E_u T and T E_v are tabulated, a shift of one of T's packed rows or
-        columns each, and each distinct N and S is keyed by one dot product
-        with them. T's sub-adjacent constants are formed once. Where
-        NT = TS, the NT-induced bracket is the TS-induced one, so the match
-        is decided on the bracket-match loop once per distinct S, on TS.
+        them first. Both conditions are compared on packed integer keys
+        (lieop.kernel's fifth shortcut). The twist: NT is linear in N and
+        TS in S, so the packed E_u T and T E_v are tabulated, a shift of
+        one of T's packed rows or columns each, and each distinct N and
+        each S is keyed by one dot product with them. The bracket match:
+        where NT = TS it is D(T, S), bilinear in T and S (_match_table),
+        so T's m^2 packed rows sum_a t_a P(D(E_a, E_b)) are formed once and
+        each S is one dot product with them, of length m^2. A pair is kept
+        when its S's match key is 0 and its N's twist key equals its S's.
         """
-        n, m = self.n, self.m
-        t = _rows(t_op, m)
-        n_ids = {i for i, _ in pairs}
-        s_ids = {j for _, j in pairs}
-        w = twist_width(
-            n,
-            m,
-            _largest(t_op),
-            _largest(chain.from_iterable(n_ops[i] for i in n_ids)),
-            _largest(chain.from_iterable(s_ops[j] for j in s_ids)),
-        )
-        by_n, by_s = _twist_tables(t_op, n, m, w)
-        nt = {i: sum(map(mul, n_ops[i], by_n)) for i in n_ids}
-        ts = {j: sum(map(mul, s_ops[j], by_s)) for j in s_ids}
-        ads = sub_adjacent_ads(self._rho, t_op)
-        matches: dict[int, bool] = {}
+        by_n, by_s = _twist_tables(t_op, self.n, self.m, join.twist_w)
+        nt = [sum(map(mul, n_op, by_n)) for n_op in join.n_ops]
+        rows = [sum(map(mul, t_op, col)) for col in join.match]
         out = []
-        for i, j in pairs:
-            if nt[i] != ts[j]:
+        for j, s_op, members in join.groups:
+            if sum(map(mul, s_op, rows)):
                 continue
-            if j not in matches:
-                s_op = s_ops[j]
-                # TS, column by column: T applied to S's columns.
-                ts_cols = [_apply(t, s_op[c::m]) for c in range(m)]
-                ts_flat = [v for row in zip(*ts_cols) for v in row]
-                deformed = deformed_sub_adjacent(ads, s_op)
-                defects = bracket_match_defects(self._rho, deformed, ts_flat)
-                matches[j] = next(defects, None) is None
-            if matches[j]:
-                out.append((i, j))
+            ts = sum(map(mul, s_op, by_s))
+            out += [(i, j) for place, i in members if nt[place] == ts]
         return out

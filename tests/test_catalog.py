@@ -191,13 +191,14 @@ class TestGridSearch:
         assert len(t1_of) == 21
         assert len(pairs) == len(orbits) == 121
 
-    def test_kn_search_decides_the_bracket_match_once_per_t_and_s(self, aff1, monkeypatch):
+    def test_kn_search_decides_the_bracket_match_on_one_table(self, aff1, monkeypatch):
         g, ad = aff1.algebra, aff1.representations["adjoint"]
         t_ops = grid_search(g, ad, "kupershmidt", (0, 1))
         pairs = grid_search(g, ad, "nijenhuis_pair", (0, 1))
         # The twist survivors: T Kupershmidt, (N, S) a pair, NT = TS. On
-        # them the NT-induced bracket is the TS-induced one, so the bracket
-        # match depends on (T, S) alone.
+        # them the bracket match is bilinear in (T, S), and the search reads
+        # it off one table per search, with no loop and no sub-adjacent
+        # bracket formed.
         survivors = [
             (t_op, s_op)
             for t_op in t_ops
@@ -206,17 +207,20 @@ class TestGridSearch:
         ]
         kn_conditions = _count_calls(monkeypatch, structures._kn_conditions)
         sub_adjacent = _count_calls(monkeypatch, operators.sub_adjacent_bracket)
-        matches = _count_calls(monkeypatch, kernel.bracket_match_defects)
-        deformations = _count_calls(monkeypatch, kernel.deformed_sub_adjacent)
-        grid_search(g, ad, "kn_structure", (0, 1))
+        loops = [
+            _count_calls(monkeypatch, real)
+            for real in (
+                kernel.bracket_match_defects,
+                kernel.deformed_sub_adjacent,
+                kernel.sub_adjacent_ads,
+            )
+        ]
+        tables = _count_calls(monkeypatch, verdicts_module._match_table)
+        assert len(grid_search(g, ad, "kn_structure", (0, 1))) == 116
         assert (len(kn_conditions), len(sub_adjacent)) == (0, 0)
-        # Each match reads one S-deformation of T's constants. Those are
-        # formed once per T, and the calls keep them alive, so the object
-        # tells the T apart.
-        assert len(deformations) == len(matches)
-        decided = {(id(ads), tuple(s_op)) for ads, s_op in deformations}
+        assert [len(calls) for calls in loops] == [0, 0, 0]
+        assert len(tables) == 1
         assert len(survivors) == 116
-        assert len(matches) == len(decided) == len(set(survivors)) == 37
 
     def test_pair_search_forms_the_commutators_once_per_s(self, aff1, monkeypatch):
         # The packed terms C_k = [rho(e_k), S] depend on S alone: 3^4 of

@@ -26,7 +26,7 @@ from lieop import (
 )
 from lieop import kernel as kernel_module
 from lieop import verdicts as verdicts_module
-from lieop.catalog import get_entry
+from lieop.catalog import get_entry, list_catalog
 from lieop.kernel import integer_image, negated, pair_defects
 from lieop.verdicts import VerdictKernel, compatible, form_vanishes
 from lieop.reps import _ad_family
@@ -201,7 +201,8 @@ def test_random_rationals(name, rep, data):
     kn = nt == mat_mul(t_op, s_op) and sub_adjacent_bracket(g, rho, nt) == deformed_algebra(
         sub_adjacent_bracket(g, rho, t_op), s_op
     )
-    assert (kernel.kn_pairs(t_int, [n_int], [s_int], [(0, 0)]) == [(0, 0)]) == kn
+    join = kernel.kn_join([t_int], [n_int], [s_int], [(0, 0)])
+    assert (kernel.kn_pairs(t_int, join) == [(0, 0)]) == kn
 
 
 SOLVE_ALGEBRAS = {"abelian_1": get_entry("abelian_1").algebra, **ALGEBRAS}
@@ -502,6 +503,32 @@ def kupershmidt_by_the_loop(kernel, flat) -> list[int]:
     return out
 
 
+def bracket_match_by_the_loop(image, t_op, s_op) -> list[int]:
+    """The bracket-match loop's defects for T and S, with NT taken to be
+    TS, as one flat vector over the module pairs i < j."""
+    m = image.m
+    ts = kernel_module._matmul(kernel_module._rows(t_op, m), kernel_module._rows(s_op, m))
+    ads = kernel_module.sub_adjacent_ads(image, t_op)
+    deformed = kernel_module.deformed_sub_adjacent(ads, s_op)
+    ts_flat = list(itertools.chain(*ts))
+    defects = dict(kernel_module.bracket_match_defects(image, deformed, ts_flat))
+    out = []
+    for pair in itertools.combinations(range(m), 2):
+        out += defects.get(pair, [0] * m)
+    return out
+
+
+def assert_match_table_is_the_loop(image, n: int) -> None:
+    """_match_table's D(E_a, E_b) against the bracket-match loop at every
+    unit T = E_a and unit S = E_b."""
+    m = image.m
+    table = verdicts_module._match_table(verdicts_module._unit_commutators(image), m)
+    t_units, s_units = (
+        [tuple(int(a == b) for b in range(size)) for a in range(size)] for size in (n * m, m * m)
+    )
+    assert [[bracket_match_by_the_loop(image, t, s) for s in s_units] for t in t_units] == table
+
+
 def dot(xs, ys) -> int:
     return sum(x * y for x, y in zip(xs, ys))
 
@@ -524,7 +551,7 @@ class TestPackedStages:
             lambda flat: torsion_by_the_loop(image, flat), n * n
         )
         form = kernel.torsion_form(max(map(abs, ints)))
-        assert any(form) == (n > 2)
+        assert bool(form.coefs) == (n > 2)
         verdicts = set()
         for flat in itertools.product(ints if n < 3 else ints[1:], repeat=n * n):
             products = [a * b for a, b in itertools.combinations_with_replacement(flat, 2)]
@@ -585,6 +612,34 @@ class TestPackedStages:
                 cross = [s - a - b for s, a, b in zip(total, ones, twos)]
                 assert compatible(row, t2) == (not any(cross))
 
+    @pytest.mark.parametrize(
+        "name,rep",
+        [(name, rep) for name in list_catalog() for rep in get_entry(name).representations],
+    )
+    def test_match_table_against_the_bracket_match_loop(self, name, rep):
+        # Once NT = TS the bracket match is D(T, S), bilinear in T and S:
+        # its table at every unit pair is the loop's defect there.
+        entry = get_entry(name)
+        assert_match_table_is_the_loop(entry.representations[rep].integer_image, entry.algebra.dim)
+
+    @pytest.mark.parametrize("name,rep", [("aff1", "adjoint"), ("heis3", "coadjoint")])
+    def test_match_keys_against_the_bracket_match_loop(self, name, rep):
+        # T's packed rows dotted with S are the packed D(T, S), which is
+        # the loop's defect for any T and S (NT taken to be TS).
+        entry = get_entry(name)
+        rho = entry.representations[rep]
+        kernel, image = VerdictKernel(entry.algebra, rho), rho.integer_image
+        n, m = entry.algebra.dim, rho.module_dim
+        values = (-2, 0, 1)
+        t_ops = list(itertools.product(values, repeat=n * m))[::97]
+        s_ops = list(itertools.product(values, repeat=m * m))[::89]
+        join = kernel.kn_join(t_ops, [(0,) * n * n], s_ops, [(0, j) for j in range(len(s_ops))])
+        for t_op in t_ops:
+            rows = [dot(t_op, col) for col in join.match]
+            for s_op in s_ops:
+                expected = bracket_match_by_the_loop(image, t_op, s_op)
+                assert dot(s_op, rows) == verdicts_module._packed(expected, join.match_w)
+
     @pytest.mark.parametrize("name", ["aff1", "abelian_1"])
     def test_twist_keys_against_the_matrix_products(self, name):
         # P(NT) and P(TS), one dot product each with T's tables, against
@@ -622,7 +677,8 @@ class TestEdgeGrids:
         assert form_vanishes(kernel.torsion_form(0), zero)
         assert kernel.compatibility_rows([zero]) == [[0] * 9]
         assert compatible([0] * 9, zero)
-        assert kernel.kn_pairs(zero, [zero], [zero], [(0, 0)]) == [(0, 0)]
+        join = kernel.kn_join([zero], [zero], [zero], [(0, 0)])
+        assert kernel.kn_pairs(zero, join) == [(0, 0)]
 
     @pytest.mark.parametrize("value", [-1, 2])
     def test_single_value_grids(self, sl2, value):
@@ -642,10 +698,19 @@ class TestEdgeGrids:
         doubled = tuple(2 * c for c in flat)
         assert compatible(row, flat) == kernel.is_kupershmidt(doubled)
 
+    @pytest.mark.parametrize("indices", [[], [2], [2, 0]])
+    def test_sparse_form_picks_a_tuple(self, indices):
+        # itemgetter gives a bare entry for one index, so a torsion form
+        # with one nonzero coefficient needs its own picker.
+        flat = (5, 6, 7)
+        assert verdicts_module._picker(indices)(flat) == tuple(flat[i] for i in indices)
+
     def test_empty_t_list(self, aff1):
         kernel = VerdictKernel(aff1.algebra, aff1.representations["coadjoint"])
         assert kernel.compatibility_rows([]) == []
-        assert kernel.kn_pairs((1, 0, 0, 1), [(1, 0, 0, 1)], [(1, 0, 0, 1)], []) == []
+        one = (1, 0, 0, 1)
+        assert kernel.kn_pairs(one, kernel.kn_join([one], [one], [one], [])) == []
+        assert kernel.kn_join([], [one], [one], [(0, 0)]).groups == []
 
 
 def assert_least_width(w: int, reach: int, length: int) -> None:
@@ -745,8 +810,8 @@ class TestWidths:
         assert reaches == [9, 18]
 
     def test_solve_and_twist_take_their_largest_entries(self, aff1, monkeypatch):
-        # The solve reads G off the grid; the twist reads G_T off T and G_N
-        # and G_S off the N and S that its pairs name.
+        # The solve reads G off the grid; the twist reads G_T off every T of
+        # the search and G_N and G_S off the N and S that its pairs name.
         seen = []
         for name in ("solve_width", "twist_width"):
             real = getattr(verdicts_module, name)
@@ -759,8 +824,26 @@ class TestWidths:
         kernel = VerdictKernel(aff1.algebra, aff1.representations["adjoint"])
         kernel.kupershmidt_solutions([-3, 0, 2])
         n_ops, s_ops = [(0, 5, 0, 0), (9, 0, 0, 0)], [(0, 0, 0, 1), (0, -7, 0, 0)]
-        kernel.kn_pairs((0, 0, 0, -2), n_ops, s_ops, [(0, 1)])
-        assert seen == [(3,), (2, 5, 7)]
+        kernel.kn_join([(0, 0, 0, -2), (0, 3, 0, 0)], n_ops, s_ops, [(0, 1)])
+        assert seen == [(3,), (3, 5, 7)]
+
+    @pytest.mark.parametrize(
+        "name,rep", [("aff1", "adjoint"), ("sl2", "coadjoint"), ("heis3", "adjoint")]
+    )
+    def test_bracket_match(self, name, rep):
+        # t_a s_b is at most G_T G_S in size, so an entry of D(T, S) is at
+        # most G_T G_S sum_ab max|D(E_a, E_b)|.
+        entry = get_entry(name)
+        rho = entry.representations[rep]
+        kernel = VerdictKernel(entry.algebra, rho)
+        n, m = entry.algebra.dim, rho.module_dim
+        commutators = verdicts_module._unit_commutators(rho.integer_image)
+        table = verdicts_module._match_table(commutators, m)
+        total = sum(max(map(abs, d)) for per_t in table for d in per_t)
+        for g_t, g_s in ((1, 1), (3, 2)):
+            t_ops, s_ops = [(g_t,) + (0,) * (n * m - 1)], [(0,) * (m * m - 1) + (-g_s,)]
+            join = kernel.kn_join(t_ops, [(0,) * n * n], s_ops, [(0, 0)])
+            assert_least_width(join.match_w, g_t * g_s * total, len(table[0][0]))
 
     @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (3, 3), (3, 2)])
     def test_twist(self, n, m):
@@ -771,6 +854,26 @@ class TestWidths:
 
 
 big_entries = st.one_of(st.just(0), st.just(0), st.integers(-(10**6), 10**6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]),
+    data=st.data(),
+)
+def test_match_table_with_large_entries(dims, data):
+    # Random actions with entries up to 10^6 that need not satisfy the
+    # representation axiom: the table is an identity of the bracket-match
+    # loop, at every unit pair.
+    from lieop import Bracket
+
+    n, m = dims
+    mats = [
+        Matrix([data.draw(st.lists(big_entries, min_size=m, max_size=m)) for _ in range(m)])
+        for _ in range(n)
+    ]
+    rho = Representation(Bracket(n, {}), mats, check=False)
+    assert_match_table_is_the_loop(rho.integer_image, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -842,6 +945,7 @@ def test_packed_stages_with_large_entries(dims, data, values, symmetric):
     s_ops = list(itertools.product(ints[:2], repeat=m * m))[:: 2 ** (m * m) // 8 or 1]
     pairs = [(i, j) for j in range(len(s_ops)) for i in range(len(n_ops))]
     rho_image = rho.integer_image
+    join = kernel.kn_join(sample, n_ops, s_ops, pairs)
     for t_op in sample:
         t = kernel_module._rows(t_op, m)
         expected = []
@@ -856,7 +960,7 @@ def test_packed_stages_with_large_entries(dims, data, values, symmetric):
             defects = kernel_module.bracket_match_defects(rho_image, deformed, nt_flat)
             if next(defects, None) is None:
                 expected.append((i, j))
-        assert kernel.kn_pairs(t_op, n_ops, s_ops, pairs) == expected
+        assert kernel.kn_pairs(t_op, join) == expected
 
 
 def test_polarization_rows_agree_with_the_compatibility_report(aff1):
